@@ -163,11 +163,12 @@ class CSRAdjacency:
 
         ``members`` must be sorted ascending and duplicate-free; local id
         ``i`` stands for global vertex ``members[i]``.  Neighbour runs stay
-        sorted because filtering and the monotone searchsorted relabelling
-        both preserve the original run order.  Membership testing uses a
-        full-length boolean mask when the subset is a sizable fraction of
-        the graph and binary search otherwise, so many-small-component
-        callers do not pay O(n) per build.
+        sorted because filtering and the monotone relabelling both preserve
+        the original run order.  When the subset is a sizable fraction of
+        the graph, one full-length relabel table (-1 outside ``members``)
+        answers membership and local id in a single gather; otherwise a
+        binary search does both, so many-small-component callers do not
+        pay O(n) per build.
         """
         members = np.asarray(members, dtype=np.int64)
         c = members.size
@@ -176,19 +177,20 @@ class CSRAdjacency:
         neigh = self.gather(members)
         counts = self.indptr[members + 1] - self.indptr[members]
         if c * 16 >= self.n:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[members] = True
-            inside = mask[neigh]
+            relabel = np.full(self.n, -1, dtype=self.indices.dtype)
+            relabel[members] = np.arange(c, dtype=self.indices.dtype)
+            local_of = relabel[neigh]
+            inside = local_of >= 0
         else:
-            pos = np.searchsorted(members, neigh)
-            pos[pos == c] = 0  # out-of-range probes cannot match members[0]
-            inside = members[pos] == neigh
+            local_of = np.searchsorted(members, neigh)
+            # Out-of-range probes cannot match members[0].
+            local_of[local_of == c] = 0
+            inside = members[local_of] == neigh
         owners = np.repeat(np.arange(c, dtype=np.int64), counts)[inside]
         local_degrees = np.bincount(owners, minlength=c)
         indptr = np.zeros(c + 1, dtype=np.int64)
         np.cumsum(local_degrees, out=indptr[1:])
-        local_indices = np.searchsorted(members, neigh[inside])
-        return CSRAdjacency(indptr, local_indices)
+        return CSRAdjacency(indptr, local_of[inside])
 
     def components_of_mask(self, mask: np.ndarray) -> list[np.ndarray]:
         """Connected components among the vertices with ``mask`` set.

@@ -303,18 +303,16 @@ def expansion_context(
     backend the pool supplies (and caches across queries) the
     query-independent :class:`~repro.influential.expansion_csr
     .ComponentStructure`, so repeated pops of the same community — within
-    one query or across a served batch — skip the relabelling.  The set
-    backend ignores it.
+    one query or across a served batch — skip the relabelling.  The
+    context asks the pool lazily, only once a removal survives the value
+    prefilter.  The set backend ignores it.
     """
     if resolve_backend(backend) == "csr":
         from repro.influential.expansion_csr import CSRExpansionContext
 
-        structure = None
-        if pool is not None:
-            structure = pool.structure_for(members, k)
         return CSRExpansionContext(
             graph, members, k, aggregator, parent_value, hasher, parent_key,
-            structure=structure,
+            pool=pool,
         )
     return ExpansionContext(
         graph,

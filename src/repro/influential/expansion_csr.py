@@ -5,8 +5,11 @@ the children of a popped community ``C`` — the connected k-core components
 of ``C \\ {v}`` for each ``v`` (Alg. 1 Lines 4-7, Alg. 2 Lines 11-13).  The
 set-backend :class:`~repro.influential.expansion.ExpansionContext` does
 this over dict/set structures; this module is the vectorised rewrite.  A
-popped component is relabelled once into the dense local id space
-``0..c-1`` and every per-removal operation then runs over numpy arrays.
+popped component is relabelled into the dense local id space ``0..c-1``
+only if at least one removal survives the Line-13 value prefilter — the
+prefilter reads the member weights straight from the graph, so a pop the
+bound already rules out returns without building any structure — and
+every per-removal operation then runs over numpy arrays.
 
 Mapping from the paper's pseudocode to the arrays held here
 (``i`` is the local id of the removed vertex ``v = members.ids[i]``):
@@ -250,11 +253,14 @@ class CSRExpansionContext:
     ``min_removal_loss`` surface, children carrying identical values and
     Zobrist keys — the property suite holds the two in lockstep.
 
-    The query-independent arrays live in a :class:`ComponentStructure`;
-    passing a prebuilt ``structure`` (the serving-layer engine pool does)
-    skips the relabelling entirely.  The context never mutates the
-    structure's arrays, so one structure can back any number of
-    concurrent contexts.
+    The query-independent arrays live in a :class:`ComponentStructure`,
+    resolved lazily on first use: from ``pool`` (an
+    :class:`~repro.serving.engine_pool.ExpansionEnginePool`, which caches
+    it across queries) when one is given, else by relabelling against the
+    global CSR.  :meth:`expand` prefilters removals before touching the
+    structure, so a pop whose removals all fail the value bound never
+    builds one.  The context never mutates the structure's arrays, so one
+    structure can back any number of concurrent contexts.
     """
 
     __slots__ = (
@@ -265,7 +271,8 @@ class CSRExpansionContext:
         "parent_value",
         "parent_key",
         "hasher",
-        "structure",
+        "_structure",
+        "_pool",
         "_sum_alpha",
     )
 
@@ -278,25 +285,38 @@ class CSRExpansionContext:
         parent_value: float,
         hasher: ZobristHasher,
         parent_key: int | None = None,
-        structure: ComponentStructure | None = None,
+        pool=None,
     ) -> None:
         self.graph = graph
         self.k = k
-        self.members = (
-            structure.members
-            if structure is not None
-            else MemberArray.from_iterable(members, hasher)
-        )
+        self.members = MemberArray.from_iterable(members, hasher)
         self.aggregator = aggregator
         self.parent_value = parent_value
         self.hasher = hasher
         self.parent_key = (
             parent_key if parent_key is not None else self.members.key
         )
-        if structure is None:
-            structure = ComponentStructure.build(graph, self.members, k, hasher)
-        self.structure = structure
+        self._structure: ComponentStructure | None = None
+        self._pool = pool
         self._sum_alpha = sum_alpha_of(aggregator)
+
+    @property
+    def structure(self) -> ComponentStructure:
+        """The component's :class:`ComponentStructure`, built on first use.
+
+        The engine pool is not thread-safe: callers that hand work to
+        threads resolve this on the dispatching thread first.
+        """
+        structure = self._structure
+        if structure is None:
+            if self._pool is not None:
+                structure = self._pool.structure_for(self.members, self.k)
+            else:
+                structure = ComponentStructure.build(
+                    self.graph, self.members, self.k, self.hasher
+                )
+            self._structure = structure
+        return structure
 
     # ------------------------------------------------------------------
     # Solver surface (global vertex ids, mirroring ExpansionContext)
@@ -366,7 +386,9 @@ class CSRExpansionContext:
         whole-component vectors up front; a callable floor is then
         re-read per surviving removal (one scalar comparison) so a
         threshold that tightens mid-batch keeps pruning — only removals
-        that clear the live bound materialise arrays.
+        that clear the live bound materialise arrays.  The prefilter reads
+        member weights from the graph, so the component's structure is
+        only resolved once some removal survives it.
 
         When the process-wide expansion pool is active (compiled kernels
         installed, or ``REPRO_EXPANSION_THREADS`` set — see
@@ -386,8 +408,9 @@ class CSRExpansionContext:
         parent_value = self.parent_value
         start_floor = floor_now()
         if self._sum_alpha is not None:
-            # Vectorised twin of the per-vertex min_removal_loss prefilter.
-            losses = self.local_weights + self._sum_alpha
+            # Vectorised twin of the per-vertex min_removal_loss prefilter,
+            # over the same float64 weights the structure would gather.
+            losses = self.graph.weights[ids] + self._sum_alpha
             eligible = np.flatnonzero(parent_value - losses >= start_floor)
         elif parent_value - 0.0 < start_floor:
             return
@@ -396,8 +419,11 @@ class CSRExpansionContext:
             eligible = np.arange(c, dtype=np.int64)
         if eligible.size == 0:
             return
-        articulation = self.articulation
-        has_weak = self.has_weak
+        # Resolve the structure (and its lazy articulation mask) here, on
+        # the calling thread, before any work is dispatched to threads.
+        structure = self.structure
+        articulation = structure.articulation
+        has_weak = structure.has_weak
         small = c - 1 <= self.k
         loss_list = losses[eligible].tolist() if losses is not None else None
         executor, window = expansion_executor()

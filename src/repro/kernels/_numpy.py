@@ -107,7 +107,12 @@ def components_of_mask(
     # through a scalar worklist instead.
     scratch = np.zeros(mask.size, dtype=bool)
     components: list[np.ndarray] = []
+    # Stop once every masked vertex is placed, rather than testing the
+    # rest of the seeds in Python after the last BFS has swept them.
+    remaining = int(np.count_nonzero(mask))
     for seed in np.flatnonzero(mask):
+        if not remaining:
+            break
         if not unvisited[seed]:
             continue
         unvisited[seed] = False
@@ -132,9 +137,11 @@ def components_of_mask(
                 scratch[frontier] = False
             chunks.append(frontier)
         if len(chunks) == 1:
-            components.append(chunks[0])
+            component = chunks[0]
         else:
-            components.append(np.sort(np.concatenate(chunks)))
+            component = np.sort(np.concatenate(chunks))
+        components.append(component)
+        remaining -= component.size
     return components
 
 

@@ -1,13 +1,15 @@
 """Shared expansion-engine state for many queries over one graph.
 
 The CSR expansion engine of :mod:`repro.influential.expansion_csr` pays,
-per popped community, one relabelling of the community against the global
-CSR (plus degrees, the cascade predicate, and — lazily — articulation
-vertices).  Within a single query the solvers already build that state at
-most once per community; across a *served batch* the same communities are
-popped again and again — every query at degree constraint ``k`` starts
-from the identical maximal-k-core components, and queries differing only
-in ``r``/``eps``/aggregator re-walk largely the same lattice.
+per popped community that has at least one removal surviving the Line-13
+value prefilter, one relabelling of the community against the global CSR
+(plus degrees, the cascade predicate, and — lazily — articulation
+vertices); a pop the bound rules out entirely never asks the pool at all.
+Within a single query the solvers already build that state at most once
+per community; across a *served batch* the same communities are popped
+again and again — every query at degree constraint ``k`` starts from the
+identical maximal-k-core components, and queries differing only in
+``r``/``eps``/aggregator re-walk largely the same lattice.
 
 :class:`ExpansionEnginePool` hoists the query-independent half of the
 engine (:class:`~repro.influential.expansion_csr.ComponentStructure`) into

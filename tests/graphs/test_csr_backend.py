@@ -21,6 +21,7 @@ from repro.graphs.generators.random_graphs import (
     powerlaw_configuration_model,
 )
 from repro.graphs.views import induced_subgraph
+from repro.influential.improved import tic_improved
 
 
 def generated_graphs():
@@ -215,6 +216,56 @@ def test_indices_stored_as_int32():
     neigh = csr.gather(np.arange(graph.n))
     assert neigh.dtype == np.int32
     assert neigh.size == 2 * graph.m
+
+
+def _int_width_run(edges, weights, n):
+    """The kernels and one TIC-IMPROVED call on a freshly built graph, in
+    whatever ``indices`` dtype CSRAdjacency currently picks."""
+    graph = graph_from_edges(edges, weights=weights, n=n)
+    csr = graph.csr
+    rng = np.random.default_rng(11)
+    dense = np.sort(rng.choice(n, size=n // 2, replace=False))
+    sparse = np.sort(rng.choice(n, size=n // 32, replace=False))
+    assert dense.size * 16 >= n > sparse.size * 16  # both relabel branches
+    mask = np.zeros(n, dtype=bool)
+    mask[dense] = True
+    peeled, degrees = csr.peel_to_kcore(mask.copy(), 3)
+    result = tic_improved(graph, k=3, r=8, f="sum", backend="csr")
+    return csr.indices.dtype, {
+        "induced": [
+            (local.indptr, local.indices)
+            for local in (csr.induced_local(dense), csr.induced_local(sparse))
+        ],
+        "components": csr.components_of_mask(mask),
+        "peel": (peeled, degrees[peeled]),
+        "answer": [(sorted(c.vertices), c.value.hex()) for c in result],
+    }
+
+
+def test_int64_indices_give_int32_results(monkeypatch):
+    # Graphs with n >= 2**31 store int64 neighbour ids; forcing that
+    # layout on a small graph must not change a single kernel or solver
+    # result.
+    base = gnm_random_graph(160, 900, seed=4)
+    edges = list(base.edges())
+    weights = np.random.default_rng(5).uniform(0.1, 30.0, base.n)
+    narrow_dtype, narrow = _int_width_run(edges, weights, base.n)
+    monkeypatch.setattr(
+        CSRAdjacency, "_index_dtype", staticmethod(lambda n: np.dtype(np.int64))
+    )
+    wide_dtype, wide = _int_width_run(edges, weights, base.n)
+    assert narrow_dtype == np.int32 and wide_dtype == np.int64
+    for (ptr, idx), (wide_ptr, wide_idx) in zip(
+        narrow["induced"], wide["induced"]
+    ):
+        assert wide_idx.dtype == np.int64
+        assert np.array_equal(ptr, wide_ptr) and np.array_equal(idx, wide_idx)
+    assert len(narrow["components"]) == len(wide["components"])
+    for a, b in zip(narrow["components"], wide["components"]):
+        assert np.array_equal(a, b)
+    for a, b in zip(narrow["peel"], wide["peel"]):
+        assert np.array_equal(a, b)
+    assert narrow["answer"] and narrow["answer"] == wide["answer"]
 
 
 def test_induced_local_relabels_and_sorts():

@@ -16,6 +16,7 @@ so solvers may switch backends without their answers moving by a bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,10 +104,7 @@ def test_peel_to_kcore_parity(graph, k, data):
     )
 
 
-@given(graphs(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_components_of_mask_parity(graph, data):
-    subset, mask = _subset_mask(None, graph, data)
+def _check_components_parity(graph, subset, mask):
     oracle = connected_components_of(graph, subset, backend="set")
     csr = graph.csr
     before = mask.copy()
@@ -120,6 +118,58 @@ def test_components_of_mask_parity(graph, data):
         assert a.dtype == np.int64 and b.dtype == np.int64
         assert np.array_equal(a, b)
         assert np.array_equal(a, np.sort(a))
+
+
+@given(graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_components_of_mask_parity(graph, data):
+    subset, mask = _subset_mask(None, graph, data)
+    _check_components_parity(graph, subset, mask)
+
+
+def _path_edges(n):
+    return [(v, v + 1) for v in range(n - 1)]
+
+
+# (n, edges, masked subset, whether the numpy split must drain a chain)
+SPLITTER_SHAPES = {
+    "empty-mask": (8, _path_edges(8), [], False),
+    "one-vertex": (8, _path_edges(8), [5], False),
+    # Every other vertex of a path: 150 singletons, one seed each.
+    "isolated": (300, _path_edges(300), list(range(0, 300, 2)), False),
+    "first-bfs-covers-all": (
+        40,
+        _path_edges(40) + [(0, 39), (0, 20), (10, 30)],
+        list(range(40)),
+        False,
+    ),
+    # A 200-vertex chain (narrow frontier for >= 32 levels: the scalar
+    # drain) followed by a triangle the seed loop must still reach.
+    "long-chain": (
+        203,
+        _path_edges(200) + [(200, 201), (201, 202), (200, 202)],
+        list(range(203)),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SPLITTER_SHAPES))
+def test_components_of_mask_shapes(shape, monkeypatch):
+    n, edges, subset, drains = SPLITTER_SHAPES[shape]
+    graph = graph_from_edges(edges, weights=[1.0] * n, n=n)
+    mask = np.zeros(n, dtype=bool)
+    mask[subset] = True
+    drained = []
+    drain = fallback._drain_bfs
+
+    def spy_drain(*args):
+        drained.append(True)
+        return drain(*args)
+
+    monkeypatch.setattr(fallback, "_drain_bfs", spy_drain)
+    _check_components_parity(graph, subset, mask)
+    assert bool(drained) == drains
 
 
 @given(graphs())
