@@ -2,8 +2,9 @@
 
 PR 1 benchmarked the substrate kernels; this file measures what the user
 actually waits for — a whole ``sum_naive`` / ``tic_improved`` query — with
-the expansion machinery on the set engine ("old": dict adjacency, Python
-Tarjan, frozenset copies) versus the CSR engine of
+the expansion machinery on the reference set engine ("old": dict
+adjacency, Python Tarjan, frozenset copies — selected by
+:func:`repro.reference.set_engine`) versus the CSR engine of
 :mod:`repro.influential.expansion_csr` ("new": component-local CSR, array
 cascades, int32 member arrays).
 
@@ -25,8 +26,11 @@ import json
 import pathlib
 import time
 
+from contextlib import nullcontext
+
 from repro.influential.improved import tic_improved
 from repro.influential.naive_sum import sum_naive
+from repro.reference import set_engine
 
 DEFAULT_K = 10
 DEFAULT_R = 5
@@ -36,39 +40,45 @@ DEFAULT_EPS = 0.1
 # ----------------------------------------------------------------------
 # pytest-benchmark entries (representative dataset, both engines)
 # ----------------------------------------------------------------------
-def test_bench_tic_improved_set_backend(benchmark, email):
-    benchmark.group = "solver-backends"
-    result = benchmark(tic_improved, email, 4, DEFAULT_R, None, 0.1, "set")
+def _engine(name: str):
+    """Scope for one engine: the reference set engine or production CSR."""
+    return set_engine() if name == "set" else nullcontext()
+
+
+def test_bench_tic_improved_set_engine(benchmark, email):
+    benchmark.group = "solver-engines"
+    with set_engine():
+        result = benchmark(tic_improved, email, 4, DEFAULT_R, None, 0.1)
     assert len(result)
 
 
-def test_bench_tic_improved_csr_backend(benchmark, email):
-    benchmark.group = "solver-backends"
+def test_bench_tic_improved_csr_engine(benchmark, email):
+    benchmark.group = "solver-engines"
     email.csr
-    result = benchmark(tic_improved, email, 4, DEFAULT_R, None, 0.1, "csr")
+    result = benchmark(tic_improved, email, 4, DEFAULT_R, None, 0.1)
     assert len(result)
 
 
-def test_bench_sum_naive_set_backend(benchmark, email):
-    benchmark.group = "solver-backends"
-    result = benchmark(sum_naive, email, 4, DEFAULT_R, None, None, "set")
+def test_bench_sum_naive_set_engine(benchmark, email):
+    benchmark.group = "solver-engines"
+    with set_engine():
+        result = benchmark(sum_naive, email, 4, DEFAULT_R)
     assert len(result)
 
 
-def test_bench_sum_naive_csr_backend(benchmark, email):
-    benchmark.group = "solver-backends"
+def test_bench_sum_naive_csr_engine(benchmark, email):
+    benchmark.group = "solver-engines"
     email.csr
-    result = benchmark(sum_naive, email, 4, DEFAULT_R, None, None, "csr")
+    result = benchmark(sum_naive, email, 4, DEFAULT_R)
     assert len(result)
 
 
-def test_solver_backends_agree_on_email(email):
-    assert tic_improved(email, 4, DEFAULT_R, eps=0.1, backend="set") == (
-        tic_improved(email, 4, DEFAULT_R, eps=0.1, backend="csr")
-    )
-    assert sum_naive(email, 4, DEFAULT_R, backend="set") == (
-        sum_naive(email, 4, DEFAULT_R, backend="csr")
-    )
+def test_solver_engines_agree_on_email(email):
+    csr_improved = tic_improved(email, 4, DEFAULT_R, eps=0.1)
+    csr_naive = sum_naive(email, 4, DEFAULT_R)
+    with set_engine():
+        assert tic_improved(email, 4, DEFAULT_R, eps=0.1) == csr_improved
+        assert sum_naive(email, 4, DEFAULT_R) == csr_naive
 
 
 # ----------------------------------------------------------------------
@@ -85,13 +95,14 @@ def _weighted_gnm(n: int, m: int, seed: int):
     return graph
 
 
-def _timed(fn, repeats: int):
+def _timed(fn, repeats: int, engine: str):
     times = []
     result = None
     for __ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
+        with _engine(engine):
+            start = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - start)
     return min(times), result
 
 
@@ -123,17 +134,13 @@ def measure_solver_speedups(
         "solvers": {},
     }
     cases = {
-        "tic_improved_approx": lambda b: tic_improved(
-            large, k, r, eps=eps, backend=b
-        ),
-        "tic_improved_exact": lambda b: tic_improved(
-            large, k, r, eps=0.0, backend=b
-        ),
-        "sum_naive": lambda b: sum_naive(small, k, r, backend=b),
+        "tic_improved_approx": lambda: tic_improved(large, k, r, eps=eps),
+        "tic_improved_exact": lambda: tic_improved(large, k, r, eps=0.0),
+        "sum_naive": lambda: sum_naive(small, k, r),
     }
     for name, solver in cases.items():
-        csr_seconds, csr_result = _timed(lambda: solver("csr"), repeats)
-        set_seconds, set_result = _timed(lambda: solver("set"), repeats)
+        csr_seconds, csr_result = _timed(solver, repeats, "csr")
+        set_seconds, set_result = _timed(solver, repeats, "set")
         report["solvers"][name] = {
             "set_seconds": round(set_seconds, 4),
             "csr_seconds": round(csr_seconds, 4),

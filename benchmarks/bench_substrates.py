@@ -2,8 +2,10 @@
 where does solver time go?  Core decomposition, PageRank, component
 splitting and the expansion fast path are each measured in isolation.
 
-The ``*_set`` / ``*_csr`` benchmark pairs compare the two graph-kernel
-backends on the same dataset; ``python benchmarks/bench_substrates.py``
+The ``*_set`` / ``*_csr`` benchmark pairs compare the reference set
+implementations (:mod:`repro.reference`, and the worklist peel behind
+``kcore_of_subset``'s small-subset branch) with the production CSR
+kernels on the same dataset; ``python benchmarks/bench_substrates.py``
 runs the standalone old-vs-new comparison on a 50k-vertex random graph
 and writes the measured speedups to ``BENCH_csr_backend.json``.
 """
@@ -11,13 +13,34 @@ and writes the measured speedups to ``BENCH_csr_backend.json``.
 from __future__ import annotations
 
 
+from repro import reference
 from repro.aggregators.summation import Sum
 from repro.centrality.pagerank import pagerank
 from repro.core.decomposition import core_decomposition
-from repro.core.kcore import connected_kcore_components, kcore_of_subset
-from repro.influential.expansion import ExpansionContext
+from repro.core.kcore import (
+    connected_kcore_components,
+    kcore_of_subset,
+    kcore_worklist,
+)
+from repro.reference import ExpansionContext
 from repro.truss.decomposition import edge_supports
 from repro.utils.zobrist import ZobristHasher
+
+#: Per kernel, the reference set implementation and the production one.
+SET_KERNELS = {
+    "core_decomposition": reference.core_decomposition,
+    "kcore_of_subset": lambda graph, k: kcore_worklist(
+        graph, set(range(graph.n)), k
+    ),
+    "edge_supports": reference.edge_supports,
+}
+CSR_KERNELS = {
+    "core_decomposition": core_decomposition,
+    "kcore_of_subset": lambda graph, k: kcore_of_subset(
+        graph, range(graph.n), k
+    ),
+    "edge_supports": edge_supports,
+}
 
 
 def test_bench_core_decomposition(benchmark, email):
@@ -26,53 +49,54 @@ def test_bench_core_decomposition(benchmark, email):
     assert len(cores) == email.n
 
 
-def test_bench_core_decomposition_set_backend(benchmark, email):
-    benchmark.group = "substrate-backends"
-    cores = benchmark(core_decomposition, email, "set")
+def test_bench_core_decomposition_set(benchmark, email):
+    benchmark.group = "substrate-engines"
+    cores = benchmark(SET_KERNELS["core_decomposition"], email)
     assert len(cores) == email.n
 
 
-def test_bench_core_decomposition_csr_backend(benchmark, email):
-    benchmark.group = "substrate-backends"
+def test_bench_core_decomposition_csr(benchmark, email):
+    benchmark.group = "substrate-engines"
     email.csr  # warm the cache: construction is once-per-graph, not per-call
-    cores = benchmark(core_decomposition, email, "csr")
+    cores = benchmark(CSR_KERNELS["core_decomposition"], email)
     assert len(cores) == email.n
 
 
-def test_bench_kcore_of_subset_set_backend(benchmark, email):
-    benchmark.group = "substrate-backends"
-    core = benchmark(kcore_of_subset, email, range(email.n), 4, "set")
+def test_bench_kcore_of_subset_set(benchmark, email):
+    benchmark.group = "substrate-engines"
+    core = benchmark(SET_KERNELS["kcore_of_subset"], email, 4)
     assert core
 
 
-def test_bench_kcore_of_subset_csr_backend(benchmark, email):
-    benchmark.group = "substrate-backends"
+def test_bench_kcore_of_subset_csr(benchmark, email):
+    benchmark.group = "substrate-engines"
     email.csr
-    core = benchmark(kcore_of_subset, email, range(email.n), 4, "csr")
+    core = benchmark(CSR_KERNELS["kcore_of_subset"], email, 4)
     assert core
 
 
-def test_bench_edge_supports_set_backend(benchmark, email):
-    benchmark.group = "substrate-backends"
-    supports = benchmark(edge_supports, email, "set")
+def test_bench_edge_supports_set(benchmark, email):
+    benchmark.group = "substrate-engines"
+    supports = benchmark(SET_KERNELS["edge_supports"], email)
     assert len(supports) == email.m
 
 
-def test_bench_edge_supports_csr_backend(benchmark, email):
-    benchmark.group = "substrate-backends"
+def test_bench_edge_supports_csr(benchmark, email):
+    benchmark.group = "substrate-engines"
     email.csr
-    supports = benchmark(edge_supports, email, "csr")
+    supports = benchmark(CSR_KERNELS["edge_supports"], email)
     assert len(supports) == email.m
 
 
-def test_backends_agree_on_email(email):
+def test_engines_agree_on_email(email):
     import numpy as np
 
     assert np.array_equal(
-        core_decomposition(email, "set"), core_decomposition(email, "csr")
+        SET_KERNELS["core_decomposition"](email),
+        CSR_KERNELS["core_decomposition"](email),
     )
-    assert kcore_of_subset(email, range(email.n), 4, "set") == kcore_of_subset(
-        email, range(email.n), 4, "csr"
+    assert SET_KERNELS["kcore_of_subset"](email, 4) == (
+        CSR_KERNELS["kcore_of_subset"](email, 4)
     )
 
 
@@ -139,12 +163,13 @@ def test_fast_path_is_common(email):
 
 
 # ----------------------------------------------------------------------
-# Standalone old-vs-new backend comparison (the CSR refactor's receipts)
+# Standalone old-vs-new comparison (the CSR refactor's receipts)
 # ----------------------------------------------------------------------
 def measure_backend_speedups(
     n: int = 50_000, m: int = 400_000, seed: int = 7, repeats: int = 3
 ) -> dict:
-    """Time every rewritten kernel under both backends on one G(n, m) graph.
+    """Time every rewritten kernel, reference set implementation against
+    CSR, on one G(n, m) graph.
 
     Returns a JSON-ready report; kernel times are best-of-``repeats``.
     The CSR flattening cost is reported separately (it is paid once per
@@ -169,12 +194,10 @@ def measure_backend_speedups(
     graph.csr
     csr_build_seconds = time.perf_counter() - build_start
 
-    kernels = {
-        "core_decomposition": lambda b: core_decomposition(graph, b),
-        "kcore_of_subset": lambda b: kcore_of_subset(
-            graph, range(graph.n), 10, b
-        ),
-        "edge_supports": lambda b: edge_supports(graph, b),
+    args = {
+        "core_decomposition": (),
+        "kcore_of_subset": (10,),
+        "edge_supports": (),
     }
     report = {
         "benchmark": "csr_backend_speedups",
@@ -182,9 +205,13 @@ def measure_backend_speedups(
         "csr_build_seconds": round(csr_build_seconds, 4),
         "kernels": {},
     }
-    for name, kernel in kernels.items():
-        set_seconds, set_result = best_of(lambda: kernel("set"))
-        csr_seconds, csr_result = best_of(lambda: kernel("csr"))
+    for name, extra in args.items():
+        set_seconds, set_result = best_of(
+            lambda: SET_KERNELS[name](graph, *extra)
+        )
+        csr_seconds, csr_result = best_of(
+            lambda: CSR_KERNELS[name](graph, *extra)
+        )
         if isinstance(set_result, dict) or isinstance(set_result, set):
             agree = set_result == csr_result
         else:

@@ -11,8 +11,9 @@ against that rebuild path, on the PR 1/2 reference graph G(50k, 400k).
 
 Every measured update is verified: after the deltas, query results on
 the updated service must be byte-identical to cold runs against a
-from-scratch rebuild of the final graph, on **both** backends, and the
-repaired core numbers must equal a full re-decomposition
+from-scratch rebuild of the final graph, on the CSR engine and on the
+reference set engine, and the repaired core numbers must equal the
+reference re-decomposition
 (``results_agree`` in the report).
 
 ``python benchmarks/bench_updates.py`` writes ``BENCH_updates.json``;
@@ -30,6 +31,7 @@ import time
 
 import numpy as np
 
+from repro import reference
 from repro.core.decomposition import core_decomposition
 from repro.graphs.builder import graph_from_edges
 from repro.graphs.delta import GraphDelta
@@ -133,8 +135,9 @@ def _pick_edges(graph, count, seed):
     return picked
 
 
-def _verify(service, backend_pool=("set", "csr")):
-    """Updated-service answers == cold rebuild answers, both backends."""
+def _verify(service):
+    """Updated-service answers == cold rebuild answers, on the CSR engine
+    and on the reference set engine."""
     cold_graph = graph_from_edges(
         [
             (u, v)
@@ -146,18 +149,15 @@ def _verify(service, backend_pool=("set", "csr")):
         n=service.graph.n,
     )
     if not np.array_equal(
-        service.core_numbers, core_decomposition(cold_graph)
+        service.core_numbers, reference.core_decomposition(cold_graph)
     ):
         return False
     for query in VERIFY_QUERIES:
         served = service.submit(query)
-        # One served answer, checked against a cold run under *each*
-        # backend (cache keys collapse backends, so submitting per
-        # backend would just re-read the cache).
-        for backend in backend_pool:
-            cold = top_r_communities(
-                cold_graph, backend=backend, **query.solver_kwargs()
-            )
+        colds = [top_r_communities(cold_graph, **query.solver_kwargs())]
+        with reference.set_engine():
+            colds.append(top_r_communities(cold_graph, **query.solver_kwargs()))
+        for cold in colds:
             if served != cold or served.values() != cold.values():
                 return False
     return True

@@ -34,9 +34,9 @@ def community_leaders(
     """Leader + deputy roster for each ranked community.
 
     The leader is the member with the largest influence weight (ties go
-    to the smaller vertex id, keeping the roster deterministic across
-    backends); ``deputies`` more members follow in the same order.  One
-    entry per community, in result-rank order.
+    to the smaller vertex id, keeping the roster deterministic);
+    ``deputies`` more members follow in the same order.  One entry per
+    community, in result-rank order.
     """
     if deputies < 0:
         raise SpecError(f"deputies must be >= 0, got {deputies}")

@@ -11,7 +11,7 @@ Everything CI gates on funnels through this module:
   returning a hard PASS/FAIL :class:`ComparisonReport` instead of the old
   warn-only exit 0.
 * :func:`compare_grid_runs` — two experiment-grid history databases
-  (:mod:`repro.bench.history`): cell statuses, cross-tier/backend answer
+  (:mod:`repro.bench.history`): cell statuses, cross-tier answer
   digests, and tier-speedup ratios under the noise band.
 
 Intentional regressions are acknowledged in a *waiver file*
@@ -261,7 +261,7 @@ def _axes_key(cell: CellRecord) -> tuple:
 def _answer_group(cell: CellRecord) -> tuple:
     """Cells that must return identical answers: axes minus the engine."""
     axes = dict(cell.axes)
-    for engine_axis in ("tier", "backend", "workers"):
+    for engine_axis in ("tier", "workers"):
         axes.pop(engine_axis, None)
     return tuple(sorted((k, str(v)) for k, v in axes.items()))
 
@@ -307,7 +307,7 @@ def compare_grid_runs(
     Three checks gate:
 
     * every fresh cell that *errored* (and is not skipped by design);
-    * answer digests diverging across tiers/backends inside the fresh
+    * answer digests diverging across tiers inside the fresh
       run (the grid's correctness parity);
     * each tier cell's speedup-over-cold falling below
       ``baseline * tolerance / (1 + band)``, where ``band`` is the

@@ -1,8 +1,8 @@
 """The declarative experiment grid: Section VI's evaluation as data.
 
 The paper evaluates over a parameter grid (dataset × k × r × aggregator ×
-ε); this repo's performance claims add three more axes — graph backend,
-worker count, and *serving tier* (cold solver call, pooled
+ε); this repo's performance claims add two more axes — worker count and
+*serving tier* (cold solver call, pooled
 :class:`~repro.serving.service.QueryService`, precomputed index).  A
 :class:`GridSpec` names one such grid declaratively; :func:`run_grid`
 executes every cell best-of-N and appends the outcome to a
@@ -12,7 +12,7 @@ cell — errors are recorded, never raised, so one broken cell cannot hide
 the rest of the sweep.
 
 Each done cell also records a digest of the *answer* it measured: cells
-that differ only in engine axes (tier, backend, workers) must agree, and
+that differ only in engine axes (tier, workers) must agree, and
 the comparator (:func:`repro.bench.compare.compare_grid_runs`) fails the
 run when they do not.
 """
@@ -47,7 +47,6 @@ class GridSpec:
     ks: tuple[int, ...]
     rs: tuple[int, ...]
     aggregators: tuple[str, ...]
-    backends: tuple[str, ...]
     workers: tuple[int, ...]
     tiers: tuple[str, ...]  # "cold" | "service" | "index"
     #: Label-constraint axis: ``"none"`` or compact predicate specs like
@@ -67,13 +66,12 @@ class GridSpec:
     def cells(self) -> list["GridCell"]:
         """Every cell, in deterministic enumeration order."""
         out = []
-        for (n, m), k, r, f, backend, workers, tier, constrained in (
+        for (n, m), k, r, f, workers, tier, constrained in (
             itertools.product(
                 self.graphs,
                 self.ks,
                 self.rs,
                 self.aggregators,
-                self.backends,
                 self.workers,
                 self.tiers,
                 self.constrained,
@@ -81,9 +79,8 @@ class GridSpec:
         ):
             out.append(
                 GridCell(
-                    n=n, m=m, k=k, r=r, aggregator=f, backend=backend,
-                    workers=workers, tier=tier, eps=self.eps,
-                    constrained=constrained,
+                    n=n, m=m, k=k, r=r, aggregator=f, workers=workers,
+                    tier=tier, eps=self.eps, constrained=constrained,
                 )
             )
         return out
@@ -98,7 +95,6 @@ class GridCell:
     k: int
     r: int
     aggregator: str
-    backend: str
     workers: int
     tier: str
     eps: float
@@ -113,7 +109,7 @@ class GridCell:
         )
         return (
             f"g{self.n}x{self.m}/k{self.k}/r{self.r}/f={self.aggregator}"
-            f"/b={self.backend}/w{self.workers}{constraint}/{self.tier}"
+            f"/w{self.workers}{constraint}/{self.tier}"
         )
 
     @property
@@ -123,7 +119,6 @@ class GridCell:
             "k": self.k,
             "r": self.r,
             "f": self.aggregator,
-            "backend": self.backend,
             "workers": self.workers,
             "tier": self.tier,
             "eps": self.eps,
@@ -151,8 +146,8 @@ class GridCell:
 # Named grids
 # ----------------------------------------------------------------------
 #: ``smoke`` exercises the machinery in seconds (CLI tests, local sanity);
-#: ``ci`` is the gating PR-sized grid (small graph, both backends — the
-#: cross-backend digest check rides on it); ``full`` is the nightly sweep.
+#: ``ci`` is the gating PR-sized grid (small graph; the cross-tier digest
+#: check rides on it); ``full`` is the nightly sweep.
 #: The aggregator axis pairs ``sum`` (the headline expansion solvers +
 #: index) with ``min`` (the minmax solver family); ``avg`` is excluded
 #: from timed grids on purpose — its local-search solver runs minutes per
@@ -165,7 +160,6 @@ GRIDS: dict[str, GridSpec] = {
         ks=(3,),
         rs=(3,),
         aggregators=("sum",),
-        backends=("csr",),
         workers=(0,),
         tiers=("cold", "service"),
         repeats=2,
@@ -176,11 +170,10 @@ GRIDS: dict[str, GridSpec] = {
         ks=(4, 8),
         rs=(5,),
         aggregators=("sum", "min"),
-        backends=("csr", "set"),
         workers=(0,),
         tiers=("cold", "service", "index"),
         # The constrained leg gates the label-pushdown path per PR: same
-        # digest across backends and tiers, timed like everything else.
+        # digest across tiers, timed like everything else.
         constrained=("none", "eq:deg:high"),
     ),
     "full": GridSpec(
@@ -189,7 +182,6 @@ GRIDS: dict[str, GridSpec] = {
         ks=(4, 8, 16),
         rs=(5, 20),
         aggregators=("sum", "min"),
-        backends=("csr",),
         workers=(0, 2),
         tiers=("cold", "service", "index"),
     ),
@@ -222,7 +214,7 @@ class CellExecutor:
     """Default cell runner: real graphs, real solvers, real services.
 
     Graphs and services are cached across cells — one
-    :class:`~repro.serving.service.QueryService` per (graph, backend),
+    :class:`~repro.serving.service.QueryService` per graph,
     built outside any timed region, exactly like a warm deployment.
     """
 
@@ -230,8 +222,8 @@ class CellExecutor:
         self._spec = spec
         self._clock = clock
         self._graphs: dict[tuple[int, int], object] = {}
-        self._services: dict[tuple[int, int, str], object] = {}
-        self._indexed: dict[tuple[int, int, str], object] = {}
+        self._services: dict[tuple[int, int], object] = {}
+        self._indexed: dict[tuple[int, int], object] = {}
 
     def _graph(self, n: int, m: int):
         key = (n, m)
@@ -250,22 +242,20 @@ class CellExecutor:
             self._graphs[key] = graph
         return self._graphs[key]
 
-    def _service(self, n: int, m: int, backend: str):
-        key = (n, m, backend)
+    def _service(self, n: int, m: int):
+        key = (n, m)
         if key not in self._services:
             from repro.serving.service import QueryService
 
-            self._services[key] = QueryService(
-                self._graph(n, m), backend=backend
-            )
+            self._services[key] = QueryService(self._graph(n, m))
         return self._services[key]
 
-    def _indexed_service(self, n: int, m: int, backend: str):
-        key = (n, m, backend)
+    def _indexed_service(self, n: int, m: int):
+        key = (n, m)
         if key not in self._indexed:
             from repro.serving.service import QueryService
 
-            service = QueryService(self._graph(n, m), backend=backend)
+            service = QueryService(self._graph(n, m))
             service.enable_index(depth=self._spec.index_depth)
             self._indexed[key] = service
         return self._indexed[key]
@@ -287,7 +277,7 @@ class CellExecutor:
             seconds, result = time_call(
                 lambda: top_r_communities(
                     graph, cell.k, cell.r, f=cell.aggregator,
-                    eps=cell.eps, backend=cell.backend, labels=labels,
+                    eps=cell.eps, labels=labels,
                 ),
                 clock=self._clock,
             )
@@ -298,9 +288,9 @@ class CellExecutor:
         from repro.serving.query import InfluentialQuery
 
         if cell.tier == "index":
-            service = self._indexed_service(cell.n, cell.m, cell.backend)
+            service = self._indexed_service(cell.n, cell.m)
         else:
-            service = self._service(cell.n, cell.m, cell.backend)
+            service = self._service(cell.n, cell.m)
         predicate = _constraint_spec(cell.constrained)
         constraints = None if predicate is None else {"labels": predicate}
         query = InfluentialQuery(

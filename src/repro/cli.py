@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache capacity (0 disables caching)",
     )
     batch.add_argument(
-        "--backend", default="auto", help="graph backend: auto|set|csr"
-    )
-    batch.add_argument(
         "--out", default=None, help="also write results as JSON to this path"
     )
     batch.add_argument(
@@ -149,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="result-cache capacity (0 disables caching)",
-    )
-    serve.add_argument(
-        "--backend", default="auto", help="graph backend: auto|set|csr"
     )
     serve.add_argument(
         "--max-body-mb", type=int, default=64,
@@ -519,9 +513,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     queries = [InfluentialQuery.create(entry) for entry in raw]
 
     graph = _load_graph(args)
-    service = QueryService(
-        graph, backend=args.backend, cache_size=args.cache_size
-    )
+    service = QueryService(graph, cache_size=args.cache_size)
     start = time.perf_counter()
     results = service.submit_many(queries, workers=args.workers)
     elapsed = time.perf_counter() - start
@@ -593,9 +585,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     if args.snapshot:
-        service = load_service(
-            args.snapshot, backend=args.backend, cache_size=args.cache_size
-        )
+        service = load_service(args.snapshot, cache_size=args.cache_size)
         if args.weights:
             # Serve the snapshot's topology under fresh weights (topology
             # caches survive; the persisted weights are simply replaced).
@@ -607,9 +597,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         source = f"snapshot {args.snapshot}"
     else:
         graph = _load_graph(args)
-        service = QueryService(
-            graph, backend=args.backend, cache_size=args.cache_size
-        )
+        service = QueryService(graph, cache_size=args.cache_size)
         source = args.dataset or args.edges
     if args.index and service.index is None:
         service.enable_index(depth=args.index_depth)
@@ -724,7 +712,6 @@ def _serve_fleet(args: argparse.Namespace, service) -> int:
         max_queue_depth=args.max_queue,
         max_body_bytes=args.max_body_mb * 1024 * 1024,
         cache_size=args.cache_size,
-        backend=args.backend,
     )
     stop = threading.Event()
     previous = {

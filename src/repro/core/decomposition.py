@@ -6,11 +6,11 @@ from which every maximal k-core falls out by thresholding — this is the
 preprocessing step of every solver, and it also yields the ``kmax`` column
 of the paper's Table III (the largest k with a non-empty k-core).
 
-Two implementations coexist behind the ``backend=`` switch: the original
-pointer-chasing BZ peel over set adjacency (``"set"``) and the kernel-tier
-flat-array implementation (``"csr"``, the default) — a vectorised
-degree-wave peel in pure numpy, or the compiled BZ bucket loop when Numba
-is installed (:func:`repro.kernels.core_numbers` dispatches).
+The computation runs in the kernel tier
+(:func:`repro.kernels.core_numbers`): a vectorised degree-wave peel in pure
+numpy, or the compiled BZ bucket loop when Numba is installed.  The
+pointer-chasing BZ peel over set adjacency lives on in
+:mod:`repro.reference` as the test oracle.
 
 Reference: V. Batagelj and M. Zaveršnik, "An O(m) Algorithm for Cores
 Decomposition of Networks", 2003.
@@ -21,62 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.graphs.backend import resolve_backend
 from repro.graphs.graph import Graph
 
 
-def core_decomposition(graph: Graph, backend: str = "auto") -> np.ndarray:
-    """Core number of every vertex, O(n + m).
-
-    ``backend="csr"`` dispatches to the kernel tier
-    (:func:`repro.kernels.core_numbers`); ``backend="set"`` runs BZ
-    bucket peeling: vertices sorted by current
-    degree in a flat array with bucket boundaries; repeatedly peel the
-    minimum-degree vertex and decrement neighbours, swapping them down a
-    bucket.  Both return the identical int64 core-number array.
-    """
-    n = graph.n
-    if n == 0:
+def core_decomposition(graph: Graph) -> np.ndarray:
+    """Core number of every vertex as an int64 array, O(n + m)."""
+    if graph.n == 0:
         return np.zeros(0, dtype=np.int64)
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr
-        return kernels.core_numbers(csr.indptr, csr.indices)
-    adj = graph.adjacency
-    degree = [len(adj[v]) for v in range(n)]
-    max_degree = max(degree)
-
-    # Counting sort of vertices by degree.
-    bin_start = [0] * (max_degree + 2)
-    for d in degree:
-        bin_start[d + 1] += 1
-    for d in range(1, max_degree + 2):
-        bin_start[d] += bin_start[d - 1]
-    # bin_start[d] = first index of the degree-d block in `order`.
-    position = [0] * n
-    order = [0] * n
-    cursor = bin_start[:]
-    for v in range(n):
-        position[v] = cursor[degree[v]]
-        order[position[v]] = v
-        cursor[degree[v]] += 1
-
-    core = degree[:]
-    for i in range(n):
-        v = order[i]
-        for u in adj[v]:
-            if core[u] > core[v]:
-                # Swap u with the first vertex of its degree block, then
-                # shrink the block from the left — an O(1) bucket demotion.
-                du = core[u]
-                pu = position[u]
-                pw = bin_start[du]
-                w = order[pw]
-                if u != w:
-                    order[pu], order[pw] = w, u
-                    position[u], position[w] = pw, pu
-                bin_start[du] += 1
-                core[u] -= 1
-    return np.asarray(core, dtype=np.int64)
+    csr = graph.csr
+    return kernels.core_numbers(csr.indptr, csr.indices)
 
 
 def kmax(graph: Graph) -> int:

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.decomposition import core_decomposition
 from repro.errors import SpecError
-from repro.graphs.backend import resolve_backend
 from repro.graphs.components import connected_components_of
 from repro.graphs.csr import membership_mask
 from repro.graphs.graph import Graph
@@ -32,7 +31,7 @@ def _check_k(k: int) -> None:
         raise SpecError(f"degree constraint k must be non-negative, got {k}")
 
 
-def maximal_kcore(graph: Graph, k: int, backend: str = "auto") -> set[int]:
+def maximal_kcore(graph: Graph, k: int) -> set[int]:
     """Vertex set of the maximal k-core of the whole graph.
 
     Uses the core decomposition (O(n + m)) and thresholds at k, which both
@@ -40,30 +39,33 @@ def maximal_kcore(graph: Graph, k: int, backend: str = "auto") -> set[int]:
     should threshold :func:`core_decomposition` themselves.
     """
     _check_k(k)
-    cores = core_decomposition(graph, backend=backend)
+    cores = core_decomposition(graph)
     return set(np.flatnonzero(cores >= k).tolist())
 
 
-def kcore_of_subset(
-    graph: Graph, vertices: Iterable[int], k: int, backend: str = "auto"
-) -> set[int]:
+def kcore_of_subset(graph: Graph, vertices: Iterable[int], k: int) -> set[int]:
     """The maximal sub-k-core of ``G[vertices]`` (empty set if none).
 
     The result is the unique maximal subset of ``vertices`` whose induced
-    subgraph has minimum degree >= k.  The CSR backend peels a boolean
-    mask with vectorised frontier rounds
-    (:meth:`repro.graphs.csr.CSRAdjacency.peel_to_kcore`) — except for
-    subsets tiny relative to the graph, where the O(n) mask rounds would
-    dwarf the work and the set peel's subset-proportional cost wins.  The
-    set backend runs the standard worklist peel: start from vertices whose
-    induced degree is below k, cascade deletions.
+    subgraph has minimum degree >= k.  Subsets that are a sizable fraction
+    of the graph peel a boolean mask with vectorised frontier rounds
+    (:meth:`repro.graphs.csr.CSRAdjacency.peel_to_kcore`); for subsets
+    tiny relative to the graph the O(n) mask rounds would dwarf the work,
+    so they run the subset-proportional worklist peel instead.
     """
     _check_k(k)
     alive = set(vertices)
-    if resolve_backend(backend) == "csr" and len(alive) * 16 >= graph.n:
+    if len(alive) * 16 >= graph.n:
         mask = membership_mask(graph.n, alive)
         mask, __ = graph.csr.peel_to_kcore(mask, k)
         return set(np.flatnonzero(mask).tolist())
+    return kcore_worklist(graph, alive, k)
+
+
+def kcore_worklist(graph: Graph, alive: set[int], k: int) -> set[int]:
+    """The worklist peel behind :func:`kcore_of_subset`: start from the
+    vertices whose induced degree is below k and cascade deletions.
+    Consumes ``alive``, which becomes the result."""
     for v in alive:
         graph.check_vertex(v)
     adj = graph.adjacency
@@ -85,7 +87,7 @@ def kcore_of_subset(
 
 
 def connected_kcore_components(
-    graph: Graph, vertices: Iterable[int], k: int, backend: str = "auto"
+    graph: Graph, vertices: Iterable[int], k: int
 ) -> list[set[int]]:
     """Connected components of the maximal sub-k-core of ``G[vertices]``.
 
@@ -93,10 +95,10 @@ def connected_kcore_components(
     Algorithms 1 and 2 enumerate.  Ordered by smallest member for
     determinism.
     """
-    core = kcore_of_subset(graph, vertices, k, backend=backend)
+    core = kcore_of_subset(graph, vertices, k)
     if not core:
         return []
-    return connected_components_of(graph, core, backend=backend)
+    return connected_components_of(graph, core)
 
 
 def is_kcore_subset(graph: Graph, vertices: Iterable[int], k: int) -> bool:

@@ -9,13 +9,10 @@ proportional to the affected region.  It records each cascade so callers
 can inspect exactly what a removal cost (the sum solver's child expansion
 reasons about that set).
 
-Degree bookkeeping follows the graph backend: under ``"csr"`` (default)
-degrees live in a flat int64 array alongside a boolean alive mask, the
+Degrees live in a flat int64 array alongside a boolean alive mask: the
 initial degrees come from one vectorised bincount and the k-core invariant
-is established with the vectorised mask peel; the ``"set"`` backend keeps
-the original dict-of-degrees implementation for parity checking.  Either
-way the Python-level ``alive`` set stays in sync, because solvers iterate
-it directly.
+is established with the vectorised mask peel.  The Python-level ``alive``
+set stays in sync, because solvers iterate it directly.
 
 Workspaces are reusable: :meth:`reset` re-seeds the alive set for a new
 query, recomputing every degree from scratch so no stale bookkeeping
@@ -30,7 +27,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import SpecError, VertexError
-from repro.graphs.backend import resolve_backend
 from repro.graphs.csr import membership_mask
 from repro.graphs.graph import Graph
 
@@ -43,23 +39,18 @@ class PeelingWorkspace:
     *every alive vertex has alive-degree >= k* holds at all times.
     """
 
-    __slots__ = ("graph", "k", "_alive", "_degree", "_backend", "_deg", "_mask")
+    __slots__ = ("graph", "k", "_alive", "_deg", "_mask")
 
     def __init__(
         self,
         graph: Graph,
         k: int,
         vertices: Iterable[int] | None = None,
-        backend: str = "auto",
     ) -> None:
         if k < 0:
             raise SpecError(f"degree constraint k must be non-negative, got {k}")
         self.graph = graph
         self.k = k
-        self._backend = resolve_backend(backend)
-        self._degree: dict[int, int] | None = None
-        self._deg: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
         self.reset(vertices)
 
     def reset(self, vertices: Iterable[int] | None = None) -> None:
@@ -69,38 +60,17 @@ class PeelingWorkspace:
         previous query cannot go stale.  The k-core invariant is
         re-established immediately, exactly as in ``__init__``.
         """
-        members = None if vertices is None else set(vertices)
-        if self._backend == "csr":
-            self._reset_csr(members)
-        else:
-            if members is not None:
-                for v in members:
-                    self.graph.check_vertex(v)
-            self._reset_set(members)
-
-    def _reset_csr(self, members: set[int] | None) -> None:
         csr = self.graph.csr
-        n = csr.n
-        if members is None:
-            mask = np.ones(n, dtype=bool)
+        if vertices is None:
+            mask = np.ones(csr.n, dtype=bool)
             degrees = csr.degrees()
         else:
-            mask = membership_mask(n, members)
+            mask = membership_mask(csr.n, set(vertices))
             degrees = csr.subset_degrees(mask)
         mask, degrees = csr.peel_to_kcore(mask, self.k, degrees)
         self._mask = mask
         self._deg = degrees
         self._alive = set(np.flatnonzero(mask).tolist())
-
-    def _reset_set(self, members: set[int] | None) -> None:
-        graph = self.graph
-        alive = set(range(graph.n)) if members is None else members
-        adj = graph.adjacency
-        self._alive = alive
-        self._degree = {v: len(adj[v] & alive) for v in alive}
-        # Establish the k-core invariant up front.
-        underfull = [v for v, d in self._degree.items() if d < self.k]
-        self._cascade(underfull)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -109,11 +79,6 @@ class PeelingWorkspace:
     def alive(self) -> set[int]:
         """The current alive vertex set.  Treat as read-only."""
         return self._alive
-
-    @property
-    def backend(self) -> str:
-        """Which degree-bookkeeping backend this workspace runs on."""
-        return self._backend
 
     def __len__(self) -> int:
         return len(self._alive)
@@ -125,9 +90,7 @@ class PeelingWorkspace:
         """Alive-induced degree of an alive vertex."""
         if v not in self._alive:
             raise VertexError(v, self.graph.n)
-        if self._backend == "csr":
-            return int(self._deg[v])
-        return self._degree[v]
+        return int(self._deg[v])
 
     def alive_neighbors(self, v: int) -> set[int]:
         """Alive neighbours of ``v`` (fresh set, safe to keep)."""
@@ -138,32 +101,10 @@ class PeelingWorkspace:
     # ------------------------------------------------------------------
     def _cascade(self, seeds: Iterable[int]) -> list[int]:
         """Remove ``seeds`` and everything that falls below k.  Returns the
-        full list of removed vertices (seeds first, cascade order after)."""
-        if self._backend == "csr":
-            return self._cascade_csr(seeds)
-        adj = self.graph.adjacency
-        alive, degree, k = self._alive, self._degree, self.k
-        removed: list[int] = []
-        queue = deque(seeds)
-        for v in queue:
-            if v in alive:
-                alive.discard(v)
-                removed.append(v)
-        i = 0
-        while i < len(removed):
-            v = removed[i]
-            i += 1
-            degree.pop(v, None)
-            for u in adj[v] & alive:
-                degree[u] -= 1
-                if degree[u] < k:
-                    alive.discard(u)
-                    removed.append(u)
-        return removed
+        full list of removed vertices (seeds first, cascade order after).
 
-    def _cascade_csr(self, seeds: Iterable[int]) -> list[int]:
-        """Cascade over the flat arrays: per removed vertex, one CSR slice,
-        one masked fancy-index decrement, one below-k scan."""
+        Per removed vertex: one CSR slice, one masked fancy-index
+        decrement, one below-k scan over the flat arrays."""
         csr = self.graph.csr
         indptr, indices = csr.indptr, csr.indices
         alive, mask, degrees, k = self._alive, self._mask, self._deg, self.k

@@ -7,13 +7,6 @@ edges; :mod:`repro.graphs.generators` produces the synthetic datasets used
 in place of the SNAP downloads (see DESIGN.md Section 4).
 """
 
-from repro.graphs.backend import (
-    BACKENDS,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.components import (
     bfs_order,
@@ -34,7 +27,6 @@ from repro.graphs.lazy import LazyAdjacency
 from repro.graphs.views import induced_degrees, induced_edge_count, induced_subgraph
 
 __all__ = [
-    "BACKENDS",
     "CSRAdjacency",
     "DeltaReport",
     "Graph",
@@ -42,10 +34,6 @@ __all__ = [
     "GraphDelta",
     "LazyAdjacency",
     "bfs_order",
-    "get_default_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "connected_components",
     "connected_components_of",
     "induced_degrees",

@@ -116,7 +116,7 @@ class GraphBuilder:
     def build(self, warm_csr: bool = False) -> Graph:
         """Freeze into a :class:`Graph`.  The builder must not be reused.
 
-        ``warm_csr=True`` materialises the CSR backend eagerly (it is
+        ``warm_csr=True`` materialises the CSR arrays eagerly (it is
         otherwise built lazily on first kernel use) — callers that will
         immediately run bulk kernels, like the benchmark drivers, pay the
         flattening cost up front instead of inside a timed region.
@@ -148,9 +148,9 @@ def graph_from_csr_arrays(
     The inverse of flattening: the serving layer's process-pool workers
     receive one ``(indptr, indices, weights)`` payload per worker and
     reconstruct the graph without re-parsing edge lists or re-sorting
-    anything.  Both backends come up warm — the set adjacency is built
-    from the neighbour runs and the CSR cache is seeded directly from the
-    (validated) arrays, so no flattening cost is paid either.
+    anything.  Both representations come up warm — the set adjacency is
+    built from the neighbour runs and the CSR cache is seeded directly
+    from the (validated) arrays, so no flattening cost is paid either.
 
     ``trusted=True`` skips the per-edge symmetry/self-loop re-validation
     (an O(m) Python loop that dominates reconstruction time).  The cheap
@@ -164,7 +164,7 @@ def graph_from_csr_arrays(
     :class:`repro.graphs.lazy.LazyAdjacency` view instead: neighbour sets
     materialise per vertex on first access.  This is how fleet members and
     pool workers attach to a shared/mmapped substrate without paying the
-    O(n + 2m) private-heap copy of the set backend.
+    O(n + 2m) private-heap copy of the set adjacency.
     """
     from repro.graphs.csr import CSRAdjacency
     from repro.graphs.lazy import LazyAdjacency

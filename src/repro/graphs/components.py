@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from repro.graphs.backend import resolve_backend
 from repro.graphs.csr import membership_mask
 from repro.graphs.graph import Graph
 
@@ -53,24 +52,30 @@ def connected_components(graph: Graph) -> list[set[int]]:
 
 
 def connected_components_of(
-    graph: Graph, vertices: Iterable[int], backend: str = "auto"
+    graph: Graph, vertices: Iterable[int]
 ) -> list[set[int]]:
     """Connected components of the subgraph induced by ``vertices``.
 
     Runs in O(|H| + |E(G[H])|).  Deterministic: components are emitted in
-    order of their smallest member.  Under the CSR backend, subsets that
-    are a sizable fraction of the graph are split by vectorised frontier
-    BFS (:meth:`repro.graphs.csr.CSRAdjacency.components_of_mask`); tiny
-    subsets keep the subset-proportional set BFS, mirroring the routing of
-    ``kcore_of_subset``.
+    order of their smallest member.  Subsets that are a sizable fraction
+    of the graph are split by vectorised frontier BFS
+    (:meth:`repro.graphs.csr.CSRAdjacency.components_of_mask`); tiny
+    subsets keep the subset-proportional BFS of :func:`components_bfs`,
+    mirroring the routing of ``kcore_of_subset``.
     """
     subset = set(vertices)
-    if resolve_backend(backend) == "csr" and len(subset) * 16 >= graph.n:
+    if len(subset) * 16 >= graph.n:
         mask = membership_mask(graph.n, subset)
         return [
             set(piece.tolist())
             for piece in graph.csr.components_of_mask(mask)
         ]
+    return components_bfs(graph, subset)
+
+
+def components_bfs(graph: Graph, subset: set[int]) -> list[set[int]]:
+    """The set-adjacency BFS behind :func:`connected_components_of`, with
+    the same smallest-member output order."""
     for v in subset:
         graph.check_vertex(v)
     adj = graph.adjacency

@@ -1,4 +1,4 @@
-"""Compressed-sparse-row adjacency: the array-speed graph backend.
+"""Compressed-sparse-row adjacency: the array-speed graph representation.
 
 A :class:`CSRAdjacency` stores the same topology as the list-of-sets
 adjacency of :class:`repro.graphs.graph.Graph`, flattened into two flat
@@ -196,8 +196,9 @@ class CSRAdjacency:
         """Connected components among the vertices with ``mask`` set.
 
         Components are emitted in order of their smallest member and each
-        is a sorted int64 id array — the same contract as the set-backend
-        splitter, so solver outputs do not depend on the backend.
+        is a sorted int64 id array — the same contract as the set-adjacency
+        BFS of :func:`repro.graphs.components.components_bfs`, so solver
+        outputs do not depend on which branch split a subset.
         ``mask`` is not modified.  The BFS itself runs in the kernel tier
         (:func:`repro.kernels.components_of_mask`).
         """

@@ -32,11 +32,6 @@ paying only for what actually changed:
   ordinary bulk kernel, which is what the repair loop would asymptote to
   anyway.
 
-``backend="set"`` is the parity oracle: it applies the same updates the
-slow way (fresh adjacency, full ``core_decomposition(backend="set")``,
-lazy CSR) so the property suites can pin the incremental path bit for
-bit.
-
 A batch is **one atomic step**: validation (shape, range, self-loops,
 in-batch duplicates, inserting an existing edge, deleting a missing one)
 happens before any state is touched, so a rejected batch leaves the
@@ -52,7 +47,6 @@ import numpy as np
 
 from repro.core.decomposition import core_decomposition
 from repro.errors import GraphError, VertexError
-from repro.graphs.backend import resolve_backend
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
 from repro.graphs.lazy import LazyAdjacency
@@ -158,7 +152,6 @@ class GraphDelta:
         self,
         graph: Graph,
         core_numbers: np.ndarray | None = None,
-        backend: str = "auto",
         batch_threshold: int = DEFAULT_BATCH_THRESHOLD,
     ) -> None:
         if batch_threshold < 1:
@@ -171,7 +164,6 @@ class GraphDelta:
                 f"{graph.n} vertices"
             )
         self._graph = graph
-        self._backend = resolve_backend(backend)
         self._batch_threshold = batch_threshold
         self._cores = core_numbers
         self.batches_applied = 0
@@ -186,7 +178,7 @@ class GraphDelta:
     def core_numbers(self) -> np.ndarray:
         """Core numbers of the current graph (computed once if not seeded)."""
         if self._cores is None:
-            self._cores = core_decomposition(self._graph, backend=self._backend)
+            self._cores = core_decomposition(self._graph)
         return self._cores
 
     # ------------------------------------------------------------------
@@ -247,10 +239,7 @@ class GraphDelta:
         """
         inserts, deletes = self.validate(self._graph, insert, delete)
         old_cores = self.core_numbers
-        if (
-            self._backend == "set"
-            or len(inserts) + len(deletes) > self._batch_threshold
-        ):
+        if len(inserts) + len(deletes) > self._batch_threshold:
             report = self._apply_recompute(inserts, deletes, old_cores)
         else:
             report = self._apply_incremental(inserts, deletes, old_cores)
@@ -368,7 +357,7 @@ class GraphDelta:
             changed[fell] = True
 
     # ------------------------------------------------------------------
-    # Recompute path (oracle semantics / large batches)
+    # Recompute path (large batches)
     # ------------------------------------------------------------------
     def _apply_recompute(
         self,
@@ -394,7 +383,7 @@ class GraphDelta:
         new_graph = Graph(
             adjacency, graph.weights, labels=graph.labels, _trusted=True
         )
-        cores = core_decomposition(new_graph, backend=self._backend)
+        cores = core_decomposition(new_graph)
         changed = cores != old_cores
         return self._report(
             new_graph, old_cores, cores, changed, inserts, deletes,

@@ -5,14 +5,15 @@ Design notes
 Vertices are dense integers ``0..n-1``; an optional ``labels`` list carries
 external names (used by the Aminer case study to show researcher names).
 Weights live in a numpy float64 array.  Topology is held in **two
-backends** over the same edge set:
+representations** over the same edge set:
 
 * **set adjacency** (``self.adjacency``) — a list of Python sets, the
   primary storage.  O(1) membership tests and per-vertex set intersections
   make it the right substrate for the *incremental* paths: small cascades
   in :class:`repro.core.peeler.PeelingWorkspace`, BFS/component queries
-  restricted to shrinking alive-sets, and the reference ("set" backend)
-  implementations of every kernel.
+  restricted to shrinking alive-sets, the small-subset branches of the
+  subset kernels, and the reference implementations in
+  :mod:`repro.reference`.
 * **CSR arrays** (``self.csr``) — flat ``indptr``/``indices`` arrays
   (:class:`repro.graphs.csr.CSRAdjacency`; indices int32 on any graph an
   int32 can index), built lazily on first access and cached for the
@@ -25,10 +26,6 @@ backends** over the same edge set:
   expansion of Algorithms 1/2
   (:mod:`repro.influential.expansion_csr`).
 
-Which backend a kernel uses is controlled by its ``backend=`` keyword and
-the ambient default in :mod:`repro.graphs.backend` (``"csr"`` unless
-overridden); ``with use_backend("set")`` restores the pure-Python paths,
-which the parity test suite exploits to check both backends agree.
 Derived graphs (:meth:`with_weights`, :meth:`with_labels`, and induced
 subgraphs built by :func:`repro.graphs.views.induced_subgraph`) share or
 precompute the CSR cache so the flattening cost is paid once per topology.
@@ -191,7 +188,7 @@ class Graph:
 
     @property
     def csr(self) -> CSRAdjacency:
-        """The CSR backend: flat ``indptr``/``indices`` arrays.
+        """The CSR representation: flat ``indptr``/``indices`` arrays.
 
         Built lazily on first access (one O(m log m) lexsort flattening)
         and cached for the graph's lifetime; derived graphs share the
@@ -203,7 +200,7 @@ class Graph:
 
     @property
     def has_csr(self) -> bool:
-        """True if the CSR backend has already been materialised."""
+        """True if the CSR arrays have already been materialised."""
         return self._csr is not None
 
     def degrees(self) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Lazy list-of-sets adjacency view over CSR arrays.
 
-The two graph backends store the same topology twice: flat CSR arrays
+A graph stores the same topology twice: flat CSR arrays
 (the bulk-kernel substrate) and a list of Python sets (the incremental /
 reference substrate).  For a graph *built* edge-by-edge the sets come
 first and the CSR is derived; for a graph *attached* from a snapshot or
@@ -13,8 +13,9 @@ the dominant per-worker memory, dwarfing the arrays themselves.
 :class:`LazyAdjacency` is the fix: a sequence that *looks like* the
 list-of-sets adjacency but materialises each vertex's neighbour set on
 first access, straight from the (possibly shared) CSR arrays.  A worker
-that only runs CSR kernels touches no set at all; the "set" backend and
-the incremental peelers materialise exactly the vertices they visit.
+that only runs CSR kernels touches no set at all; the small-subset
+kernel branches and the incremental peelers materialise exactly the
+vertices they visit.
 Sets are cached after first build, so amortised access cost matches the
 eager list.
 
@@ -32,7 +33,7 @@ class LazyAdjacency:
     """List-of-sets facade over sorted CSR ``indptr``/``indices`` arrays.
 
     Supports exactly the access patterns :class:`repro.graphs.graph.Graph`
-    and the set-backend kernels use: ``len()``, indexing, iteration.  The
+    and the set-adjacency kernels use: ``len()``, indexing, iteration.  The
     arrays must satisfy the CSR invariants (``graph_from_csr_arrays``
     validates them before building one of these).
     """

@@ -6,13 +6,13 @@ work on the base graph restricted by a set), but tests, the certifier and
 the exact solver want a real :class:`Graph`, which
 :func:`induced_subgraph` provides together with the id remapping.
 
-When the parent graph has already materialised its CSR backend, the child
+When the parent graph has already materialised its CSR arrays, the child
 graph's CSR arrays are derived from the parent's with one vectorised
 gather-filter-remap pass and attached to the returned graph, so induced
 subgraphs never pay the set-flattening cost again.  The subset statistics
 (:func:`induced_degrees`, :func:`induced_edge_count`,
-:func:`min_induced_degree`) likewise run over flat arrays under the CSR
-backend and over set intersections under the set backend.
+:func:`min_induced_degree`) likewise run over flat arrays, except for
+subsets tiny relative to the graph, which stay on set intersections.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphs.backend import resolve_backend
 from repro.graphs.csr import CSRAdjacency, membership_mask
 from repro.graphs.graph import Graph
 
@@ -75,33 +74,27 @@ def _induced_csr(csr: CSRAdjacency, ordered: list[int]) -> CSRAdjacency:
     return CSRAdjacency(indptr, remap[neigh[inside]])
 
 
-def induced_degrees(
-    graph: Graph, vertices: Iterable[int], backend: str = "auto"
-) -> dict[int, int]:
+def induced_degrees(graph: Graph, vertices: Iterable[int]) -> dict[int, int]:
     """``d(v, H)`` for every ``v`` in ``H``, without building ``G[H]``."""
     subset = set(vertices)
-    if _use_csr_stats(graph, subset, backend):
+    if _use_csr_stats(graph, subset):
         degrees = _subset_degree_array(graph, subset)
         return {v: int(degrees[v]) for v in subset}
     adj = graph.adjacency
     return {v: len(adj[v] & subset) for v in subset}
 
 
-def induced_edge_count(
-    graph: Graph, vertices: Iterable[int], backend: str = "auto"
-) -> int:
+def induced_edge_count(graph: Graph, vertices: Iterable[int]) -> int:
     """Number of edges inside ``G[H]``."""
     subset = set(vertices)
-    if _use_csr_stats(graph, subset, backend):
+    if _use_csr_stats(graph, subset):
         degrees = _subset_degree_array(graph, subset)
         return int(degrees.sum()) // 2
     adj = graph.adjacency
     return sum(len(adj[v] & subset) for v in subset) // 2
 
 
-def min_induced_degree(
-    graph: Graph, vertices: Iterable[int], backend: str = "auto"
-) -> int:
+def min_induced_degree(graph: Graph, vertices: Iterable[int]) -> int:
     """``delta(H)``: minimum degree inside the induced subgraph.
 
     Returns 0 for the empty set (matching the convention that an empty
@@ -110,18 +103,18 @@ def min_induced_degree(
     subset = set(vertices)
     if not subset:
         return 0
-    if _use_csr_stats(graph, subset, backend):
+    if _use_csr_stats(graph, subset):
         degrees = _subset_degree_array(graph, subset)
         return int(degrees[np.fromiter(subset, dtype=np.int64)].min())
     adj = graph.adjacency
     return min(len(adj[v] & subset) for v in subset)
 
 
-def _use_csr_stats(graph: Graph, subset: set[int], backend: str) -> bool:
+def _use_csr_stats(graph: Graph, subset: set[int]) -> bool:
     """Route subset statistics: the CSR path's full-length mask/bincount is
     O(n) per call, so subsets tiny relative to the graph stay on the
     subset-proportional set intersections (mirrors kcore_of_subset)."""
-    return resolve_backend(backend) == "csr" and len(subset) * 16 >= graph.n
+    return len(subset) * 16 >= graph.n
 
 
 def _subset_degree_array(graph: Graph, subset: set[int]) -> np.ndarray:

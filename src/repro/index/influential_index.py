@@ -102,9 +102,9 @@ class InfluentialIndex:
     with (and byte-compared against) TIC-IMPROVED.  ``depth`` caps the
     ``r`` a truncated entry can answer.
 
-    The index never owns the graph: the service passes its graph, engine
-    pool and backend into :meth:`build` / :meth:`serve`, so the pool's
-    cached structures are shared between index captures and fallback
+    The index never owns the graph: the service passes its graph and
+    engine pool into :meth:`build` / :meth:`serve`, so the pool's cached
+    structures are shared between index captures and fallback
     solves.  Like the pool, it is intentionally lock-free — the owning
     service (or the HTTP solver thread) serialises access.
     """
@@ -223,7 +223,6 @@ class InfluentialIndex:
         self,
         graph: "Graph",
         pool: "ExpansionEnginePool",
-        backend: str = "auto",
     ) -> "InfluentialIndex":
         """Capture every ``(k, aggregator)`` level for ``k`` in 1..kmax.
 
@@ -234,7 +233,7 @@ class InfluentialIndex:
         self._entries = {}
         for k in range(1, pool.kmax + 1):
             for name in self._aggregators:
-                self._capture((k, name), graph, pool, backend)
+                self._capture((k, name), graph, pool)
         self._built = True
         return self
 
@@ -243,7 +242,6 @@ class InfluentialIndex:
         key: tuple[int, str],
         graph: "Graph",
         pool: "ExpansionEnginePool",
-        backend: str,
     ) -> _IndexEntry:
         """(Re)run the capturing solver for one level and seal its entry.
 
@@ -260,7 +258,6 @@ class InfluentialIndex:
             r=self.depth,
             f=name,
             method="improved",
-            backend=backend,
             engine_pool=pool,
         )
         entry = _IndexEntry(tuple(result), complete=len(result) < self.depth)
@@ -272,7 +269,6 @@ class InfluentialIndex:
         self,
         graph: "Graph",
         pool: "ExpansionEnginePool",
-        backend: str = "auto",
     ) -> int:
         """Eagerly re-capture every pending level; returns how many ran.
 
@@ -283,7 +279,7 @@ class InfluentialIndex:
         rebuilt = 0
         for key, entry in list(self._entries.items()):
             if entry is None:
-                self._capture(key, graph, pool, backend)
+                self._capture(key, graph, pool)
                 rebuilt += 1
         return rebuilt
 
@@ -327,7 +323,6 @@ class InfluentialIndex:
         query: "InfluentialQuery",
         graph: "Graph",
         pool: "ExpansionEnginePool",
-        backend: str = "auto",
     ) -> ResultSet | None:
         """Answer ``query`` from the index, or None to use the solver.
 
@@ -347,7 +342,7 @@ class InfluentialIndex:
         if entry is _ABSENT:
             return None
         if entry is None:
-            entry = self._capture(key, graph, pool, backend)
+            entry = self._capture(key, graph, pool)
         result = self._slice(entry, query.r)
         if result is None:
             self.fallbacks += 1

@@ -25,8 +25,6 @@ sum-surplus_α, weight-density_β, balanced-density} applied to the
 member weights, ``s`` the optional size cap |H| <= s of Problem 3,
 ``eps`` the ε of Algorithm 2's (1−ε)-approximate pruned search (ε = 0
 is exact), and ``non_overlapping`` the TONIC variant (Problem 2).
-``backend`` is not paper notation — it picks the execution engine
-("csr" vectorised, "set" reference) and never changes answers.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 
 from repro.aggregators.base import Aggregator
 from repro.errors import SolverError
-from repro.graphs.backend import use_backend
 from repro.graphs.graph import Graph
 from repro.influential.community import Community
 from repro.influential.constraints import LabelPredicate, matching_mask
@@ -74,7 +71,6 @@ def top_r_communities(
     greedy: bool = True,
     seed_order: str | None = None,
     rng_seed: int | None = None,
-    backend: str = "auto",
     engine_pool=None,
     labels=None,
 ) -> ResultSet:
@@ -86,13 +82,6 @@ def top_r_communities(
     Approx method), ``non_overlapping`` for Problem 2, and ``greedy``
     selecting the local-search variant.  ``method`` forces a specific
     algorithm; ``"auto"`` follows the dispatch table above.
-
-    ``backend`` selects the graph-kernel backend ("set" or "csr"; "auto"
-    keeps the ambient default) for every kernel the chosen solver runs —
-    see :mod:`repro.graphs.backend` — including the candidate-expansion
-    engine of Algorithms 1 and 2 (:mod:`repro.influential.expansion` vs
-    :mod:`repro.influential.expansion_csr`).  Both backends return
-    identical results; "set" exists for parity checking and debugging.
 
     Degenerate-but-well-posed queries return empty result sets rather
     than raising: a graph with no vertices, or ``k >= |V|`` (no induced
@@ -135,34 +124,29 @@ def top_r_communities(
         # instead of bouncing serving traffic with an exception.
         return ResultSet(())
     spec.validate_for(graph)
-    # The explicit backend= is passed to the solvers that have their own
-    # engine switch *and* scoped ambiently, so kernels reached without an
-    # explicit argument (components, truss peels, strategies) follow too.
-    with use_backend(backend) as resolved:
-        if (
-            engine_pool is not None
-            and method == "auto"
-            and k > engine_pool.kmax
-            # Parameters that only a *solver* validates must keep failing
-            # identically with or without a pool, so any value a dispatch
-            # target could reject falls through to the normal path (and
-            # raises there, exactly as a cold call would).
-            and 0.0 <= eps < 1.0
-            and seed_order in (None, "id", "weight", "shuffled")
-        ):
-            # The pool's cached core decomposition proves no k-core exists;
-            # every auto-dispatch family (constrained or not — the
-            # constrained k-core is a subset) returns empty on such queries.
-            return ResultSet(())
-        if spec.label_constrained:
-            return _dispatch_constrained(
-                graph, spec, method, eps, greedy, seed_order, rng_seed,
-                resolved, engine_pool,
-            )
-        return _dispatch(
-            graph, spec, method, eps, greedy, seed_order, rng_seed, resolved,
+    if (
+        engine_pool is not None
+        and method == "auto"
+        and k > engine_pool.kmax
+        # Parameters that only a *solver* validates must keep failing
+        # identically with or without a pool, so any value a dispatch
+        # target could reject falls through to the normal path (and
+        # raises there, exactly as a cold call would).
+        and 0.0 <= eps < 1.0
+        and seed_order in (None, "id", "weight", "shuffled")
+    ):
+        # The pool's cached core decomposition proves no k-core exists;
+        # every auto-dispatch family (constrained or not — the
+        # constrained k-core is a subset) returns empty on such queries.
+        return ResultSet(())
+    if spec.label_constrained:
+        return _dispatch_constrained(
+            graph, spec, method, eps, greedy, seed_order, rng_seed,
             engine_pool,
         )
+    return _dispatch(
+        graph, spec, method, eps, greedy, seed_order, rng_seed, engine_pool
+    )
 
 
 def _dispatch(
@@ -173,7 +157,6 @@ def _dispatch(
     greedy: bool,
     seed_order: str | None,
     rng_seed: int | None,
-    backend: str = "auto",
     engine_pool=None,
 ) -> ResultSet:
     aggregator = spec.f
@@ -201,9 +184,7 @@ def _dispatch(
             return tonic_sum_unconstrained(graph, k, r, aggregator)
         if spec.size_constrained:
             raise SolverError("Algorithm 1 solves the size-unconstrained problem")
-        return sum_naive(
-            graph, k, r, aggregator, backend=backend, engine_pool=engine_pool
-        )
+        return sum_naive(graph, k, r, aggregator, engine_pool=engine_pool)
 
     if method == "improved" or method == "approx":
         if non_overlapping:
@@ -212,8 +193,7 @@ def _dispatch(
             raise SolverError("Algorithm 2 solves the size-unconstrained problem")
         use_eps = eps if method == "approx" else 0.0
         return tic_improved(
-            graph, k, r, aggregator, eps=use_eps, backend=backend,
-            engine_pool=engine_pool,
+            graph, k, r, aggregator, eps=use_eps, engine_pool=engine_pool
         )
 
     if method == "local":
@@ -221,11 +201,11 @@ def _dispatch(
         return local_search(
             graph, k, r, bound, aggregator,
             greedy=greedy, non_overlapping=non_overlapping,
-            seed_order=seed_order, rng_seed=rng_seed, backend=backend,
+            seed_order=seed_order, rng_seed=rng_seed,
         )
 
     return _auto_dispatch(
-        graph, spec, eps, greedy, seed_order, rng_seed, backend, engine_pool
+        graph, spec, eps, greedy, seed_order, rng_seed, engine_pool
     )
 
 
@@ -237,7 +217,6 @@ def _dispatch_constrained(
     greedy: bool,
     seed_order: str | None,
     rng_seed: int | None,
-    backend: str = "auto",
     engine_pool=None,
 ) -> ResultSet:
     """Label-constrained dispatch: seed pushdown or induced-subgraph solve.
@@ -278,12 +257,12 @@ def _dispatch_constrained(
     if pushdown:
         if method == "naive":
             return sum_naive(
-                graph, spec.k, spec.r, aggregator, backend=backend,
+                graph, spec.k, spec.r, aggregator,
                 engine_pool=engine_pool, labels=predicate,
             )
         use_eps = eps if method in ("approx", "auto") else 0.0
         return tic_improved(
-            graph, spec.k, spec.r, aggregator, eps=use_eps, backend=backend,
+            graph, spec.k, spec.r, aggregator, eps=use_eps,
             engine_pool=engine_pool, labels=predicate,
         )
 
@@ -295,8 +274,7 @@ def _dispatch_constrained(
     if inner.infeasible_for(subgraph):
         return ResultSet(())
     result = _dispatch(
-        subgraph, inner, method, eps, greedy, seed_order, rng_seed, backend,
-        None,
+        subgraph, inner, method, eps, greedy, seed_order, rng_seed, None
     )
     # induced_subgraph numbers new ids by sorted original id, so
     # ``matching[new_id]`` inverts the mapping; the remap being monotone,
@@ -319,7 +297,6 @@ def _auto_dispatch(
     greedy: bool,
     seed_order: str | None,
     rng_seed: int | None,
-    backend: str = "auto",
     engine_pool=None,
 ) -> ResultSet:
     aggregator, k, r = spec.f, spec.k, spec.r
@@ -339,8 +316,7 @@ def _auto_dispatch(
             if spec.non_overlapping:
                 return tonic_sum_unconstrained(graph, k, r, aggregator)
             return tic_improved(
-                graph, k, r, aggregator, eps=eps, backend=backend,
-                engine_pool=engine_pool,
+                graph, k, r, aggregator, eps=eps, engine_pool=engine_pool
             )
         # NP-hard unconstrained (avg, densities): the paper's recourse is
         # local search with s = |V| (Sections III/V).
@@ -349,14 +325,13 @@ def _auto_dispatch(
     return local_search(
         graph, k, r, bound, aggregator,
         greedy=greedy, non_overlapping=spec.non_overlapping,
-        seed_order=seed_order, rng_seed=rng_seed, backend=backend,
+        seed_order=seed_order, rng_seed=rng_seed,
     )
 
 
 def top_r_many(
     graph: "Graph | None",
     queries,
-    backend: str = "auto",
     cache_size: int = 1024,
     workers: int | None = None,
     service=None,
@@ -395,11 +370,7 @@ def top_r_many(
         if snapshot is not None:
             from repro.serving.store import load_service
 
-            service = load_service(
-                snapshot, backend=backend, cache_size=cache_size
-            )
+            service = load_service(snapshot, cache_size=cache_size)
         else:
-            service = QueryService(
-                graph, backend=backend, cache_size=cache_size
-            )
+            service = QueryService(graph, cache_size=cache_size)
     return service.submit_many(queries, workers=workers)

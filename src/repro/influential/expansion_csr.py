@@ -3,8 +3,8 @@
 Algorithms 1 (SUM-NAIVE) and 2 (TIC-IMPROVED) spend their time generating
 the children of a popped community ``C`` — the connected k-core components
 of ``C \\ {v}`` for each ``v`` (Alg. 1 Lines 4-7, Alg. 2 Lines 11-13).  The
-set-backend :class:`~repro.influential.expansion.ExpansionContext` does
-this over dict/set structures; this module is the vectorised rewrite.  A
+reference :class:`repro.reference.ExpansionContext` does this over
+dict/set structures; this module is the vectorised rewrite.  A
 popped component is relabelled into the dense local id space ``0..c-1``
 only if at least one removal survives the Line-13 value prefilter — the
 prefilter reads the member weights straight from the graph, so a pop the
@@ -74,7 +74,7 @@ class MemberArray:
     Hash is the community's Zobrist key (consistent with equality: equal
     vertex sets always hash identically under one hasher; colliding keys
     are resolved by exact array comparison), so instances drop into the
-    same dicts/sets/dedupers the set backend uses for frozensets.
+    same dicts/sets/dedupers the reference set engine uses for frozensets.
     """
 
     __slots__ = ("ids", "key")
@@ -248,7 +248,7 @@ class CSRExpansionContext:
     """Per-component expansion state over a component-local CSR.
 
     The drop-in array twin of
-    :class:`~repro.influential.expansion.ExpansionContext`: same
+    :class:`repro.reference.ExpansionContext`: same
     constructor shape, same ``expand`` / ``children_after_removal`` /
     ``min_removal_loss`` surface, children carrying identical values and
     Zobrist keys — the property suite holds the two in lockstep.
@@ -381,7 +381,7 @@ class CSRExpansionContext:
         Vertex order and per-child output order match the set engine's
         ``expand`` exactly, including the float-or-callable ``floor``
         contract (a callable floor must be non-decreasing across calls —
-        see the set engine's docstring).  The initial prefilter, child
+        see the reference engine's docstring).  The initial prefilter, child
         values and child keys for fast-path removals are computed as
         whole-component vectors up front; a callable floor is then
         re-read per surviving removal (one scalar comparison) so a

@@ -19,13 +19,12 @@ output satisfies Definition 8: the r-th reported value is at least
 ``(1 - eps)`` times the exact r-th value (Theorem 6).  Children are
 de-duplicated with an incremental Zobrist hash — different deletion orders
 frequently regenerate the same community — and generated through the
-batched ``expand`` pass of the backend-selected engine
+batched ``expand`` pass of the engine
 (:func:`repro.influential.expansion.expansion_context`): the Line 13 bound
 at the start of the batch is handed to the engine as a vectorised
-prefilter, and the evolving bound is still re-checked per child, so the
-output is independent of the backend.  Candidates stay in the engine's
-native representation (frozensets, or sorted int32 arrays under the CSR
-engine of :mod:`repro.influential.expansion_csr`) until the result
+prefilter, and the evolving bound is still re-checked per child.
+Candidates stay in the engine's native representation (sorted int32
+arrays, see :mod:`repro.influential.expansion_csr`) until the result
 boundary.
 
 Complexity: O(r * n * (n + m)) as analysed in the paper.
@@ -38,7 +37,6 @@ from repro.aggregators.registry import get_aggregator
 from repro.aggregators.summation import Sum
 from repro.core.kcore import connected_kcore_components
 from repro.errors import SolverError
-from repro.graphs.backend import resolve_backend
 from repro.graphs.graph import Graph
 from repro.influential.community import Community
 from repro.influential.expansion import (
@@ -58,7 +56,6 @@ def tic_improved(
     r: int,
     f: "str | Aggregator | None" = None,
     eps: float = 0.0,
-    backend: str = "auto",
     engine_pool=None,
     labels=None,
 ) -> ResultSet:
@@ -66,12 +63,10 @@ def tic_improved(
 
     ``eps = 0`` gives the exact "Improve" variant; ``eps > 0`` the
     "Approx" variant with the Theorem 6 guarantee (paper default 0.1).
-    ``backend`` selects the expansion engine (see
-    :mod:`repro.graphs.backend`); both produce identical results.
     ``engine_pool`` may carry a
     :class:`~repro.serving.engine_pool.ExpansionEnginePool` sharing seed
     components, expansion structures and the Zobrist table across queries
-    (CSR backend only; a pure cache — results are unchanged).
+    (a pure cache — results are unchanged).
     ``labels`` (a :class:`~repro.influential.constraints.LabelPredicate`)
     restricts the search to all-members-match communities by seeding from
     the constrained k-core — expansion is component-local, so the whole
@@ -89,20 +84,21 @@ def tic_improved(
         raise SolverError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
     if not 0.0 <= eps < 1.0:
         raise SolverError(f"approximation ratio eps must be in [0, 1), got {eps}")
-    resolved = resolve_backend(backend)
-    pool = engine_pool if resolved == "csr" else None
 
     # Lines 1-2: seed the candidate heap with the k-core components.
     # Heap payloads carry (representation, value, zobrist_key) so
     # expansion contexts can derive child values/keys incrementally.
     frontier: LazyMaxHeap[ChildCandidate] = LazyMaxHeap()
-    hasher = pool.hasher if pool is not None else ZobristHasher(graph.n)
+    hasher = (
+        engine_pool.hasher if engine_pool is not None
+        else ZobristHasher(graph.n)
+    )
     seen = CommunityDeduper(hasher)
     # `candidate_top` tracks the r best candidate values ever generated;
     # its threshold is the paper's f(Lr) pruning bound (Line 13).
     candidate_top: TopR[float] = TopR(r, key=lambda v: v)
     for seed in seed_candidates(
-        graph, k, aggregator, hasher, resolved, pool, labels=labels
+        graph, k, aggregator, hasher, engine_pool, labels=labels
     ):
         seen.add(seed.vertices, seed.key)
         frontier.push(seed.value, seed)
@@ -128,7 +124,7 @@ def tic_improved(
         # applied per child below.
         context = expansion_context(
             graph, lmax.vertices, k, aggregator, value, hasher,
-            lmax.key, backend=resolved, pool=pool,
+            lmax.key, pool=engine_pool,
         )
         prune_at = candidate_top.threshold()
         for child in context.expand(candidate_top.threshold):

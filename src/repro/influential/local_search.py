@@ -34,7 +34,6 @@ from repro.aggregators.base import Aggregator
 from repro.aggregators.registry import get_aggregator
 from repro.core.kcore import maximal_kcore
 from repro.errors import SolverError
-from repro.graphs.backend import resolve_backend
 from repro.graphs.csr import membership_mask
 from repro.graphs.graph import Graph
 from repro.influential.community import Community
@@ -58,32 +57,21 @@ def s_nearest_neighbors(
     a fixed graph — the randomness the paper contrasts with greedy is the
     *absence of weight sorting*, not nondeterminism.
 
-    ``within_mask``, when provided (the CSR path of :func:`local_search`),
-    is a boolean array equivalent of ``within``: the per-vertex restriction
-    then becomes one vectorised filter of the already-sorted CSR neighbour
-    run instead of a set intersection plus sort, visiting vertices in
-    exactly the same order.
+    ``within_mask`` is the boolean array equivalent of ``within`` (built
+    here when not supplied; :func:`local_search` keeps one per query): the
+    per-vertex restriction is one vectorised filter of the already-sorted
+    CSR neighbour run.
     """
+    if within_mask is None:
+        within_mask = membership_mask(graph.n, within)
+    csr = graph.csr
     order = [seed]
     seen = {seed}
     queue = deque([seed])
-    if within_mask is not None:
-        csr = graph.csr
-        while queue and len(order) < s:
-            u = queue.popleft()
-            neigh = csr.neighbors(u)
-            for v in neigh[within_mask[neigh]].tolist():
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    queue.append(v)
-                    if len(order) >= s:
-                        break
-        return order
-    adj = graph.adjacency
     while queue and len(order) < s:
         u = queue.popleft()
-        for v in sorted(adj[u] & within):
+        neigh = csr.neighbors(u)
+        for v in neigh[within_mask[neigh]].tolist():
             if v not in seen:
                 seen.add(v)
                 order.append(v)
@@ -109,14 +97,6 @@ def _ordered_seeds(
     return seeds
 
 
-def _alive_mask(graph: Graph, alive: set[int], backend: str) -> np.ndarray | None:
-    """Boolean alive-set view for the CSR neighbour filter, or None for
-    the set backend."""
-    if resolve_backend(backend) != "csr":
-        return None
-    return membership_mask(graph.n, alive)
-
-
 def local_search(
     graph: Graph,
     k: int,
@@ -127,7 +107,6 @@ def local_search(
     non_overlapping: bool = False,
     seed_order: str | None = None,
     rng_seed: int | None = None,
-    backend: str = "auto",
 ) -> ResultSet:
     """Top-r size-constrained k-influential communities (Algorithm 4).
 
@@ -136,8 +115,6 @@ def local_search(
     controls the outer loop: ``"id"`` is the paper's ``i = 1..|V|`` and
     the default for TIC; ``"weight"`` visits heavy seeds first and is the
     default for TONIC; ``"shuffled"`` randomises with ``rng_seed``.
-    ``backend`` selects the graph kernels and the neighbourhood-collection
-    path; both produce identical results.
     """
     aggregator = get_aggregator(f)
     if k < 1 or r < 1:
@@ -148,19 +125,18 @@ def local_search(
         )
     if seed_order is None:
         seed_order = "weight" if non_overlapping else "id"
-    resolved = resolve_backend(backend)
 
-    alive = maximal_kcore(graph, k, backend=resolved)  # Line 1
+    alive = maximal_kcore(graph, k)  # Line 1
     seeds = _ordered_seeds(graph, alive, seed_order, rng_seed)
     strategy = strategy_for(graph, k, s, aggregator, greedy)
     weights = graph.weights
 
     if non_overlapping:
         return _tonic_local_search(
-            graph, k, r, s, alive, seeds, strategy, greedy, resolved
+            graph, k, r, s, alive, seeds, strategy, greedy
         )
 
-    alive_mask = _alive_mask(graph, alive, resolved)
+    alive_mask = membership_mask(graph.n, alive)
     top: TopR[Community] = TopR(r, key=lambda c: c.value)
     for seed in seeds:  # Lines 2-7
         if seed not in alive:  # Line 3: "if vi is not removed"
@@ -185,7 +161,6 @@ def _tonic_local_search(
     seeds: list[int],
     strategy,
     greedy: bool,
-    backend: str,
 ) -> ResultSet:
     """Non-overlapping variant: accept-and-remove, then keep the best r.
 
@@ -199,7 +174,7 @@ def _tonic_local_search(
 
     weights = graph.weights
     accepted: list[Community] = []
-    alive_mask = _alive_mask(graph, alive, backend)
+    alive_mask = membership_mask(graph.n, alive)
     for seed in seeds:
         if seed not in alive:
             continue
@@ -216,9 +191,6 @@ def _tonic_local_search(
             community = slot.best()
             accepted.append(community)
             alive -= community.vertices
-            alive.intersection_update(
-                kcore_of_subset(graph, alive, k, backend=backend)
-            )
-            if alive_mask is not None:
-                alive_mask = membership_mask(graph.n, alive)
+            alive.intersection_update(kcore_of_subset(graph, alive, k))
+            alive_mask = membership_mask(graph.n, alive)
     return ResultSet(sorted(accepted)[:r])

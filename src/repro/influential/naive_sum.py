@@ -18,12 +18,10 @@ nothing, no candidate generated from any retained community can enter the
 top-r, which is exactly the Theorem 5 argument (DESIGN.md Section 5).  The
 vertex/community loops are interchanged (equivalent per sweep) so each
 community's expansion context is built once, and children are generated
-through the batched ``expand`` pass of the backend-selected engine
-(:func:`repro.influential.expansion.expansion_context`): dict/set walks
-under ``backend="set"``, the flat-array CSR engine of
-:mod:`repro.influential.expansion_csr` under ``backend="csr"``.  Candidate
-communities stay in the engine's native representation (frozensets or
-sorted int32 arrays) until the result boundary.
+through the batched ``expand`` pass of the flat-array engine
+(:func:`repro.influential.expansion.expansion_context`).  Candidate
+communities stay in the engine's native representation (sorted int32
+arrays) until the result boundary.
 
 Complexity: O(n * r * (n + m)) per sweep, as analysed in the paper — the
 point of this baseline is to lose to Algorithm 2, which expands only the
@@ -36,7 +34,6 @@ from repro.aggregators.base import Aggregator
 from repro.aggregators.registry import get_aggregator
 from repro.aggregators.summation import Sum
 from repro.errors import SolverError
-from repro.graphs.backend import resolve_backend
 from repro.graphs.graph import Graph
 from repro.influential.expansion import (
     ChildCandidate,
@@ -54,7 +51,6 @@ def sum_naive(
     r: int,
     f: "str | Aggregator | None" = None,
     max_sweeps: int | None = None,
-    backend: str = "auto",
     engine_pool=None,
     labels=None,
 ) -> ResultSet:
@@ -63,12 +59,10 @@ def sum_naive(
     ``f`` defaults to sum; any decreasing-under-removal aggregator works
     (the paper's Discussion paragraph names sum-surplus).  ``max_sweeps``
     caps the fixpoint iteration for diagnostics; None runs to convergence.
-    ``backend`` selects the expansion engine (see
-    :mod:`repro.graphs.backend`); both produce identical results.
     ``engine_pool`` may carry a
     :class:`~repro.serving.engine_pool.ExpansionEnginePool` sharing seed
     components, expansion structures and the Zobrist table across queries
-    (CSR backend only; a pure cache — results are unchanged).
+    (a pure cache — results are unchanged).
     ``labels`` restricts the search to all-members-match communities by
     seeding from the constrained k-core (see
     :func:`~repro.influential.expansion.seed_candidates`).
@@ -82,17 +76,18 @@ def sum_naive(
         )
     if k < 1 or r < 1:
         raise SolverError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
-    resolved = resolve_backend(backend)
-    pool = engine_pool if resolved == "csr" else None
 
     # Lines 1-2: components of the maximal k-core, kept as a top-r list.
     # Candidates carry (representation, value, key) so expansion contexts
     # can derive child values and Zobrist keys incrementally.
     top: TopR[ChildCandidate] = TopR(r, key=lambda c: c.value)
-    hasher = pool.hasher if pool is not None else ZobristHasher(graph.n)
+    hasher = (
+        engine_pool.hasher if engine_pool is not None
+        else ZobristHasher(graph.n)
+    )
     seen = CommunityDeduper(hasher)
     for seed in seed_candidates(
-        graph, k, aggregator, hasher, resolved, pool, labels=labels
+        graph, k, aggregator, hasher, engine_pool, labels=labels
     ):
         seen.add(seed.vertices, seed.key)
         top.offer(seed)
@@ -111,8 +106,7 @@ def sum_naive(
             expanded.add(candidate.vertices)
             context = expansion_context(
                 graph, candidate.vertices, k, aggregator,
-                candidate.value, hasher, candidate.key, backend=resolved,
-                pool=pool,
+                candidate.value, hasher, candidate.key, pool=engine_pool,
             )
             for child in context.expand():
                 if not seen.add(child.vertices, child.key):

@@ -27,7 +27,6 @@ from repro.aggregators.base import Aggregator
 from repro.aggregators.minmax import Minimum
 from repro.aggregators.registry import get_aggregator
 from repro.errors import SolverError
-from repro.graphs.backend import resolve_backend, use_backend
 from repro.graphs.graph import Graph
 from repro.influential.community import Community, community_from_vertices
 from repro.influential.results import ResultSet
@@ -40,14 +39,12 @@ def truss_top_r_sum(
     k: int,
     r: int,
     f: "str | Aggregator | None" = None,
-    backend: str = "auto",
 ) -> ResultSet:
     """Top-r non-overlapping k-truss influential communities, sum family.
 
     Exactness mirrors the k-core argument: components are disjoint, and a
     size-proportional aggregator cannot prefer a sub-truss to the
-    component containing it.  ``backend`` scopes the truss kernels (see
-    :mod:`repro.graphs.backend`).
+    component containing it.
     """
     aggregator = get_aggregator(f) if f is not None else get_aggregator("sum")
     if not aggregator.is_size_proportional:
@@ -58,63 +55,47 @@ def truss_top_r_sum(
     if k < 2 or r < 1:
         raise SolverError(f"need k >= 2 and r >= 1, got k={k}, r={r}")
     top: TopR[Community] = TopR(r, key=lambda c: c.value)
-    with use_backend(backend):
-        for component in connected_ktruss_components(graph, range(graph.n), k):
-            top.offer(community_from_vertices(graph, component, aggregator, k))
+    for component in connected_ktruss_components(graph, range(graph.n), k):
+        top.offer(community_from_vertices(graph, component, aggregator, k))
     return ResultSet(top.ranked())
 
 
 def truss_min_communities(
-    graph: Graph, k: int, limit: int | None = None, backend: str = "auto"
+    graph: Graph, k: int, limit: int | None = None
 ) -> list[Community]:
     """Every k-truss influential community under min, in discovery order.
 
     The truss analogue of the Li-et-al. peel: each component is recorded
     with its minimum weight, then all minimum-weight vertices are deleted
-    and the remainder re-trussed.  Under the CSR backend the per-component
-    minimum and the survivor filter run as array reductions (both exact,
-    so results match the set backend bit for bit).
+    and the remainder re-trussed.  The per-component minimum and the
+    survivor filter run as (exact) array reductions.
     """
     if k < 2:
         raise SolverError(f"need k >= 2, got {k}")
     aggregator = Minimum()
     weights = graph.weights
     found: list[Community] = []
-    resolved = resolve_backend(backend)
-    with use_backend(resolved):
-        worklist = connected_ktruss_components(graph, range(graph.n), k)
-        while worklist:
-            component = worklist.pop()
-            if not component:
-                continue
-            if resolved == "csr":
-                members = np.fromiter(
-                    component, dtype=np.int64, count=len(component)
-                )
-                member_weights = weights[members]
-                minimum = float(member_weights.min())
-                survivors = set(
-                    members[member_weights != minimum].tolist()
-                )
-            else:
-                minimum = float(min(weights[v] for v in component))
-                survivors = {v for v in component if weights[v] != minimum}
-            found.append(
-                Community(frozenset(component), minimum, aggregator.name, k)
-            )
-            if limit is not None and len(found) >= limit:
-                return found
-            if survivors:
-                worklist.extend(
-                    connected_ktruss_components(graph, survivors, k)
-                )
+    worklist = connected_ktruss_components(graph, range(graph.n), k)
+    while worklist:
+        component = worklist.pop()
+        if not component:
+            continue
+        members = np.fromiter(component, dtype=np.int64, count=len(component))
+        member_weights = weights[members]
+        minimum = float(member_weights.min())
+        survivors = set(members[member_weights != minimum].tolist())
+        found.append(
+            Community(frozenset(component), minimum, aggregator.name, k)
+        )
+        if limit is not None and len(found) >= limit:
+            return found
+        if survivors:
+            worklist.extend(connected_ktruss_components(graph, survivors, k))
     return found
 
 
-def truss_top_r_min(
-    graph: Graph, k: int, r: int, backend: str = "auto"
-) -> ResultSet:
+def truss_top_r_min(graph: Graph, k: int, r: int) -> ResultSet:
     """Top-r k-truss influential communities under min."""
     if r < 1:
         raise SolverError(f"need r >= 1, got {r}")
-    return ResultSet(sorted(truss_min_communities(graph, k, backend=backend))[:r])
+    return ResultSet(sorted(truss_min_communities(graph, k))[:r])

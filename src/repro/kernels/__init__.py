@@ -22,10 +22,10 @@ installed).  Selection happens once at import time:
 
 Both backends promise *bit-identical* results: the peel fixpoint is
 unique, components are emitted by smallest member as sorted arrays, and
-core numbers/supports are exact integers.  ``backend="set"`` (the
-original dict/set implementations above this tier) remains the parity
-oracle; the property suites in ``tests/properties`` and
-``tests/kernels`` hold all three in lockstep.
+core numbers/supports are exact integers.  The original dict/set
+implementations in :mod:`repro.reference` remain the parity oracle; the
+property suites in ``tests/properties`` and ``tests/kernels`` hold all
+three in lockstep.
 
 The compiled kernels release the GIL, which is what makes the threaded
 intra-query expansion in :mod:`repro.influential.expansion_csr` scale on

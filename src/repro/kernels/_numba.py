@@ -113,7 +113,7 @@ def components_of_mask(
     Seeds scan ascending, so each component's first vertex is its
     smallest member and components come out in smallest-member order;
     each slice is then sorted — the identical contract to the numpy twin
-    and the set backend.  ``mask`` is not modified.
+    and the set-adjacency BFS.  ``mask`` is not modified.
     """
     order, offsets = _components_kernel(indptr, indices, mask)
     return [
@@ -124,7 +124,7 @@ def components_of_mask(
 
 @njit(nogil=True, cache=True)
 def _core_numbers_kernel(indptr, indices):
-    # Batagelj–Zaveršnik bucket peel, verbatim from the set backend: a
+    # Batagelj–Zaveršnik bucket peel, verbatim from repro.reference: a
     # counting sort of vertices by degree with O(1) bucket demotion
     # swaps.  O(n + m), and branch-free enough that the compiled loop
     # runs at memory speed.

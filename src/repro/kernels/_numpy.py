@@ -94,8 +94,8 @@ def components_of_mask(
     Vectorised frontier BFS: each round gathers the neighbour runs of the
     whole frontier at once.  Components are emitted in order of their
     smallest member and each is a sorted int64 id array — the same
-    contract as the set-backend splitter, so solver outputs do not depend
-    on the backend.  ``mask`` is not modified.
+    contract as the set-adjacency BFS, so solver outputs do not depend on
+    which path split a subset.  ``mask`` is not modified.
     """
     unvisited = mask.copy()
     # Two escape hatches keep the level-synchronous BFS from paying fixed

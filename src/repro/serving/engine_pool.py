@@ -145,7 +145,7 @@ class ExpansionEnginePool:
     def core_numbers(self) -> np.ndarray:
         """Core number of every vertex (computed once per pool)."""
         if self._cores is None:
-            self._cores = core_decomposition(self.graph, backend="csr")
+            self._cores = core_decomposition(self.graph)
         return self._cores
 
     @property

@@ -376,9 +376,7 @@ def _member_main(config: dict) -> None:
     from repro.serving.http import ServingApp
 
     substrate = SharedSubstrate.attach(config["descriptor"])
-    service = substrate.build_service(
-        backend=config["backend"], cache_size=config["cache_size"]
-    )
+    service = substrate.build_service(cache_size=config["cache_size"])
     app = ServingApp(
         service,
         workers=config["workers"],
@@ -555,7 +553,6 @@ class Fleet:
         max_queue_depth: int = 0,
         max_body_bytes: int = 64 * 1024 * 1024,
         cache_size: int = 1024,
-        backend: str = "auto",
         drain_timeout: float = 10.0,
     ) -> None:
         if members < 1:
@@ -577,7 +574,6 @@ class Fleet:
         self.max_queue_depth = int(max_queue_depth)
         self.max_body_bytes = int(max_body_bytes)
         self.cache_size = int(cache_size)
-        self.backend = backend
         self.drain_timeout = float(drain_timeout)
         self.substrate: "SharedSubstrate | None" = None
         self.processes: list = []
@@ -632,7 +628,6 @@ class Fleet:
                     "max_queue_depth": self.max_queue_depth,
                     "max_body_bytes": self.max_body_bytes,
                     "cache_size": self.cache_size,
-                    "backend": self.backend,
                     "drain_timeout": self.drain_timeout,
                 }
                 process = context.Process(

@@ -37,8 +37,8 @@ constraints under ``constraints``::
     {"k": 4, "r": 3, "f": "sum", "s": null, "cohesion": "core",
      "non_overlapping": false,
      "constraints": {"labels": {"any": ["db", "ml"]}},
-     "options": {"method": "auto", "eps": 0.1, "backend": "auto",
-                 "greedy": true, "seed_order": null, "rng_seed": null}}
+     "options": {"method": "auto", "eps": 0.1, "greedy": true,
+                 "seed_order": null, "rng_seed": null}}
 
 Every v1 response carries ``api_version: "v1"`` and (for query-shaped
 responses) echoes the **normalized** query — the canonical form actually
@@ -226,7 +226,6 @@ def query_envelope(query: InfluentialQuery) -> dict:
         "options": {
             "method": query.method,
             "eps": float(query.eps),
-            "backend": query.backend,
             "greedy": query.greedy,
             "seed_order": query.seed_order,
             "rng_seed": query.rng_seed,
@@ -634,7 +633,7 @@ class ServingApp:
     )
     #: Tuning knobs accepted under ``options``.
     _V1_OPTION_FIELDS = frozenset(
-        {"method", "eps", "backend", "greedy", "seed_order", "rng_seed"}
+        {"method", "eps", "greedy", "seed_order", "rng_seed"}
     )
 
     def _parse_v1_query(self, entry: object) -> InfluentialQuery:

@@ -10,7 +10,7 @@ suite and ad-hoc debugging all share one vocabulary:
   clique, barbell, paper Figure 1) every solver is pinned on, all within
   the brute-force enumeration limit;
 * :func:`oracle_discrepancies` — run every applicable solver for one
-  ``(graph, k, r, f, backend)`` cell against the exhaustive
+  ``(graph, k, r, f)`` cell against the exhaustive
   brute-force reference, returning human-readable discrepancy strings
   (exact solvers must match the oracle exactly; heuristics must return
   certified communities that never beat the oracle's optimum);
@@ -121,9 +121,7 @@ def _compare_oracle(
         )
 
 
-def oracle_discrepancies(
-    graph: Graph, k: int, r: int, f: str, backend: str = "csr"
-) -> list[str]:
+def oracle_discrepancies(graph: Graph, k: int, r: int, f: str) -> list[str]:
     """Every applicable solver vs. the brute-force oracle for one cell.
 
     Exact solvers (Algorithms 1-2 for the decreasing-under-removal
@@ -141,25 +139,19 @@ def oracle_discrepancies(
     aggregator = get_aggregator(f)
     oracle = bruteforce_top_r(graph, k, r, aggregator)
     problems: list[str] = []
-    cell = f"{aggregator.name} k={k} r={r} backend={backend}"
+    cell = f"{aggregator.name} k={k} r={r}"
 
     if aggregator.decreases_under_removal:
         for method in ("naive", "improved"):
-            produced = top_r_communities(
-                graph, k, r, aggregator, method=method, backend=backend
-            )
+            produced = top_r_communities(graph, k, r, aggregator, method=method)
             _compare_oracle(f"{method} [{cell}]", produced, oracle, problems)
     if aggregator.name in ("min", "max"):
-        produced = top_r_communities(
-            graph, k, r, aggregator, method="auto", backend=backend
-        )
+        produced = top_r_communities(graph, k, r, aggregator, method="auto")
         _compare_oracle(
             f"auto/{aggregator.name} [{cell}]", produced, oracle, problems
         )
 
-    heuristic = top_r_communities(
-        graph, k, r, aggregator, method="local", backend=backend
-    )
+    heuristic = top_r_communities(graph, k, r, aggregator, method="local")
     try:
         certify_result_set(graph, heuristic, k=k)
     except Exception as exc:  # noqa: BLE001 — report, don't crash the sweep
@@ -218,7 +210,7 @@ def bruteforce_constrained_top_r(
 
 
 def constrained_discrepancies(
-    graph: Graph, k: int, r: int, f: str, labels, backend: str = "csr"
+    graph: Graph, k: int, r: int, f: str, labels
 ) -> list[str]:
     """Constrained solves vs. the post-filtered brute force for one cell.
 
@@ -233,10 +225,7 @@ def constrained_discrepancies(
     predicate = LabelPredicate.from_json(labels)
     oracle = bruteforce_constrained_top_r(graph, k, r, aggregator, predicate)
     problems: list[str] = []
-    cell = (
-        f"{aggregator.name} k={k} r={r} {predicate.describe()} "
-        f"backend={backend}"
-    )
+    cell = f"{aggregator.name} k={k} r={r} {predicate.describe()}"
 
     methods = []
     if aggregator.decreases_under_removal:
@@ -245,15 +234,13 @@ def constrained_discrepancies(
         methods.append("auto")
     for method in methods:
         produced = top_r_communities(
-            graph, k, r, aggregator, method=method, backend=backend,
-            labels=predicate,
+            graph, k, r, aggregator, method=method, labels=predicate,
         )
         _compare_oracle(f"{method} [{cell}]", produced, oracle, problems)
 
     names = graph.labels
     heuristic = top_r_communities(
-        graph, k, r, aggregator, method="local", backend=backend,
-        labels=predicate,
+        graph, k, r, aggregator, method="local", labels=predicate,
     )
     for community in heuristic:
         mismatched = [
@@ -277,7 +264,6 @@ def constrained_discrepancies(
 def service_discrepancies(
     graph: Graph,
     queries: Iterable,
-    backend: str = "auto",
     workers: int | None = None,
 ) -> list[str]:
     """Served answers (cold pass, cached pass, optional worker pass) vs.
@@ -286,7 +272,7 @@ def service_discrepancies(
     from repro.serving.service import QueryService
 
     batch = [InfluentialQuery.create(q) for q in queries]
-    service = QueryService(graph, backend=backend)
+    service = QueryService(graph)
     problems: list[str] = []
     passes = [("cold", None), ("cached", None)]
     if workers:
@@ -298,7 +284,6 @@ def service_discrepancies(
                 continue  # pinned by the dedicated truss golden tests
             expected = top_r_communities(
                 graph,
-                backend=query.backend if query.backend != "auto" else backend,
                 **query.solver_kwargs(),
             )
             _compare(

@@ -8,10 +8,7 @@ queries that must return identical results — e.g. the aggregator spelled
 ``"sum-surplus(2)"`` versus a :class:`~repro.aggregators.summation
 .SumSurplus` instance with ``alpha=2`` — collapse to the same key, while
 anything that can change the answer (k, r, s, method, eps, the TONIC
-flag, local-search knobs) is part of it.  The ``backend`` is deliberately
-*not* part of the key: the two engines returning identical results is a
-repo-level invariant enforced by the parity and oracle suites, so a
-result computed under either backend may serve both.
+flag, local-search knobs) is part of it.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ class InfluentialQuery:
     greedy: bool = True
     seed_order: str | None = None
     rng_seed: int | None = None
-    backend: str = "auto"
     cohesion: str = "core"
     constraints: "LabelPredicate | Mapping[str, object] | None" = None
 
@@ -78,7 +74,7 @@ class InfluentialQuery:
                     f"query field {name!r} must be a bool, "
                     f"got {getattr(self, name)!r}"
                 )
-        for name in ("method", "backend", "cohesion"):
+        for name in ("method", "cohesion"):
             if not isinstance(getattr(self, name), str):
                 raise SpecError(
                     f"query field {name!r} must be a string, "
@@ -181,8 +177,7 @@ class InfluentialQuery:
         )
 
     def solver_kwargs(self) -> dict[str, object]:
-        """Keyword arguments for ``top_r_communities`` (backend excluded —
-        the service resolves it against its own default)."""
+        """Keyword arguments for ``top_r_communities``."""
         return {
             "k": self.k,
             "r": self.r,

@@ -89,7 +89,6 @@ class QueryService:
     def __init__(
         self,
         graph: Graph,
-        backend: str = "auto",
         cache_size: int = 1024,
         pool_capacity: int = 1024,
         core_numbers: "np.ndarray | None" = None,
@@ -97,7 +96,6 @@ class QueryService:
         index: "InfluentialIndex | None" = None,
     ) -> None:
         self._graph = graph
-        self._backend = backend
         self._cache_size = cache_size
         self._pool_capacity = pool_capacity
         graph.csr  # noqa: B018 — warm the flattening once, up front
@@ -152,16 +150,13 @@ class QueryService:
         if self._truss_numbers is None:
             from repro.truss.decomposition import truss_decomposition
 
-            self._truss_numbers = truss_decomposition(
-                self._graph, backend=self._backend
-            )
+            self._truss_numbers = truss_decomposition(self._graph)
             self._truss_pending = None
         elif self._truss_pending is not None:
             self._truss_numbers = refresh_truss_numbers(
                 self._graph,
                 self._truss_numbers,
                 self._truss_pending,
-                backend=self._backend,
             )
             self._truss_pending = None
         return self._truss_numbers
@@ -217,7 +212,7 @@ class QueryService:
         through the shared engine pool.
         """
         index = InfluentialIndex(depth=depth, aggregators=aggregators)
-        index.build(self._graph, self._pool, self._backend)
+        index.build(self._graph, self._pool)
         self._index = index
         return index
 
@@ -315,9 +310,7 @@ class QueryService:
             # Indexed queries never reach the worker pool: a dict lookup
             # plus a slice is far cheaper than shipping them anywhere.
             for key, query in list(todo.items()):
-                served = self._index.serve(
-                    query, self._graph, self._pool, self._backend
-                )
+                served = self._index.serve(query, self._graph, self._pool)
                 if served is not None:
                     resolved[key] = served
                     self._results.put(key, served)
@@ -382,18 +375,13 @@ class QueryService:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def _effective_backend(self, query: InfluentialQuery) -> str:
-        return query.backend if query.backend != "auto" else self._backend
-
     def _solve(self, query: InfluentialQuery) -> ResultSet:
         # Index first: an indexed (k, r, f) answer is a precomputed slice,
         # byte-identical to the solver's, and counts as an index hit, not
         # a solver call.  Everything unindexed (truss, min/max, TONIC,
         # eps > 0, boundary value ties...) falls through to the solvers.
         if self._index is not None:
-            served = self._index.serve(
-                query, self._graph, self._pool, self._backend
-            )
+            served = self._index.serve(query, self._graph, self._pool)
             if served is not None:
                 return served
         if query.cohesion == "truss":
@@ -401,7 +389,6 @@ class QueryService:
         else:
             result = top_r_communities(
                 self._graph,
-                backend=self._effective_backend(query),
                 engine_pool=self._pool,
                 **query.solver_kwargs(),
             )
@@ -427,12 +414,11 @@ class QueryService:
                 "truss cohesion has no constrained solver"
             )
         aggregator = query.aggregator
-        backend = self._effective_backend(query)
         if aggregator.is_size_proportional:
             if query.k < 2 or query.r < 1:
                 # Delegate so parameter errors carry the solver's message.
                 return truss_top_r_sum(
-                    self._graph, query.k, query.r, aggregator, backend=backend
+                    self._graph, query.k, query.r, aggregator
                 )
             return self._truss_sum_from_numbers(query.k, query.r, aggregator)
         if aggregator.name == "min":
@@ -440,9 +426,7 @@ class QueryService:
             # swallowed (and cached) by the tmax short circuit.
             if query.k >= 2 and query.r >= 1 and query.k > self.tmax:
                 return ResultSet(())
-            return truss_top_r_min(
-                self._graph, query.k, query.r, backend=backend
-            )
+            return truss_top_r_min(self._graph, query.k, query.r)
         raise SolverError(
             f"truss cohesion serves sum-family or min aggregators, "
             f"not {aggregator.name!r}"
@@ -549,11 +533,7 @@ class QueryService:
         :meth:`_reweight_shared_state`: the HTTP front end runs this on
         its solver thread while the loop thread owns the result cache.
         """
-        delta = GraphDelta(
-            self._graph,
-            core_numbers=self._pool.core_numbers,
-            backend=self._backend,
-        )
+        delta = GraphDelta(self._graph, core_numbers=self._pool.core_numbers)
         report = delta.apply(insert=insert, delete=delete)
         self._graph = report.graph
         structures_dropped = self._pool.apply_update(
@@ -659,7 +639,6 @@ class QueryService:
         return (
             {
                 "substrate": substrate.descriptor(),
-                "backend": self._backend,
                 "cache_size": self._cache_size,
                 "pool_capacity": self._pool_capacity,
             },
@@ -672,7 +651,6 @@ class QueryService:
             "indices": csr.indices,
             "weights": self._graph.weights,
             "labels": self._graph.labels,
-            "backend": self._backend,
             "cache_size": self._cache_size,
             "pool_capacity": self._pool_capacity,
             # Ship the decompositions this service already paid for, so
@@ -725,7 +703,6 @@ def _worker_init(payload: dict) -> None:
 
         _WORKER_SUBSTRATE = SharedSubstrate.attach(payload["substrate"])
         _WORKER_SERVICE = _WORKER_SUBSTRATE.build_service(
-            backend=payload["backend"],
             cache_size=payload["cache_size"],
             pool_capacity=payload["pool_capacity"],
         )
@@ -742,7 +719,6 @@ def _worker_init(payload: dict) -> None:
     index_payload = payload.get("index")
     _WORKER_SERVICE = QueryService(
         graph,
-        backend=payload["backend"],
         cache_size=payload["cache_size"],
         pool_capacity=payload["pool_capacity"],
         core_numbers=payload.get("core_numbers"),

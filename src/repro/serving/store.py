@@ -448,7 +448,6 @@ def load_snapshot(
 def load_service(
     path: "str | pathlib.Path",
     mmap: bool = True,
-    backend: str = "auto",
     cache_size: int = 1024,
     pool_capacity: int = 1024,
 ) -> "QueryService":
@@ -469,7 +468,6 @@ def load_service(
         index = InfluentialIndex.from_payload(snapshot.index_payload)
     return QueryService(
         snapshot.graph(),
-        backend=backend,
         cache_size=cache_size,
         pool_capacity=pool_capacity,
         core_numbers=np.asarray(snapshot.core_numbers),

@@ -407,7 +407,6 @@ class SharedSubstrate:
 
     def build_service(
         self,
-        backend: str = "auto",
         cache_size: int = 1024,
         pool_capacity: int = 1024,
         lazy_adjacency: bool = True,
@@ -434,7 +433,6 @@ class SharedSubstrate:
         payload = self.index_payload()
         return QueryService(
             graph,
-            backend=backend,
             cache_size=cache_size,
             pool_capacity=pool_capacity,
             core_numbers=np.asarray(self._arrays["core_numbers"]),

@@ -141,7 +141,6 @@ def refresh_truss_numbers(
     graph: Graph,
     truss_numbers: dict[tuple[int, int], int],
     pending: np.ndarray,
-    backend: str = "auto",
 ) -> dict[tuple[int, int], int]:
     """Recompute truss numbers for the pending components and merge.
 
@@ -158,5 +157,5 @@ def refresh_truss_numbers(
     ]
     induced = Graph(adjacency, graph.weights, _trusted=True)
     merged = dict(truss_numbers)
-    merged.update(truss_decomposition(induced, backend=backend))
+    merged.update(truss_decomposition(induced))
     return merged

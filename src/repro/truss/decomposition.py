@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.graphs.backend import resolve_backend
 from repro.graphs.graph import Graph
 from repro.utils.heaps import IndexedMaxHeap
 
@@ -29,49 +28,16 @@ def _edge_id(u: int, v: int, n: int) -> int:
     return u * n + v
 
 
-def edge_supports(graph: Graph, backend: str = "auto") -> dict[tuple[int, int], int]:
+def edge_supports(graph: Graph) -> dict[tuple[int, int], int]:
     """Triangle count of every edge, keyed by (u, v) with u < v.
 
-    Enumerates each triangle once through its smallest-degree endpoint
-    ordering (the standard O(m^1.5) scheme).  The CSR backend runs the
-    whole enumeration as a handful of array operations
-    (:func:`_edge_supports_csr`); the set backend intersects forward
-    neighbour sets edge by edge.
-    """
-    if resolve_backend(backend) == "csr":
-        return _edge_supports_csr(graph)
-    adj = graph.adjacency
-    support = {(u, v): 0 for u, v in graph.edges()}
-    # Orient edges from lower to higher (degree, id) rank.
-    rank = sorted(range(graph.n), key=lambda v: (len(adj[v]), v))
-    position = {v: i for i, v in enumerate(rank)}
-    forward: list[list[int]] = [[] for __ in range(graph.n)]
-    for u, v in graph.edges():
-        if position[u] < position[v]:
-            forward[u].append(v)
-        else:
-            forward[v].append(u)
-    forward_sets = [set(neigh) for neigh in forward]
-    for u in range(graph.n):
-        for v in forward[u]:
-            common = forward_sets[u] & forward_sets[v]
-            for w in common:
-                for a, b in ((u, v), (u, w), (v, w)):
-                    key = (a, b) if a < b else (b, a)
-                    support[key] += 1
-    return support
-
-
-def _edge_supports_csr(graph: Graph) -> dict[tuple[int, int], int]:
-    """Flat-array support counting: orient here, count in the kernel tier.
-
-    Orient every edge from lower to higher (degree, id) rank — the same
-    orientation as the set backend, so peel tie-breaks downstream see
-    identical supports — and hand the forward-arc CSR (``fptr``/``fdst``,
-    runs sorted by target) to :func:`repro.kernels.arc_supports`: the
-    O(m^1.5) smaller-endpoint triangle enumeration, vectorised in numpy
-    or compiled under Numba.  Arc ``i`` is the undirected edge
-    ``(fsrc[i], fdst[i])``; the result keys stay (u, v) with u < v.
+    Flat-array support counting: orient here, count in the kernel tier.
+    Orient every edge from lower to higher (degree, id) rank, so peel
+    tie-breaks downstream see a fixed orientation, and hand the
+    forward-arc CSR (``fptr``/``fdst``, runs sorted by target) to
+    :func:`repro.kernels.arc_supports`: the O(m^1.5) smaller-endpoint
+    triangle enumeration, vectorised in numpy or compiled under Numba.
+    Arc ``i`` is the undirected edge ``(fsrc[i], fdst[i])``.
     """
     csr = graph.csr
     n = csr.n
@@ -93,18 +59,15 @@ def _edge_supports_csr(graph: Graph) -> dict[tuple[int, int], int]:
     }
 
 
-def truss_decomposition(
-    graph: Graph, backend: str = "auto"
-) -> dict[tuple[int, int], int]:
+def truss_decomposition(graph: Graph) -> dict[tuple[int, int], int]:
     """Truss number of every edge, keyed by (u, v) with u < v.
 
     Peels edges in non-decreasing support order; when edge (u, v) is
     removed at current level k, its truss number is k, and every edge of a
-    triangle through (u, v) loses one support.  ``backend`` selects the
-    support-counting kernel; the heap peel itself is shared.
+    triangle through (u, v) loses one support.
     """
     n = graph.n
-    support = edge_supports(graph, backend=backend)
+    support = edge_supports(graph)
     if not support:
         return {}
     adj = {v: set(graph.adjacency[v]) for v in range(n)}
@@ -132,9 +95,9 @@ def truss_decomposition(
     return truss
 
 
-def truss_max(graph: Graph, backend: str = "auto") -> int:
+def truss_max(graph: Graph) -> int:
     """The largest k with a non-empty k-truss (>= 2 when any edge exists)."""
-    numbers = truss_decomposition(graph, backend=backend)
+    numbers = truss_decomposition(graph)
     if not numbers:
         return 0
     return max(numbers.values())

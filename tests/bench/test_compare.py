@@ -147,10 +147,10 @@ GRAPH = "g100x400"
 
 def _cell(tier, runs, digest="same-answer", workers=0, status="done"):
     axes = {
-        "graph": GRAPH, "k": 4, "r": 5, "f": "sum", "backend": "csr",
+        "graph": GRAPH, "k": 4, "r": 5, "f": "sum",
         "workers": workers, "tier": tier, "eps": 0.1,
     }
-    cell_id = f"{GRAPH}/k4/r5/f=sum/b=csr/w{workers}/{tier}"
+    cell_id = f"{GRAPH}/k4/r5/f=sum/w{workers}/{tier}"
     done = status == "done"
     return CellRecord(
         cell_id=cell_id,
@@ -311,7 +311,7 @@ def test_newly_skipped_cell_is_a_note_not_a_failure(tmp_path, baseline_db):
         [
             _cell("cold", (0.9,)),
             CellRecord(
-                cell_id=f"{GRAPH}/k4/r5/f=sum/b=csr/w0/service",
+                cell_id=f"{GRAPH}/k4/r5/f=sum/w0/service",
                 axes={}, status="skipped", error="inapplicable",
             ),
         ],

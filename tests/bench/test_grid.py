@@ -18,7 +18,6 @@ TINY = GridSpec(
     ks=(2,),
     rs=(2,),
     aggregators=("sum", "min"),
-    backends=("csr",),
     workers=(0, 1),
     tiers=("cold", "service", "index"),
     repeats=2,
@@ -42,18 +41,18 @@ def test_cells_enumerate_deterministically():
     ids = [cell.cell_id for cell in TINY.cells()]
     assert ids == [cell.cell_id for cell in TINY.cells()]
     assert len(ids) == len(set(ids)) == 2 * 2 * 3
-    assert "g60x180/k2/r2/f=sum/b=csr/w0/cold" in ids
+    assert "g60x180/k2/r2/f=sum/w0/cold" in ids
 
 
 def test_skip_reasons():
     by_id = {cell.cell_id: cell for cell in TINY.cells()}
-    assert by_id["g60x180/k2/r2/f=sum/b=csr/w0/cold"].skip_reason() is None
-    assert by_id["g60x180/k2/r2/f=sum/b=csr/w0/index"].skip_reason() is None
+    assert by_id["g60x180/k2/r2/f=sum/w0/cold"].skip_reason() is None
+    assert by_id["g60x180/k2/r2/f=sum/w0/index"].skip_reason() is None
     # Workers shard through the service tier only.
-    assert by_id["g60x180/k2/r2/f=sum/b=csr/w1/cold"].skip_reason()
-    assert by_id["g60x180/k2/r2/f=sum/b=csr/w1/service"].skip_reason() is None
+    assert by_id["g60x180/k2/r2/f=sum/w1/cold"].skip_reason()
+    assert by_id["g60x180/k2/r2/f=sum/w1/service"].skip_reason() is None
     # The precomputed index serves sum only.
-    assert by_id["g60x180/k2/r2/f=min/b=csr/w0/index"].skip_reason()
+    assert by_id["g60x180/k2/r2/f=min/w0/index"].skip_reason()
 
 
 def test_named_grids_resolve():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+
+from repro import reference
 
 from repro.graphs.builder import GraphBuilder, graph_from_edges
 from repro.graphs.generators.examples import figure1_graph, tiny_kcore_graph
@@ -48,6 +52,16 @@ def path_graph():
 def empty_graph():
     """Zero vertices."""
     return GraphBuilder(0).build()
+
+
+#: Solver engines a test may run under: production CSR, or the reference
+#: set engine scoped by :func:`repro.reference.set_engine`.
+ENGINES = ("set", "csr")
+
+
+def engine(name: str):
+    """Context manager running Algorithms 1 and 2 on engine ``name``."""
+    return reference.set_engine() if name == "set" else nullcontext()
 
 
 def random_weighted_graph(n: int, p: float, seed: int):

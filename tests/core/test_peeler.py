@@ -83,11 +83,10 @@ def test_alive_neighbors(tiny):
     assert ws.alive_neighbors(0) == {1, 2, 3}
 
 
-@pytest.mark.parametrize("backend", ["set", "csr"])
-def test_reset_reuses_workspace_across_queries(backend):
+def test_reset_reuses_workspace_across_queries():
     """One workspace, many queries: reset() must leave no stale degrees."""
     graph = random_weighted_graph(30, 0.2, seed=9)
-    ws = PeelingWorkspace(graph, 2, backend=backend)
+    ws = PeelingWorkspace(graph, 2)
     pristine_alive = set(ws.alive)
     pristine_degrees = {v: ws.degree(v) for v in ws.alive}
     # First query mutates the workspace heavily.
@@ -100,20 +99,19 @@ def test_reset_reuses_workspace_across_queries(backend):
     assert {v: ws.degree(v) for v in ws.alive} == pristine_degrees
 
 
-@pytest.mark.parametrize("backend", ["set", "csr"])
-def test_reset_to_subset_recomputes_degrees(backend):
+def test_reset_to_subset_recomputes_degrees():
     """Stale-degree regression: after a cascade shrank the alive set, a
     reset to an overlapping subset must recompute induced degrees from the
     graph, not inherit decremented counters."""
     graph = random_weighted_graph(24, 0.3, seed=4)
-    ws = PeelingWorkspace(graph, 2, backend=backend)
+    ws = PeelingWorkspace(graph, 2)
     for __ in range(6):
         if not ws.alive:
             break
         ws.remove(min(ws.alive))
     subset = set(range(0, graph.n, 2))
     ws.reset(subset)
-    fresh = PeelingWorkspace(graph, 2, vertices=subset, backend=backend)
+    fresh = PeelingWorkspace(graph, 2, vertices=subset)
     assert ws.alive == fresh.alive == kcore_of_subset(graph, subset, 2)
     for v in ws.alive:
         assert ws.degree(v) == fresh.degree(v)
@@ -125,7 +123,3 @@ def test_reset_validates_vertices(tiny):
     with pytest.raises(VertexError):
         ws.reset([0, 99])
 
-
-def test_workspace_backend_property(tiny):
-    assert PeelingWorkspace(tiny, 1, backend="set").backend == "set"
-    assert PeelingWorkspace(tiny, 1, backend="csr").backend == "csr"

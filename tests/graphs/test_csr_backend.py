@@ -1,15 +1,8 @@
-"""CSR backend construction invariants, cache behaviour and primitives."""
+"""CSR adjacency construction invariants, cache behaviour and primitives."""
 
 import numpy as np
 import pytest
 
-from repro.graphs.backend import (
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.errors import GraphError
 from repro.graphs.builder import GraphBuilder, graph_from_edges
 from repro.graphs.csr import CSRAdjacency, decrement_degrees
 from repro.graphs.generators.examples import figure1_graph, tiny_kcore_graph
@@ -52,7 +45,7 @@ def test_csr_construction_invariants(graph):
     arcs = set()
     for v in range(graph.n):
         run = indices[indptr[v] : indptr[v + 1]]
-        # Sorted, duplicate-free neighbour runs mirroring the set backend.
+        # Sorted, duplicate-free neighbour runs mirroring the set adjacency.
         assert np.all(np.diff(run) > 0)
         assert set(run.tolist()) == graph.adjacency[v]
         assert v not in run  # no self-loops
@@ -143,55 +136,6 @@ def test_decrement_degrees_both_strategies():
         assert degrees[1] == 3 and degrees[2] == 4
 
 
-def test_backend_registry():
-    import os
-
-    # CI runs the suite on a {set, csr} matrix via REPRO_GRAPH_BACKEND, so
-    # the ambient default is whatever the environment selected (csr when
-    # unset) — the scoping mechanics must hold either way.
-    ambient = os.environ.get("REPRO_GRAPH_BACKEND", "csr")
-    assert get_default_backend() == ambient
-    assert resolve_backend("auto") == ambient
-    assert resolve_backend("set") == "set"
-    with use_backend("set"):
-        assert get_default_backend() == "set"
-        assert resolve_backend(None) == "set"
-        with use_backend("csr"):
-            assert get_default_backend() == "csr"
-        assert get_default_backend() == "set"
-    assert get_default_backend() == ambient
-    with pytest.raises(GraphError):
-        resolve_backend("bogus")
-    with pytest.raises(GraphError):
-        set_default_backend("bogus")
-
-
-def test_backend_env_override_subprocess():
-    """REPRO_GRAPH_BACKEND seeds the initial default (and rejects typos)."""
-    import os
-    import subprocess
-    import sys
-
-    script = (
-        "from repro.graphs.backend import get_default_backend; "
-        "print(get_default_backend())"
-    )
-    for name in ("set", "csr"):
-        env = {**os.environ, "REPRO_GRAPH_BACKEND": name}
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env,
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == name
-    env = {**os.environ, "REPRO_GRAPH_BACKEND": "bogus"}
-    failed = subprocess.run(
-        [sys.executable, "-c", script], env=env,
-        capture_output=True, text=True,
-    )
-    assert failed.returncode != 0
-    assert "REPRO_GRAPH_BACKEND" in failed.stderr
-
-
 def test_index_dtype_is_int32_with_overflow_guard():
     # Every realistic graph stores neighbour ids as int32 (half the memory
     # traffic of int64 gathers); the guard keeps int64 for vertex counts
@@ -230,7 +174,7 @@ def _int_width_run(edges, weights, n):
     mask = np.zeros(n, dtype=bool)
     mask[dense] = True
     peeled, degrees = csr.peel_to_kcore(mask.copy(), 3)
-    result = tic_improved(graph, k=3, r=8, f="sum", backend="csr")
+    result = tic_improved(graph, k=3, r=8, f="sum")
     return csr.indices.dtype, {
         "induced": [
             (local.indptr, local.indices)

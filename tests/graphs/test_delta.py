@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.decomposition import core_decomposition
 from repro.errors import GraphError, VertexError
 from repro.graphs.builder import graph_from_edges
@@ -33,7 +34,7 @@ def assert_matches_rebuild(report: DeltaReport):
     assert np.array_equal(graph.csr.indices, rebuilt.indices)
     assert graph.csr.indices.dtype == rebuilt.indices.dtype
     assert np.array_equal(
-        report.core_numbers, core_decomposition(graph, backend="set")
+        report.core_numbers, reference.core_decomposition(graph)
     )
 
 
@@ -54,10 +55,7 @@ def absent_edges(graph):
 # Core repair + CSR patch correctness
 # ----------------------------------------------------------------------
 def test_single_insert_matches_rebuild(figure1):
-    # backend="csr" explicitly: the strategy assertion must hold even
-    # under the set-backend CI matrix ("auto" would resolve to "set",
-    # whose oracle path always recomputes).
-    report = GraphDelta(figure1, backend="csr").apply(insert=[(0, 9)])
+    report = GraphDelta(figure1).apply(insert=[(0, 9)])
     assert_matches_rebuild(report)
     assert report.graph.m == figure1.m + 1
     assert report.inserted == ((0, 9),)
@@ -172,17 +170,21 @@ def test_large_batches_fall_back_to_recompute():
 
 
 def test_set_backend_is_the_slow_oracle():
+    """The incremental repair agrees with the recompute path and with the
+    reference set-adjacency core decomposition."""
     graph = weighted_gnm(40, 120, seed=9)
     inserts = absent_edges(graph)[:3]
     deletes = present_edges(graph)[:3]
-    fast = GraphDelta(graph, backend="csr").apply(
+    fast = GraphDelta(graph).apply(insert=inserts, delete=deletes)
+    slow = GraphDelta(graph, batch_threshold=1).apply(
         insert=inserts, delete=deletes
     )
-    slow = GraphDelta(graph, backend="set").apply(
-        insert=inserts, delete=deletes
-    )
+    assert fast.strategy == "incremental"
     assert slow.strategy == "recompute"
     assert np.array_equal(fast.core_numbers, slow.core_numbers)
+    assert np.array_equal(
+        slow.core_numbers, reference.core_decomposition(slow.graph)
+    )
     assert [sorted(neigh) for neigh in fast.graph.adjacency] == (
         [sorted(neigh) for neigh in slow.graph.adjacency]
     )
@@ -271,8 +273,8 @@ def test_labels_survive_patch(figure1):
     graph — a dropped label array would silently turn every constrained
     query on a live-updated service into a SpecError."""
     labeled = figure1.with_labels([f"g:{v % 3}" for v in range(figure1.n)])
-    for backend in ("csr", "set"):
-        report = GraphDelta(labeled, backend=backend).apply(
+    for threshold in (64, 1):  # incremental, then recompute
+        report = GraphDelta(labeled, batch_threshold=threshold).apply(
             insert=[absent_edges(labeled)[0]],
             delete=[present_edges(labeled)[0]],
         )
@@ -291,7 +293,7 @@ def test_labels_survive_patch_then_snapshot_roundtrip(figure1, tmp_path):
     labeled = figure1.with_labels(
         ["g:db" if v % 2 == 0 else "g:ml" for v in range(figure1.n)]
     )
-    service = QueryService(labeled, backend="csr")
+    service = QueryService(labeled)
     service.update_edges(insert=[absent_edges(labeled)[0]])
     assert service.graph.labels == labeled.labels
 

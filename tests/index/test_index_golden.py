@@ -4,7 +4,8 @@ The index's whole contract is that :meth:`InfluentialIndex.serve` either
 returns *exactly* what ``top_r_communities`` would (same vertex sets,
 same order, same float bit patterns) or returns None and lets the solver
 run.  These tests pin that over the oracle menagerie for every indexed
-aggregator, on both backends, across every (k, r) in range — plus the
+aggregator, on both engines (CSR and the reference set engine), across
+every (k, r) in range — plus the
 fallback edges: boundary value ties, truncated entries, and every
 eligibility gate of :meth:`InfluentialIndex.plan`.
 """
@@ -20,6 +21,7 @@ from repro.influential.api import top_r_communities
 from repro.serving.oracle import small_oracle_graphs
 from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
+from tests.conftest import ENGINES, engine
 
 INDEXED_AGGREGATORS = ("sum", "sum-surplus(1.5)")
 UNINDEXED_AGGREGATORS = ("min", "max", "avg", "weight-density(1)")
@@ -30,20 +32,22 @@ def _byte_identical(produced, expected):
     return produced == expected and produced.values() == expected.values()
 
 
-@pytest.mark.parametrize("backend", ["set", "csr"])
+@pytest.mark.parametrize("engine_name", ENGINES)
 @pytest.mark.parametrize("name,graph", small_oracle_graphs())
-def test_indexed_answers_match_cold_solves(name, graph, backend):
-    service = QueryService(graph, backend=backend, cache_size=0)
-    service.enable_index(depth=DEPTH, aggregators=INDEXED_AGGREGATORS)
+def test_indexed_answers_match_cold_solves(name, graph, engine_name):
+    """Index captured (and fallbacks solved) on ``engine_name``; cold
+    solves on the production engine."""
+    service = QueryService(graph, cache_size=0)
+    with engine(engine_name):
+        service.enable_index(depth=DEPTH, aggregators=INDEXED_AGGREGATORS)
     for f in INDEXED_AGGREGATORS:
         for k in range(1, service.kmax + 2):  # +1 probes past kmax too
             for r in (1, 2, DEPTH, DEPTH + 3):
-                served = service.submit(InfluentialQuery(k=k, r=r, f=f))
-                cold = top_r_communities(
-                    graph, k=k, r=r, f=f, backend=backend
-                )
+                with engine(engine_name):
+                    served = service.submit(InfluentialQuery(k=k, r=r, f=f))
+                cold = top_r_communities(graph, k=k, r=r, f=f)
                 assert _byte_identical(served, cold), (
-                    f"{name}/{backend}: k={k} r={r} f={f}"
+                    f"{name}/{engine_name}: k={k} r={r} f={f}"
                 )
     # The sweep must have exercised the lookup path, not just fallbacks.
     assert service.index.hits > 0
@@ -68,7 +72,7 @@ def test_unindexed_aggregators_fall_through_to_solver(name, graph):
 def test_plan_eligibility_gates(figure1):
     index = InfluentialIndex(depth=DEPTH)
     service = QueryService(figure1)
-    index.build(figure1, service.engine_pool, "auto")
+    index.build(figure1, service.engine_pool)
 
     assert index.plan(InfluentialQuery(k=2, r=3, f="sum")) == (2, "sum")
     # Method "improved" ignores eps (the dispatch pins eps = 0), so any

@@ -207,9 +207,7 @@ def test_edge_update_covers_grown_kmax(two_triangles):
 
 
 def test_weight_update_is_a_value_only_refresh(weighted_random):
-    # Pinned to csr: the pool-reuse counters below are about the CSR
-    # engine's shared structures (the set backend never builds any).
-    service = QueryService(weighted_random, backend="csr", cache_size=0)
+    service = QueryService(weighted_random, cache_size=0)
     index = service.enable_index(depth=4)
     pool_misses_before = service.engine_pool.structure_misses
     rng = np.random.default_rng(9)

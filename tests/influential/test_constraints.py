@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import reference
 from repro.errors import SpecError
 from repro.graphs.builder import graph_from_edges
 from repro.influential.api import top_r_communities
@@ -22,6 +23,7 @@ from repro.serving.oracle import (
     constrained_discrepancies,
     small_oracle_graphs,
 )
+from tests.conftest import engine
 
 #: Deterministic label assignment reused across the suite: a shared
 #: ``g:`` prefix over two buckets plus an unmatched third family.
@@ -114,29 +116,31 @@ def test_matching_mask_selects_matching_vertices(figure1):
 
 
 # ----------------------------------------------------------------------
-# Solver vs post-filtered brute force, across methods and backends
+# Solver vs post-filtered brute force, across methods and engines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name, base", small_oracle_graphs())
-@pytest.mark.parametrize("backend", ["csr", "set"])
+@pytest.mark.parametrize("engine_name", ["csr", "set"])
 @pytest.mark.parametrize("f", ["sum", "sum-surplus(1.5)", "min", "max"])
-def test_constrained_matches_postfiltered_bruteforce(name, base, backend, f):
+def test_constrained_matches_postfiltered_bruteforce(
+    name, base, engine_name, f
+):
     graph = _labeled(base)
     for spec in PREDICATES:
         for k in (1, 2):
-            problems = constrained_discrepancies(
-                graph, k, 3, f, spec, backend=backend
-            )
+            with engine(engine_name):
+                problems = constrained_discrepancies(graph, k, 3, f, spec)
             assert not problems, f"{name}: " + "\n".join(problems)
 
 
 @pytest.mark.parametrize("name, base", small_oracle_graphs())
 def test_backend_parity_constrained(name, base):
+    """Constrained seeding on the CSR engine matches the reference set
+    engine, byte for byte."""
     graph = _labeled(base)
     for spec in PREDICATES:
-        csr = top_r_communities(graph, k=2, r=3, f="sum", backend="csr",
-                                labels=spec)
-        plain = top_r_communities(graph, k=2, r=3, f="sum", backend="set",
-                                  labels=spec)
+        csr = top_r_communities(graph, k=2, r=3, f="sum", labels=spec)
+        with reference.set_engine():
+            plain = top_r_communities(graph, k=2, r=3, f="sum", labels=spec)
         assert csr == plain and csr.values() == plain.values(), name
 
 

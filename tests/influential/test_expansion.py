@@ -5,7 +5,7 @@ import pytest
 
 from repro.aggregators.summation import Sum
 from repro.core.kcore import connected_kcore_components, kcore_of_subset
-from repro.influential.expansion import ExpansionContext, _articulation_vertices
+from repro.reference import ExpansionContext, _articulation_vertices
 from repro.utils.zobrist import ZobristHasher
 from tests.conftest import random_weighted_graph
 

@@ -1,4 +1,5 @@
-"""ExpansionContext edge cases on known topologies, on both engines.
+"""Expansion edge cases on known topologies, on the CSR engine and the
+reference set engine.
 
 Each topology pins down one branch of the expansion machinery:
 
@@ -20,6 +21,7 @@ agreement: the reference has no fast path at all.
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.aggregators.registry import get_aggregator
 from repro.core.kcore import connected_kcore_components
 from repro.graphs.builder import graph_from_edges
@@ -27,7 +29,8 @@ from repro.influential.expansion import expansion_context, members_frozenset
 from repro.influential.expansion_csr import CSRExpansionContext, MemberArray
 from repro.utils.zobrist import ZobristHasher
 
-BACKENDS = ("set", "csr")
+#: Expansion factory per engine.
+CONTEXTS = {"set": reference.expansion_context, "csr": expansion_context}
 
 
 def _clique_graph(n):
@@ -66,21 +69,20 @@ def _reference_children(graph, component, k, vertex):
 def _check_against_reference(graph, k, f="sum"):
     aggregator = get_aggregator(f)
     hasher = ZobristHasher(graph.n)
-    per_backend = {}
-    for backend in BACKENDS:
+    per_engine = {}
+    for engine, make_context in CONTEXTS.items():
         produced = {}
         for component in connected_kcore_components(graph, range(graph.n), k):
             value = aggregator.value(graph, frozenset(component))
-            ctx = expansion_context(
-                graph, frozenset(component), k, aggregator, value, hasher,
-                backend=backend,
+            ctx = make_context(
+                graph, frozenset(component), k, aggregator, value, hasher
             )
             for vertex in sorted(component):
                 children = ctx.children_after_removal(vertex)
                 assert {
                     members_frozenset(c.vertices) for c in children
                 } == _reference_children(graph, component, k, vertex), (
-                    backend, vertex, k
+                    engine, vertex, k
                 )
                 for child in children:
                     members = members_frozenset(child.vertices)
@@ -91,10 +93,10 @@ def _check_against_reference(graph, k, f="sum"):
                     produced[(min(component), vertex, members)] = (
                         child.value, child.key
                     )
-        per_backend[backend] = produced
+        per_engine[engine] = produced
     # Fast path (set: no BFS; csr: np.delete) and cascade path must agree
     # not only with the reference sets but bit-for-bit with each other.
-    assert per_backend["set"] == per_backend["csr"]
+    assert per_engine["set"] == per_engine["csr"]
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
@@ -125,13 +127,12 @@ def test_clique_at_threshold_cascades_to_nothing():
     graph = _clique_graph(5)
     hasher = ZobristHasher(graph.n)
     aggregator = get_aggregator("sum")
-    for backend in BACKENDS:
-        ctx = expansion_context(
-            graph, frozenset(range(5)), 4, aggregator, 15.0, hasher,
-            backend=backend,
+    for engine, make_context in CONTEXTS.items():
+        ctx = make_context(
+            graph, frozenset(range(5)), 4, aggregator, 15.0, hasher
         )
         for v in range(5):
-            assert ctx.children_after_removal(v) == [], (backend, v)
+            assert ctx.children_after_removal(v) == [], (engine, v)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -146,12 +147,11 @@ def test_cycle_removal_annihilates_at_k2():
     graph = _cycle_graph(8)
     hasher = ZobristHasher(graph.n)
     aggregator = get_aggregator("sum")
-    for backend in BACKENDS:
-        ctx = expansion_context(
-            graph, frozenset(range(8)), 2, aggregator, 36.0, hasher,
-            backend=backend,
+    for engine, make_context in CONTEXTS.items():
+        ctx = make_context(
+            graph, frozenset(range(8)), 2, aggregator, 36.0, hasher
         )
-        assert list(ctx.expand()) == [], backend
+        assert list(ctx.expand()) == [], engine
 
 
 @pytest.mark.parametrize("path", [1, 2, 4])
@@ -181,13 +181,13 @@ def test_barbell_articulation_splits():
     )
     assert set(chain) <= articulation_global
     middle = 5
-    for backend in BACKENDS:
-        ctx = expansion_context(
+    for engine, make_context in CONTEXTS.items():
+        ctx = make_context(
             graph, component, 1, aggregator,
-            aggregator.value(graph, component), hasher, backend=backend,
+            aggregator.value(graph, component), hasher,
         )
         children = ctx.children_after_removal(middle)
-        assert len(children) == 2, backend
+        assert len(children) == 2, engine
         sides = sorted(
             (sorted(members_frozenset(c.vertices)) for c in children),
             key=lambda side: side[0],
@@ -203,10 +203,8 @@ def test_sum_surplus_incremental_values_on_barbell():
     hasher = ZobristHasher(graph.n)
     component = frozenset(range(graph.n))
     value = aggregator.value(graph, component)
-    for backend in BACKENDS:
-        ctx = expansion_context(
-            graph, component, 1, aggregator, value, hasher, backend=backend
-        )
+    for engine, make_context in CONTEXTS.items():
+        ctx = make_context(graph, component, 1, aggregator, value, hasher)
         for child in ctx.expand():
             assert child.value == pytest.approx(
                 aggregator.value(graph, members_frozenset(child.vertices))

@@ -8,11 +8,12 @@ Three implementations of every hot kernel must agree *bit for bit*:
   machine this suite really holds compiled-vs-fallback together — on a
   fallback-only machine the pair is trivially equal and the set oracle
   carries the test),
-* the original ``backend="set"`` implementations above the kernel tier.
+* the original set-adjacency implementations: :mod:`repro.reference`
+  and the worklist/BFS branches of the subset kernels.
 
 Exactness is the contract: peel fixpoints, component splits, core
 numbers and triangle counts are integer results with one correct value,
-so solvers may switch backends without their answers moving by a bit.
+so solvers may switch kernel tiers without their answers moving by a bit.
 """
 
 import numpy as np
@@ -20,13 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.core.decomposition import core_decomposition
-from repro.core.kcore import kcore_of_subset
+from repro import kernels, reference
+from repro.core.kcore import kcore_worklist
 from repro.graphs.builder import graph_from_edges
-from repro.graphs.components import connected_components_of
+from repro.graphs.components import components_bfs
 from repro.kernels import _numpy as fallback
-from repro.truss.decomposition import edge_supports
 
 
 @st.composite
@@ -70,7 +69,7 @@ def _forward_arcs(graph):
 @settings(max_examples=60, deadline=None)
 def test_core_numbers_parity(graph):
     csr = graph.csr
-    oracle = core_decomposition(graph, backend="set")
+    oracle = reference.core_decomposition(graph)
     dispatched = kernels.core_numbers(csr.indptr, csr.indices)
     pure = fallback.core_numbers(csr.indptr, csr.indices)
     assert dispatched.dtype == np.int64 and pure.dtype == np.int64
@@ -82,7 +81,7 @@ def test_core_numbers_parity(graph):
 @settings(max_examples=60, deadline=None)
 def test_peel_to_kcore_parity(graph, k, data):
     subset, mask = _subset_mask(None, graph, data)
-    oracle = kcore_of_subset(graph, subset, k, backend="set")
+    oracle = kcore_worklist(graph, set(subset), k)
     csr = graph.csr
     results = {}
     for name, impl in (("dispatch", kernels), ("numpy", fallback)):
@@ -105,7 +104,7 @@ def test_peel_to_kcore_parity(graph, k, data):
 
 
 def _check_components_parity(graph, subset, mask):
-    oracle = connected_components_of(graph, subset, backend="set")
+    oracle = components_bfs(graph, set(subset))
     csr = graph.csr
     before = mask.copy()
     dispatched = kernels.components_of_mask(csr.indptr, csr.indices, mask)
@@ -175,7 +174,7 @@ def test_components_of_mask_shapes(shape, monkeypatch):
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_arc_supports_parity(graph):
-    oracle = edge_supports(graph, backend="set")
+    oracle = reference.edge_supports(graph)
     fptr, fsrc, fdst = _forward_arcs(graph)
     dispatched = kernels.arc_supports(fptr, fdst)
     pure = fallback.arc_supports(fptr, fdst)

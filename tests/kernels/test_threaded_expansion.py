@@ -52,8 +52,7 @@ def test_concurrent_children_match_sequential(graph, k):
     for component in connected_kcore_components(graph, range(graph.n), k):
         value = aggregator.value(graph, frozenset(component))
         ctx = expansion_context(
-            graph, frozenset(component), k, aggregator, value, hasher,
-            backend="csr",
+            graph, frozenset(component), k, aggregator, value, hasher
         )
         vertices = sorted(component)
         expected = {}
@@ -62,8 +61,7 @@ def test_concurrent_children_match_sequential(graph, k):
         # Fresh context so the articulation mask is recomputed under
         # contention rather than inherited from the sequential pass.
         shared = expansion_context(
-            graph, frozenset(component), k, aggregator, value, hasher,
-            backend="csr",
+            graph, frozenset(component), k, aggregator, value, hasher
         )
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = {
@@ -119,8 +117,7 @@ def _run_with_threads(
     """Expand one component with REPRO_EXPANSION_THREADS pinned."""
     with _pinned_threads(threads):
         ctx = expansion_context(
-            graph, frozenset(component), k, aggregator, value, hasher,
-            backend="csr",
+            graph, frozenset(component), k, aggregator, value, hasher
         )
         iterator = ctx.expand() if floor is None else ctx.expand(floor)
         return _flatten(iterator)
@@ -141,8 +138,7 @@ def test_threaded_expand_abandoned_generator(graph, k):
         )
         with _pinned_threads(2):
             ctx = expansion_context(
-                graph, frozenset(component), k, aggregator, value, hasher,
-                backend="csr",
+                graph, frozenset(component), k, aggregator, value, hasher
             )
             iterator = ctx.expand()
             taken = []
@@ -156,7 +152,7 @@ def test_threaded_expand_abandoned_generator(graph, k):
             again = _flatten(
                 expansion_context(
                     graph, frozenset(component), k, aggregator, value,
-                    hasher, backend="csr",
+                    hasher,
                 ).expand()
             )
         assert taken == full[: len(taken)]

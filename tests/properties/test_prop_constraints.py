@@ -2,8 +2,8 @@
 
 On random weighted graphs with random label assignments, a constrained
 solve must equal the post-filtered brute force (enumerate every connected
-k-core of the full graph, keep the all-matching ones, rank) — on both
-backends, for both the pushdown fast path (sum) and the induced-subgraph
+k-core of the full graph, keep the all-matching ones, rank) — on the
+CSR engine and the reference set engine, for both the pushdown fast path (sum) and the induced-subgraph
 fallback (min).  Hypothesis loves to shrink weights to equal floats, so
 the pin is tie-aware: the produced value ranking must match the deep
 oracle ranking exactly, and every produced community must appear in the
@@ -18,6 +18,7 @@ from repro.graphs.builder import graph_from_edges
 from repro.influential.api import top_r_communities
 from repro.influential.constraints import LabelPredicate
 from repro.serving.oracle import bruteforce_constrained_top_r
+from tests.conftest import ENGINES, engine
 
 LABELS = ("g:db", "g:ml", "x:sys")
 
@@ -59,17 +60,16 @@ def _pin(graph, k, r, f, predicate):
     # are all in the catalogue, whichever one the solver kept.
     deep = bruteforce_constrained_top_r(graph, k, 64, f, predicate)
     catalogue = dict(zip(deep.vertex_sets(), deep.values()))
-    for backend in ("set", "csr"):
-        produced = top_r_communities(
-            graph, k, r, f, backend=backend, labels=predicate
-        )
+    for name in ENGINES:
+        with engine(name):
+            produced = top_r_communities(graph, k, r, f, labels=predicate)
         assert len(produced) == min(r, len(deep))
         for a, b in zip(produced.values(), deep.values()):
-            assert _close(a, b), f"{backend}: {produced.values()} != top of {deep.values()}"
+            assert _close(a, b), f"{name}: {produced.values()} != top of {deep.values()}"
         seen = produced.vertex_sets()
         assert len(set(seen)) == len(seen)
         for members, value in zip(seen, produced.values()):
-            assert members in catalogue, f"{backend}: {set(members)} not a community"
+            assert members in catalogue, f"{name}: {set(members)} not a community"
             assert _close(value, catalogue[members])
 
 

@@ -1,7 +1,9 @@
-"""Property-based parity between the set and CSR graph backends.
+"""Property-based parity between the CSR engine and its references.
 
-Every hot kernel has two implementations (see ``repro.graphs.backend``);
-on random graphs they must return *identical* results — not merely
+Production runs one engine (flat CSR arrays and the kernel tier); the
+original set-of-sets implementations live on in :mod:`repro.reference`,
+and the subset kernels keep a worklist/BFS branch for tiny subsets.  On
+random graphs every pair must return *identical* results — not merely
 equivalent ones — because solvers layered on top are deterministic
 functions of the kernel outputs.
 """
@@ -10,22 +12,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.aggregators.registry import get_aggregator
 from repro.core.decomposition import core_decomposition
 from repro.core.kcore import (
     connected_kcore_components,
     kcore_of_subset,
+    kcore_worklist,
     maximal_kcore,
 )
 from repro.core.peeler import PeelingWorkspace
 from repro.graphs.builder import graph_from_edges
-from repro.graphs.components import connected_components_of
+from repro.graphs.components import components_bfs, connected_components_of
 from repro.influential.api import top_r_communities
 from repro.influential.expansion import expansion_context, members_frozenset
-from repro.truss.decomposition import edge_supports, truss_decomposition
+from repro.truss.decomposition import edge_supports
 from repro.utils.zobrist import ZobristHasher
 
 AGGREGATORS = ("sum", "avg", "min", "max")
+
+#: Expansion factory per engine.
+CONTEXTS = {"set": reference.expansion_context, "csr": expansion_context}
 
 
 @st.composite
@@ -39,58 +46,67 @@ def weighted_graphs(draw, min_n=2, max_n=16, max_edges=48):
     return graph_from_edges(edges, weights=weights, n=n)
 
 
+def _subsets(graph, data):
+    subset = data.draw(
+        st.lists(st.integers(0, graph.n - 1), unique=True, max_size=graph.n)
+    )
+    # Every non-empty subset of a <= 16-vertex graph takes the mask branch.
+    assert not subset or len(subset) * 16 >= graph.n
+    return subset
+
+
+def _flatten(children):
+    return [
+        (members_frozenset(child.vertices), child.value, child.key)
+        for child in children
+    ]
+
+
 @given(weighted_graphs())
 @settings(max_examples=60, deadline=None)
 def test_core_decomposition_parity(graph):
     assert np.array_equal(
-        core_decomposition(graph, backend="set"),
-        core_decomposition(graph, backend="csr"),
+        reference.core_decomposition(graph), core_decomposition(graph)
     )
 
 
 @given(weighted_graphs(), st.integers(0, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_kcore_of_subset_parity(graph, k, data):
-    subset = data.draw(
-        st.lists(st.integers(0, graph.n - 1), unique=True, max_size=graph.n)
+    """The mask branch of ``kcore_of_subset`` against the worklist peel."""
+    subset = _subsets(graph, data)
+    assert kcore_of_subset(graph, subset, k) == kcore_worklist(
+        graph, set(subset), k
     )
-    assert kcore_of_subset(graph, subset, k, backend="set") == kcore_of_subset(
-        graph, subset, k, backend="csr"
-    )
-    assert maximal_kcore(graph, k, backend="set") == maximal_kcore(
-        graph, k, backend="csr"
-    )
+    cores = reference.core_decomposition(graph)
+    assert maximal_kcore(graph, k) == set(np.flatnonzero(cores >= k).tolist())
 
 
 @given(weighted_graphs())
 @settings(max_examples=60, deadline=None)
 def test_truss_parity(graph):
-    assert edge_supports(graph, backend="set") == edge_supports(
-        graph, backend="csr"
-    )
-    assert truss_decomposition(graph, backend="set") == truss_decomposition(
-        graph, backend="csr"
-    )
+    assert edge_supports(graph) == reference.edge_supports(graph)
 
 
 @given(weighted_graphs(min_n=5), st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=50, deadline=None)
 def test_top_r_parity(graph, k, r):
     for f in AGGREGATORS:
-        assert top_r_communities(
-            graph, k, r, f=f, backend="set"
-        ) == top_r_communities(graph, k, r, f=f, backend="csr"), f
+        produced = top_r_communities(graph, k, r, f=f)
+        with reference.set_engine():
+            expected = top_r_communities(graph, k, r, f=f)
+        assert produced == expected, f
+        assert produced.values() == expected.values(), f
 
 
 @given(weighted_graphs(), st.integers(0, 4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_connected_components_parity(graph, k, data):
-    subset = data.draw(
-        st.lists(st.integers(0, graph.n - 1), unique=True, max_size=graph.n)
+    """The mask branch of ``connected_components_of`` against the BFS."""
+    subset = _subsets(graph, data)
+    assert connected_components_of(graph, subset) == components_bfs(
+        graph, set(subset)
     )
-    assert connected_components_of(
-        graph, subset, backend="set"
-    ) == connected_components_of(graph, subset, backend="csr")
 
 
 @given(weighted_graphs(min_n=4), st.integers(1, 3), st.sampled_from(
@@ -106,26 +122,17 @@ def test_expansion_children_parity(graph, k, f):
     for component in connected_kcore_components(graph, range(graph.n), k):
         value = aggregator.value(graph, frozenset(component))
         contexts = {
-            backend: expansion_context(
-                graph, frozenset(component), k, aggregator, value,
-                hasher, backend=backend,
-            )
-            for backend in ("set", "csr")
+            name: make(graph, frozenset(component), k, aggregator, value, hasher)
+            for name, make in CONTEXTS.items()
         }
         for vertex in sorted(component):
-            flattened = {}
-            for backend, ctx in contexts.items():
-                flattened[backend] = [
-                    (members_frozenset(child.vertices), child.value, child.key)
-                    for child in ctx.children_after_removal(vertex)
-                ]
+            flattened = {
+                name: _flatten(ctx.children_after_removal(vertex))
+                for name, ctx in contexts.items()
+            }
             assert flattened["set"] == flattened["csr"], (vertex, k, f)
         batches = {
-            backend: [
-                (members_frozenset(child.vertices), child.value, child.key)
-                for child in ctx.expand()
-            ]
-            for backend, ctx in contexts.items()
+            name: _flatten(ctx.expand()) for name, ctx in contexts.items()
         }
         assert batches["set"] == batches["csr"], (k, f)
 
@@ -143,34 +150,24 @@ def test_expansion_floor_parity(graph, k, rel_floor, r):
         value = aggregator.value(graph, frozenset(component))
         floor = rel_floor * value
         results = {}
-        for backend in ("set", "csr"):
-            ctx = expansion_context(
-                graph, frozenset(component), k, aggregator, value,
-                hasher, backend=backend,
-            )
-            results[backend] = [
-                (members_frozenset(c.vertices), c.value, c.key)
-                for c in ctx.expand(floor)
-            ]
-            callable_children = [
-                (members_frozenset(c.vertices), c.value, c.key)
-                for c in expansion_context(
-                    graph, frozenset(component), k, aggregator, value,
-                    hasher, backend=backend,
-                ).expand(lambda: floor)
-            ]
-            assert callable_children == results[backend], backend
+        for name, make in CONTEXTS.items():
+            def context():
+                return make(
+                    graph, frozenset(component), k, aggregator, value, hasher
+                )
+
+            results[name] = _flatten(context().expand(floor))
+            callable_children = _flatten(context().expand(lambda: floor))
+            assert callable_children == results[name], name
         assert results["set"] == results["csr"]
         # Conservativeness: the floor may generate extra children below it
         # (it prunes on the min_removal_loss bound, not exact values) but
         # must never drop one at-or-above it.
-        unfiltered = [
-            (members_frozenset(c.vertices), c.value, c.key)
-            for c in expansion_context(
-                graph, frozenset(component), k, aggregator, value, hasher,
-                backend="csr",
+        unfiltered = _flatten(
+            expansion_context(
+                graph, frozenset(component), k, aggregator, value, hasher
             ).expand()
-        ]
+        )
         floored = set(results["csr"])
         assert floored <= set(unfiltered)
         for child in unfiltered:
@@ -181,13 +178,17 @@ def test_expansion_floor_parity(graph, k, rel_floor, r):
 @given(weighted_graphs(), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_peeling_workspace_parity(graph, k):
-    ws_set = PeelingWorkspace(graph, k, backend="set")
-    ws_csr = PeelingWorkspace(graph, k, backend="csr")
-    assert ws_set.alive == ws_csr.alive
-    while ws_csr.alive:
-        v = min(ws_csr.alive)
-        assert ws_set.degree(v) == ws_csr.degree(v)
-        assert ws_set.alive_neighbors(v) == ws_csr.alive_neighbors(v)
-        assert set(ws_set.remove(v)) == set(ws_csr.remove(v))
-        assert ws_set.alive == ws_csr.alive
-        assert ws_set.components() == ws_csr.components()
+    """Every cascade of the workspace matches a worklist re-peel of the
+    survivors, with exact alive degrees and BFS components."""
+    ws = PeelingWorkspace(graph, k)
+    adj = graph.adjacency
+    assert ws.alive == kcore_worklist(graph, set(range(graph.n)), k)
+    while ws.alive:
+        v = min(ws.alive)
+        before = set(ws.alive)
+        assert ws.degree(v) == len(adj[v] & before)
+        assert ws.alive_neighbors(v) == adj[v] & before
+        removed = ws.remove(v)
+        assert ws.alive == kcore_worklist(graph, before - {v}, k)
+        assert set(removed) == before - ws.alive
+        assert ws.components() == components_bfs(graph, set(ws.alive))

@@ -5,7 +5,8 @@ explicit invalidations, a served answer equals a cold
 :func:`~repro.influential.api.top_r_communities` run against the
 service's *current* graph — the caches may never leak a stale or
 foreign result.  Hypothesis drives random graphs, random operation
-sequences, and mixed backends through one model-based check.
+sequences, and cold runs on either engine (CSR or the reference set
+engine) through one model-based check.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.graphs.builder import graph_from_edges
 from repro.influential.api import top_r_communities
 from repro.serving import InfluentialQuery, QueryService
+from tests.conftest import ENGINES, engine
 
 AGGREGATORS = ("sum", "sum-surplus(1)", "min", "max", "avg")
 
@@ -39,7 +41,6 @@ def queries(draw):
         r=draw(st.integers(1, 4)),
         f=draw(st.sampled_from(AGGREGATORS)),
         eps=draw(st.sampled_from([0.0, 0.25])),
-        backend=draw(st.sampled_from(["auto", "set", "csr"])),
     )
 
 
@@ -48,7 +49,7 @@ def operations(draw, n):
     kind = draw(st.sampled_from(["submit", "submit", "submit",
                                  "reweight", "invalidate"]))
     if kind == "submit":
-        return ("submit", draw(queries()))
+        return ("submit", (draw(queries()), draw(st.sampled_from(ENGINES))))
     if kind == "reweight":
         seed = draw(st.integers(0, 2**16))
         weights = np.round(
@@ -73,12 +74,10 @@ def test_interleaved_operations_match_cold_runs(scenario):
     current = graph
     for kind, payload in ops:
         if kind == "submit":
-            served = service.submit(payload)
-            cold = top_r_communities(
-                current,
-                backend=payload.backend,
-                **payload.solver_kwargs(),
-            )
+            query, cold_engine = payload
+            served = service.submit(query)
+            with engine(cold_engine):
+                cold = top_r_communities(current, **query.solver_kwargs())
             assert served == cold
             assert served.values() == cold.values()
         elif kind == "reweight":

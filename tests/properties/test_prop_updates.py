@@ -7,19 +7,20 @@ submits, a served answer equals a cold
 :func:`~repro.influential.api.top_r_communities` run against a graph
 rebuilt *from scratch* out of the model's current edge set — scoped
 invalidation, patched CSR arrays and incrementally repaired core numbers
-may never leak a stale result.  Both service backends are driven (the
-"set" service applies deltas through the slow oracle path), and the
-final core numbers are checked against a full decomposition.
+may never leak a stale result.  The service answers on either engine
+(CSR or the reference set engine), and the final core numbers are
+checked against the reference decomposition.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decomposition import core_decomposition
+from repro import reference
 from repro.graphs.builder import graph_from_edges
 from repro.influential.api import top_r_communities
 from repro.serving import InfluentialQuery, QueryService
+from tests.conftest import ENGINES, engine
 
 AGGREGATORS = ("sum", "sum-surplus(1)", "min", "max", "avg")
 
@@ -31,7 +32,6 @@ def queries(draw):
         r=draw(st.integers(1, 4)),
         f=draw(st.sampled_from(AGGREGATORS)),
         eps=draw(st.sampled_from([0.0, 0.25])),
-        backend=draw(st.sampled_from(["auto", "set", "csr"])),
     )
 
 
@@ -56,19 +56,18 @@ def update_scenarios(draw):
         )
     )
     query_pool = draw(st.lists(queries(), min_size=1, max_size=4))
-    backend = draw(st.sampled_from(["set", "csr"]))
-    return n, initial, weights, ops, seeds, query_pool, backend
+    engine_name = draw(st.sampled_from(ENGINES))
+    return n, initial, weights, ops, seeds, query_pool, engine_name
 
 
 @given(update_scenarios())
 @settings(max_examples=40, deadline=None)
 def test_interleaved_edge_updates_match_cold_rebuilds(scenario):
-    n, initial, weights, ops, seeds, query_pool, backend = scenario
+    n, initial, weights, ops, seeds, query_pool, engine_name = scenario
     edges = set(initial)
     weights = np.asarray(weights)
     service = QueryService(
         graph_from_edges(sorted(edges), weights=weights, n=n),
-        backend=backend,
         cache_size=4,  # tiny: force evictions alongside invalidations
     )
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -76,10 +75,10 @@ def test_interleaved_edge_updates_match_cold_rebuilds(scenario):
         rng = np.random.default_rng(seed)
         if op == "submit":
             query = query_pool[seed % len(query_pool)]
-            served = service.submit(query)
+            with engine(engine_name):
+                served = service.submit(query)
             cold = top_r_communities(
                 graph_from_edges(sorted(edges), weights=weights, n=n),
-                backend=query.backend,
                 **query.solver_kwargs(),
             )
             assert served == cold
@@ -104,7 +103,7 @@ def test_interleaved_edge_updates_match_cold_rebuilds(scenario):
     rebuilt = graph_from_edges(sorted(edges), weights=weights, n=n)
     assert service.graph.m == rebuilt.m
     assert np.array_equal(
-        service.core_numbers, core_decomposition(rebuilt, backend="set")
+        service.core_numbers, reference.core_decomposition(rebuilt)
     )
     assert service.graph.weights.tolist() == rebuilt.weights.tolist()
 
@@ -112,11 +111,10 @@ def test_interleaved_edge_updates_match_cold_rebuilds(scenario):
 @given(update_scenarios())
 @settings(max_examples=15, deadline=None)
 def test_truss_serving_survives_edge_churn(scenario):
-    n, initial, weights, ops, seeds, __, backend = scenario
+    n, initial, weights, ops, seeds, __, __ = scenario
     edges = set(initial)
     service = QueryService(
-        graph_from_edges(sorted(edges), weights=weights, n=n),
-        backend=backend,
+        graph_from_edges(sorted(edges), weights=weights, n=n)
     )
     truss_query = InfluentialQuery(k=2, r=2, f="sum", cohesion="truss")
     service.submit(truss_query)  # warm the truss cache, then churn it
@@ -136,8 +134,7 @@ def test_truss_serving_survives_edge_churn(scenario):
         edges -= set(delete)
         served = service.submit(truss_query)
         cold = QueryService(
-            graph_from_edges(sorted(edges), weights=weights, n=n),
-            backend=backend,
+            graph_from_edges(sorted(edges), weights=weights, n=n)
         ).submit(truss_query)
         assert served == cold
         assert served.values() == cold.values()

@@ -15,6 +15,7 @@ import pytest
 from repro.graphs.generators.random_graphs import gnm_random_graph
 from repro.influential.api import top_r_communities
 from repro.influential.expansion_csr import CSRExpansionContext
+from repro.reference import set_engine
 from repro.serving.engine_pool import ExpansionEnginePool
 from repro.utils import parallel
 from repro.utils.rng import make_rng
@@ -79,8 +80,7 @@ def test_dead_pops_build_no_structure(graph, monkeypatch, threads, f):
         patch.setattr(CSRExpansionContext, "_expand_threaded", spy_threaded)
         patch.setattr(ExpansionEnginePool, "structure_for", spy_structure_for)
         pooled = top_r_communities(
-            graph, k=K, r=DEPTH, f=f, method="improved", backend="csr",
-            engine_pool=pool,
+            graph, k=K, r=DEPTH, f=f, method="improved", engine_pool=pool,
         )
 
     assert pops[0][0] == graph.n  # the first pop is the whole seed
@@ -94,12 +94,9 @@ def test_dead_pops_build_no_structure(graph, monkeypatch, threads, f):
         assert threaded, "fixture must exercise the threaded replay"
 
     expected = _fingerprint(pooled)
-    poolless = top_r_communities(
-        graph, k=K, r=DEPTH, f=f, method="improved", backend="csr"
-    )
-    reference = top_r_communities(
-        graph, k=K, r=DEPTH, f=f, method="improved", backend="set"
-    )
+    poolless = top_r_communities(graph, k=K, r=DEPTH, f=f, method="improved")
+    with set_engine():
+        oracle = top_r_communities(graph, k=K, r=DEPTH, f=f, method="improved")
     assert len(expected) == DEPTH
     assert _fingerprint(poolless) == expected
-    assert _fingerprint(reference) == expected
+    assert _fingerprint(oracle) == expected

@@ -68,7 +68,7 @@ V1_BODY = {
     "r": 2,
     "f": "sum",
     "constraints": {"labels": {"prefix": "g:"}},
-    "options": {"method": "improved", "backend": "csr"},
+    "options": {"method": "improved"},
 }
 
 
@@ -82,8 +82,7 @@ def test_v1_constrained_query_matches_cold_solve(served):
     assert payload["api_version"] == API_VERSION
     assert "Deprecation" not in headers
     cold = top_r_communities(
-        graph, k=2, r=2, f="sum", method="improved", backend="csr",
-        labels={"prefix": "g:"},
+        graph, k=2, r=2, f="sum", method="improved", labels={"prefix": "g:"},
     )
     assert payload["count"] == len(cold)
     assert payload["values"] == list(cold.values())
@@ -130,6 +129,7 @@ def test_v1_rejects_unknown_fields(served):
     for body in (
         {"k": 2, "r": 2, "shape": "round"},
         {"k": 2, "r": 2, "options": {"volume": 11}},
+        {"k": 2, "r": 2, "options": {"backend": "csr"}},
         {"k": 2, "r": 2, "options": []},
     ):
         status, __h, payload = post(base_url, "/v1/query", body)

@@ -16,11 +16,8 @@ def test_cache_key_canonicalises_aggregator_spellings():
     )
 
 
-def test_cache_key_excludes_backend_but_keeps_semantics():
+def test_cache_key_keeps_semantics():
     base = InfluentialQuery(k=4, r=5, f="sum")
-    assert base.cache_key() == (
-        InfluentialQuery(k=4, r=5, f="sum", backend="set").cache_key()
-    )
     for variant in (
         InfluentialQuery(k=5, r=5),
         InfluentialQuery(k=4, r=6),
@@ -54,6 +51,8 @@ def test_create_rejects_unknown_fields_and_types():
     with pytest.raises(SpecError):
         InfluentialQuery.create({"k": 3, "r": 2, "epsilon": 0.1})
     with pytest.raises(SpecError):
+        InfluentialQuery.create({"k": 3, "r": 2, "backend": "csr"})
+    with pytest.raises(SpecError):
         InfluentialQuery.create([3, 2])
 
 
@@ -68,7 +67,7 @@ def test_solver_kwargs_round_trip():
     )
     kwargs = query.solver_kwargs()
     assert kwargs["k"] == 3 and kwargs["s"] == 8
-    assert "backend" not in kwargs and "cohesion" not in kwargs
+    assert "cohesion" not in kwargs
 
 
 def test_describe_mentions_non_defaults():

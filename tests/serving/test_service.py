@@ -6,6 +6,7 @@ from repro.errors import SolverError
 from repro.graphs.generators.random_graphs import gnm_random_graph
 from repro.influential.api import top_r_communities, top_r_many
 from repro.influential.truss_search import truss_top_r_min, truss_top_r_sum
+from repro.reference import set_engine
 from repro.serving import InfluentialQuery, QueryService
 from repro.utils.rng import make_rng
 
@@ -168,9 +169,7 @@ def test_truss_rejections_mirror_solver_errors(served_graph):
 
 
 def test_engine_pool_reused_across_queries(served_graph):
-    # Pin csr: under a set-backend ambient default (the CI matrix) the
-    # solvers rightly bypass the pool, which is what this test measures.
-    service = QueryService(served_graph, backend="csr")
+    service = QueryService(served_graph)
     service.submit(InfluentialQuery(k=3, r=4, f="sum"))
     service.submit(InfluentialQuery(k=3, r=4, f="sum", eps=0.2))
     pool_stats = service.stats()["engine_pool"]
@@ -179,10 +178,14 @@ def test_engine_pool_reused_across_queries(served_graph):
 
 
 def test_set_backend_service_matches_csr(served_graph):
-    csr = QueryService(served_graph, backend="csr")
-    alt = QueryService(served_graph, backend="set")
+    """A service solving on the reference set engine answers like one on
+    the CSR engine."""
+    csr = QueryService(served_graph)
+    alt = QueryService(served_graph)
     for query in MIXED_WORKLOAD[:4]:
-        assert csr.submit(query) == alt.submit(query)
+        with set_engine():
+            expected = alt.submit(query)
+        assert csr.submit(query) == expected
 
 
 def test_top_r_many_wrapper(served_graph):
@@ -224,7 +227,7 @@ def test_fast_path_preserves_solver_validation_errors(served_graph):
 
 
 def test_oversized_ks_share_one_pool_state(served_graph):
-    service = QueryService(served_graph, backend="csr")
+    service = QueryService(served_graph)
     pool = service.engine_pool
     states = {
         id(pool._state_for(service.kmax + extra)) for extra in range(1, 30)

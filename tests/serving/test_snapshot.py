@@ -3,9 +3,9 @@
 Three layers of guarantees:
 
 * **fidelity** — topology, weights, labels and the cached core/truss
-  decompositions survive a save/load cycle bit for bit, on both graph
-  backends, and a loaded service answers queries identically to a cold
-  one;
+  decompositions survive a save/load cycle bit for bit, and a loaded
+  service answers queries identically to a cold one — on the CSR engine
+  and on the reference set engine;
 * **no re-peel** — a loaded service never calls ``core_decomposition`` or
   ``truss_decomposition`` again (asserted with call-count probes), which
   is the whole point of persisting;
@@ -34,6 +34,7 @@ from repro.serving.store import (
     save_snapshot,
 )
 from repro.utils.rng import make_rng
+from tests.conftest import ENGINES, engine
 
 
 @pytest.fixture
@@ -75,11 +76,11 @@ def test_snapshot_arrays_match_source(saved):
     assert snapshot.manifest["kmax"] == service.kmax
 
 
-@pytest.mark.parametrize("backend", ["set", "csr"])
+@pytest.mark.parametrize("engine_name", ENGINES)
 @pytest.mark.parametrize("mmap", [True, False])
-def test_loaded_service_answers_identically(saved, backend, mmap):
+def test_loaded_service_answers_identically(saved, engine_name, mmap):
     service, path = saved
-    loaded = load_service(path, mmap=mmap, backend=backend)
+    loaded = load_service(path, mmap=mmap)
     graph = loaded.graph
     assert sorted(graph.edges()) == sorted(service.graph.edges())
     np.testing.assert_array_equal(graph.weights, service.graph.weights)
@@ -93,7 +94,8 @@ def test_loaded_service_answers_identically(saved, backend, mmap):
         InfluentialQuery(k=10_000, r=1, f="sum"),  # far above kmax
     ]
     for query in queries:
-        produced = loaded.submit(query)
+        with engine(engine_name):
+            produced = loaded.submit(query)
         expected = service.submit(query)
         assert produced == expected
         assert produced.values() == expected.values()

@@ -3,8 +3,8 @@
 Three layers under test:
 
 * ``QueryService.update_edges`` — post-update answers must equal cold
-  runs against a from-scratch rebuild of the updated graph, on both
-  backends, for core and truss cohesion alike;
+  runs against a from-scratch rebuild of the updated graph, on the CSR
+  and reference set engines, for core and truss cohesion alike;
 * the *scope* of invalidation — results and engine-pool state for
   degree constraints the delta provably left alone must survive, truss
   numbers must be evicted per affected component only;
@@ -33,6 +33,7 @@ from repro.serving import (
     save_snapshot,
 )
 from repro.truss.decomposition import truss_decomposition
+from tests.conftest import ENGINES, engine
 
 
 def _request(base_url, method, path, payload=None):
@@ -78,17 +79,21 @@ QUERIES = [
 # ----------------------------------------------------------------------
 # Served answers == cold rebuilds
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["set", "csr"])
-def test_update_edges_matches_cold_rebuild(backend):
-    service = QueryService(clique_plus_path(), backend=backend)
-    for query in QUERIES:
-        service.submit(query)
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_update_edges_matches_cold_rebuild(engine_name):
+    """The live service solves on ``engine_name``; the cold rebuild on
+    the production engine."""
+    service = QueryService(clique_plus_path())
+    with engine(engine_name):
+        for query in QUERIES:
+            service.submit(query)
     report = service.update_edges(insert=[(6, 8), (0, 6)], delete=[(1, 2)])
     assert report.delta.edges_applied == 3
     cold_graph = rebuild(service.graph)
-    cold_service = QueryService(cold_graph, backend=backend)
+    cold_service = QueryService(cold_graph)
     for query in QUERIES:
-        served = service.submit(query)
+        with engine(engine_name):
+            served = service.submit(query)
         cold = cold_service.submit(query)
         assert served == cold
         assert served.values() == cold.values()
@@ -156,10 +161,8 @@ def test_hub_attachment_keeps_the_bound_low():
 
 def test_engine_pool_state_survives_above_the_bound():
     service = QueryService(clique_plus_path())
-    # backend="csr" explicitly: only the CSR expansion engine populates
-    # the pool, and this test must hold under the set-backend CI matrix.
-    service.submit(InfluentialQuery(k=1, r=2, f="sum", backend="csr"))
-    service.submit(InfluentialQuery(k=4, r=2, f="sum", backend="csr"))
+    service.submit(InfluentialQuery(k=1, r=2, f="sum"))
+    service.submit(InfluentialQuery(k=4, r=2, f="sum"))
     pool = service.engine_pool
     assert {1, 4} <= set(pool._per_k)
     kept_state = pool._per_k[4]
