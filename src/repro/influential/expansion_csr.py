@@ -29,8 +29,16 @@ pseudocode step                        array operation
                                        slow path: mask-peel cascade via
                                        :meth:`CSRAdjacency.peel_to_kcore`
                                        on the component-local CSR
-"split into connected components"      :meth:`CSRAdjacency.components_of_
-(Alg. 1 L5, Alg. 2 L12)                mask` frontier BFS over local ids
+"split into connected components"      fast path: the structure's BFS
+(Alg. 1 L5, Alg. 2 L12)                spanning tree (``tree``) proves the
+                                       survivors still connected from the
+                                       removed vertices' neighbourhoods
+                                       alone (:func:`repro.kernels.
+                                       certify_connected`) — the single
+                                       child is the survivor set; slow
+                                       path, when that proof declines:
+                                       :meth:`CSRAdjacency.components_of_
+                                       mask` frontier BFS over local ids
 "f(H) for each child H"                sum family: ``parent_value`` minus
 (Alg. 1 L6, Alg. 2 L13's f(H))         the removed weights, accumulated in
                                        ascending id order by the shared
@@ -50,10 +58,11 @@ query — see ``benchmarks/bench_solvers.py`` / ``BENCH_solver_expansion.json``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from repro import kernels
 from repro.aggregators.base import Aggregator
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
@@ -65,7 +74,12 @@ from repro.influential.expansion import (
 from repro.utils.parallel import expansion_executor
 from repro.utils.zobrist import ZobristHasher
 
-__all__ = ["MemberArray", "ComponentStructure", "CSRExpansionContext"]
+__all__ = [
+    "MemberArray",
+    "ComponentStructure",
+    "CSRExpansionContext",
+    "SpanningTree",
+]
 
 
 class MemberArray:
@@ -120,18 +134,34 @@ class MemberArray:
         return f"MemberArray(size={self.ids.size}, key={self.key:#x})"
 
 
+class SpanningTree(NamedTuple):
+    """A rooted spanning tree over a component's local ids.
+
+    ``parent[root] == root``; ``tin`` is a preorder numbering and ``tout``
+    is ``tin`` plus the subtree size, so ``y`` lies in ``t``'s subtree
+    exactly when ``tin[t] <= tin[y] < tout[t]``.  All three arrays use
+    the local CSR's index dtype.
+    """
+
+    parent: np.ndarray
+    tin: np.ndarray
+    tout: np.ndarray
+
+
 class ComponentStructure:
     """Query-independent expansion state of one candidate community.
 
     Everything a :class:`CSRExpansionContext` derives from the *topology*
     (and the per-graph weight/token arrays) lives here: the component-local
     CSR, induced degrees, the ``has_weak`` cascade predicate, the lazily
-    computed articulation mask, plus the gathered member weights and
-    Zobrist tokens.  None of it depends on the aggregator, the parent
-    value, or the query's ``r``/``eps`` — which is what makes a structure
-    safe to cache and share across queries.  A structure is only valid for
-    the ``k`` it was built with (``has_weak`` thresholds at exactly ``k``);
-    the serving-layer engine pool keys its cache by ``(k, members)``.
+    computed articulation mask and BFS spanning tree (the tree lets a
+    cascade prove its survivors connected without a component BFS), plus
+    the gathered member weights and Zobrist tokens.  None of it depends on
+    the aggregator, the parent value, or the query's ``r``/``eps`` — which
+    is what makes a structure safe to cache and share across queries.  A
+    structure is only valid for the ``k`` it was built with (``has_weak``
+    thresholds at exactly ``k``); the serving-layer engine pool keys its
+    cache by ``(k, members)``.
 
     ``substructure`` relabels a community that lives *inside* this one
     against the component-local CSR instead of the global graph: pops that
@@ -147,6 +177,7 @@ class ComponentStructure:
         "local_tokens",
         "has_weak",
         "_articulation",
+        "_tree",
     )
 
     def __init__(
@@ -168,6 +199,8 @@ class ComponentStructure:
         # be a numpy reduction; it is computed lazily because value-pruned
         # expansions (the steady state of Algorithm 2) never need it.
         self._articulation: np.ndarray | None = None
+        # Same reasoning for the spanning tree: only cascades read it.
+        self._tree: SpanningTree | None = None
 
     @classmethod
     def build(
@@ -222,9 +255,9 @@ class ComponentStructure:
     def reweight(self, weights: np.ndarray) -> None:
         """Re-gather member weights after a ``with_weights``-style update.
 
-        Topology, tokens, degrees and articulation are weight-independent,
-        so a cached structure survives a weight update at the cost of one
-        fancy-indexing gather.
+        Topology, tokens, degrees, articulation and the spanning tree are
+        weight-independent, so a cached structure survives a weight update
+        at the cost of one fancy-indexing gather.
         """
         self.local_weights = weights[self.members.ids.astype(np.int64)]
 
@@ -236,6 +269,13 @@ class ComponentStructure:
                 self.local.indptr, self.local.indices
             )
         return self._articulation
+
+    @property
+    def tree(self) -> SpanningTree:
+        """BFS spanning tree of the (connected) local graph."""
+        if self._tree is None:
+            self._tree = _spanning_tree(self.local)
+        return self._tree
 
     def __repr__(self) -> str:
         return (
@@ -432,6 +472,9 @@ class CSRExpansionContext:
                 np.count_nonzero(has_weak[eligible] | articulation[eligible])
             )
             if cascades >= 2:
+                # Cascades read the lazy spanning tree: build it here,
+                # not racing on the worker threads.
+                structure.tree
                 yield from self._expand_threaded(
                     eligible.tolist(),
                     loss_list,
@@ -457,8 +500,9 @@ class CSRExpansionContext:
 
         Reads only immutable structure arrays and allocates fresh
         scratch, so any number of these may run concurrently against one
-        :class:`ComponentStructure` (``articulation`` is forced by the
-        caller before dispatch, so the lazy init never races).
+        :class:`ComponentStructure` (``articulation`` and ``tree`` are
+        forced by the caller before dispatch, so the lazy inits never
+        race).
         """
         if self.has_weak[i] or self.articulation[i]:
             return self._cascade_children(i)
@@ -533,19 +577,38 @@ class CSRExpansionContext:
         return ChildCandidate(child, value, key)
 
     def _cascade_children(self, i: int) -> list[ChildCandidate]:
-        """Localised cascade peel plus survivor split, all on local ids."""
-        local, k = self.local, self.k
+        """Localised cascade peel plus survivor split, all on local ids.
+
+        The split asks the spanning-tree certificate first: when it proves
+        the survivors connected, the one child is the survivor set — what
+        the component BFS would return — and the BFS runs only when the
+        certificate declines.
+        """
+        structure, k = self.structure, self.k
+        local = structure.local
         c = self.members.ids.size
         mask = np.ones(c, dtype=bool)
         mask[i] = False
-        degrees = self.degree.copy()
+        degrees = structure.degree.copy()
         degrees[local.neighbors(i)] -= 1
         local.peel_to_kcore(mask, k, degrees=degrees)
         survivors = np.flatnonzero(mask)
         if survivors.size <= k:
             return []
-        pieces = local.components_of_mask(mask)
         removed_all = np.flatnonzero(~mask)
+        tree = structure.tree
+        if kernels.certify_connected(
+            local.indptr,
+            local.indices,
+            tree.parent,
+            tree.tin,
+            tree.tout,
+            mask,
+            removed_all,
+        ):
+            pieces = [survivors]
+        else:
+            pieces = local.components_of_mask(mask)
         ids = self.members.ids
         children = []
         for piece in pieces:
@@ -569,6 +632,51 @@ class CSRExpansionContext:
                 )
             children.append(ChildCandidate(child, value, key))
         return children
+
+
+def _spanning_tree(local: CSRAdjacency) -> SpanningTree:
+    """BFS spanning tree of ``local`` rooted at its max-degree vertex.
+
+    Level-synchronous: each level gathers the frontier's neighbour runs at
+    once and every newly reached vertex takes its first gathered owner as
+    parent.  Subtree sizes then accumulate bottom-up level by level, and
+    preorder numbers are handed out top-down — siblings, grouped by
+    parent, take consecutive blocks right after their parent's number.
+    ``local`` must be connected and non-empty, as every structure's is: a
+    structure holds one connected k-core component.
+    """
+    c = local.n
+    root = int(np.argmax(local.degrees()))
+    parent = np.full(c, -1, dtype=np.int64)
+    parent[root] = root
+    frontier = np.asarray([root], dtype=np.int64)
+    levels = []
+    while True:
+        neigh, owners, __ = local.gather_full(frontier)
+        fresh = parent[neigh] < 0
+        frontier, first = np.unique(neigh[fresh], return_index=True)
+        if frontier.size == 0:
+            break
+        frontier = frontier.astype(np.int64)
+        parent[frontier] = owners[fresh][first]
+        levels.append(frontier)
+    assert parent.min() >= 0, "the local graph must be connected"
+    size = np.ones(c, dtype=np.int64)
+    for level in reversed(levels):
+        np.add.at(size, parent[level], size[level])
+    tin = np.zeros(c, dtype=np.int64)
+    for level in levels:
+        level = level[np.argsort(parent[level], kind="stable")]
+        up = parent[level]
+        # Exclusive running size within each parent's group of children.
+        before = np.cumsum(size[level]) - size[level]
+        group = np.flatnonzero(np.r_[True, up[1:] != up[:-1]])
+        starts = np.repeat(before[group], np.diff(np.r_[group, level.size]))
+        tin[level] = tin[up] + 1 + before - starts
+    dtype = local.indices.dtype
+    return SpanningTree(
+        parent.astype(dtype), tin.astype(dtype), (tin + size).astype(dtype)
+    )
 
 
 def _articulation_mask(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

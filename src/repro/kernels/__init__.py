@@ -27,6 +27,12 @@ implementations in :mod:`repro.reference` remain the parity oracle; the
 property suites in ``tests/properties`` and ``tests/kernels`` hold all
 three in lockstep.
 
+``certify_connected`` (a spanning-tree proof that a masked vertex set is
+still connected, in time proportional to the removed vertices'
+neighbourhoods; ``False`` means "not proved") is numpy-only, like the
+``decrement_degrees`` helper: both legs bind the fallback, since no
+compiled twin has been measured against it.
+
 The compiled kernels release the GIL, which is what makes the threaded
 intra-query expansion in :mod:`repro.influential.expansion_csr` scale on
 real cores (see :func:`repro.utils.parallel.expansion_threads`).
@@ -36,12 +42,13 @@ from __future__ import annotations
 
 import os
 
-from repro.kernels._numpy import decrement_degrees
+from repro.kernels._numpy import certify_connected, decrement_degrees
 
 __all__ = [
     "NUMBA_AVAILABLE",
     "NUMBA_DISABLED",
     "arc_supports",
+    "certify_connected",
     "components_of_mask",
     "core_numbers",
     "decrement_degrees",

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "arc_supports",
+    "certify_connected",
     "components_of_mask",
     "core_numbers",
     "decrement_degrees",
@@ -166,6 +167,64 @@ def _drain_bfs(
                 found.append(u)
                 queue.append(u)
     return np.asarray(found, dtype=np.int64)
+
+
+def certify_connected(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    parent: np.ndarray,
+    tin: np.ndarray,
+    tout: np.ndarray,
+    mask: np.ndarray,
+    removed: np.ndarray,
+) -> bool:
+    """True only if a spanning tree proves the ``mask`` vertices connected.
+
+    ``parent``/``tin``/``tout`` describe a spanning tree of the whole
+    graph (the root is its own parent; ``tin`` is a preorder and ``tout``
+    is ``tin`` plus the subtree size, so ``t``'s descendants are exactly
+    the ids with ``tin[t] <= tin[y] < tout[t]``); ``removed`` lists the
+    ids outside ``mask``.  Work is proportional to the removed vertices
+    and their neighbourhoods, not to the graph.  Survivors whose tree
+    path to the root avoids ``removed`` are connected through the root.
+    Every other survivor climbs tree edges to an *orphan* — a survivor
+    whose parent is removed — so the proof holds when every orphan has a
+    surviving neighbour outside the subtree of every removed vertex whose
+    parent survives (such a neighbour's root path avoids ``removed``).
+    ``False`` means "not proved", never "disconnected": the caller falls
+    back to :func:`components_of_mask`.  ``mask`` is not modified.
+    """
+    removed = np.asarray(removed, dtype=np.int64)
+    up = parent[removed]
+    if np.any(up == removed):
+        return False  # the root itself was removed
+    neigh = _gather(indptr, indices, removed)
+    owners = np.repeat(removed, indptr[removed + 1] - indptr[removed])
+    orphans = neigh[mask[neigh] & (parent[neigh] == owners)]
+    if orphans.size == 0:
+        return True
+    # The removed subtrees form a laminar family of preorder intervals;
+    # keeping the maximal ones leaves disjoint sorted intervals, which one
+    # searchsorted probes.
+    tops = removed[mask[up]]
+    tops = tops[np.argsort(tin[tops])]
+    starts, ends = tin[tops], tout[tops]
+    reach = np.maximum.accumulate(ends)
+    outer = np.ones(starts.size, dtype=bool)
+    outer[1:] = starts[1:] >= reach[:-1]
+    starts, ends = starts[outer], ends[outer]
+    ys = _gather(indptr, indices, orphans)
+    yowners = np.repeat(
+        np.arange(orphans.size), indptr[orphans + 1] - indptr[orphans]
+    )
+    alive = mask[ys]
+    ys, yowners = ys[alive], yowners[alive]
+    tin_y = tin[ys]
+    slot = np.searchsorted(starts, tin_y, side="right") - 1
+    inside = (slot >= 0) & (tin_y < ends[np.maximum(slot, 0)])
+    anchored = np.zeros(orphans.size, dtype=bool)
+    anchored[yowners[~inside]] = True
+    return bool(anchored.all())
 
 
 def core_numbers(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

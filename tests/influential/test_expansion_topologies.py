@@ -11,7 +11,11 @@ Each topology pins down one branch of the expansion machinery:
   component via the cascade path;
 * barbell / articulation chain — two cliques joined through a path: every
   bridge vertex is an articulation vertex, so removals there must split
-  the survivors into multiple children.
+  the survivors into multiple children;
+* spanning-tree certificate shapes — cascades the tree proves connected
+  (no component BFS), and cascades it must decline (a split, a removed
+  root, an orphan reconnecting only through its own subtree), where the
+  BFS still gives the answer.
 
 For every vertex of every topology both engines are checked against the
 brute-force re-core reference, which exercises fast-path vs cascade-path
@@ -21,7 +25,7 @@ agreement: the reference has no fast path at all.
 import numpy as np
 import pytest
 
-from repro import reference
+from repro import kernels, reference
 from repro.aggregators.registry import get_aggregator
 from repro.core.kcore import connected_kcore_components
 from repro.graphs.builder import graph_from_edges
@@ -222,3 +226,95 @@ def test_member_array_round_trip():
     assert members == twin
     assert hash(members) == hash(twin)
     assert members != MemberArray.from_iterable([1, 5], hasher)
+
+
+def _split_spy(monkeypatch):
+    """Record the certificate's verdicts and the component BFS calls."""
+    verdicts, splits = [], []
+    certify, split = kernels.certify_connected, kernels.components_of_mask
+
+    def spy_certify(*args):
+        verdict = certify(*args)
+        verdicts.append(verdict)
+        return verdict
+
+    def spy_split(*args):
+        splits.append(True)
+        return split(*args)
+
+    monkeypatch.setattr(kernels, "certify_connected", spy_certify)
+    monkeypatch.setattr(kernels, "components_of_mask", spy_split)
+    return verdicts, splits
+
+
+def _cascade(graph, k, vertex, monkeypatch):
+    """Children of removing ``vertex`` from the whole graph (one connected
+    k-core) on the CSR engine, checked against the re-core reference."""
+    component = frozenset(range(graph.n))
+    aggregator = get_aggregator("sum")
+    ctx = CSRExpansionContext(
+        graph, component, k, aggregator,
+        aggregator.value(graph, component), ZobristHasher(graph.n),
+    )
+    assert ctx.has_weak[vertex] or ctx.articulation[vertex], "not a cascade"
+    with monkeypatch.context() as patch:
+        verdicts, splits = _split_spy(patch)
+        children = ctx.children_after_removal(vertex)
+    pieces = {members_frozenset(c.vertices) for c in children}
+    assert pieces == _reference_children(graph, component, k, vertex)
+    return ctx.structure.tree, verdicts, splits, pieces
+
+
+def _clique_with_extras(extras):
+    """K6 on 0..5 plus vertices 6, 7, ..., each joined to the listed ids."""
+    edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    for offset, neighbours in enumerate(extras):
+        edges += [(6 + offset, v) for v in neighbours]
+    n = 6 + len(extras)
+    return graph_from_edges(edges, weights=[float(v + 1) for v in range(n)])
+
+
+def test_certificate_declines_barbell_bridge(monkeypatch):
+    """At k=2 removing a path vertex cascades the whole path away: the
+    survivors really are two cliques, so the proof must decline and the
+    BFS split yields both."""
+    graph = _barbell_graph(clique=5, path=3)
+    __, verdicts, splits, pieces = _cascade(graph, 2, 6, monkeypatch)
+    assert verdicts == [False] and splits == [True]
+    assert pieces == {frozenset(range(5)), frozenset(range(8, 13))}
+
+
+def test_certificate_declines_removed_root(monkeypatch):
+    """Removing the tree root (the max-degree vertex 0) voids the proof
+    outright, even though the surviving K5 is connected."""
+    graph = _clique_with_extras([(0, 1, 2)])
+    tree, verdicts, splits, pieces = _cascade(graph, 3, 0, monkeypatch)
+    assert tree.parent[0] == 0
+    assert verdicts == [False] and splits == [True]
+    assert pieces == {frozenset(range(1, 6))}
+
+
+def test_certificate_accepts_leaf_cascade(monkeypatch):
+    """Removing vertex 6 cascades its degree-k neighbour 7 away; both are
+    tree leaves, so no survivor is orphaned and no BFS runs."""
+    graph = _clique_with_extras([(0, 1, 2), (3, 4, 6)])
+    tree, verdicts, splits, pieces = _cascade(graph, 3, 6, monkeypatch)
+    assert tree.parent[6] == 0 and tree.parent[7] == 3
+    assert verdicts == [True] and splits == []
+    assert pieces == {frozenset(range(6))}
+
+
+def test_certificate_declines_orphan_anchored_below(monkeypatch):
+    """Removing 1 (and its pendant 2) orphans 3, whose only surviving
+    neighbour 4 is its own child: the path back to the root runs through
+    4's non-tree edge to 9.  The proof cannot see that and declines; the
+    BFS still returns the one connected child."""
+    edges = [
+        (0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (3, 4), (5, 8),
+        (8, 9), (9, 4),
+    ]
+    graph = graph_from_edges(edges, weights=[float(v + 1) for v in range(10)])
+    tree, verdicts, splits, pieces = _cascade(graph, 1, 1, monkeypatch)
+    assert tree.parent[0] == 0 and tree.parent[3] == 1 and tree.parent[4] == 3
+    assert verdicts == [False] and splits == [True]
+    assert pieces == {frozenset(range(graph.n)) - {1, 2}}

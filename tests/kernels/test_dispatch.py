@@ -58,8 +58,18 @@ def test_fallback_module_never_requires_numba():
     for name in (
         "peel_to_kcore",
         "components_of_mask",
+        "certify_connected",
         "core_numbers",
         "arc_supports",
     ):
         assert callable(getattr(_numpy, name))
         assert callable(getattr(kernels, name))
+
+
+def test_numpy_only_helpers_bind_the_fallback():
+    """Helpers without a measured compiled twin are the numpy functions
+    on every leg."""
+    from repro.kernels import _numpy
+
+    assert kernels.certify_connected is _numpy.certify_connected
+    assert kernels.decrement_degrees is _numpy.decrement_degrees

@@ -25,6 +25,7 @@ from repro import kernels, reference
 from repro.core.kcore import kcore_worklist
 from repro.graphs.builder import graph_from_edges
 from repro.graphs.components import components_bfs
+from repro.influential.expansion_csr import _spanning_tree
 from repro.kernels import _numpy as fallback
 
 
@@ -169,6 +170,74 @@ def test_components_of_mask_shapes(shape, monkeypatch):
     monkeypatch.setattr(fallback, "_drain_bfs", spy_drain)
     _check_components_parity(graph, subset, mask)
     assert bool(drained) == drains
+
+
+def _check_certificate(graph, mask):
+    """The certificate leaves ``mask`` alone, answers a plain bool, and an
+    accepted proof is never wrong: the BFS split then has exactly one
+    piece.  ``certify_connected`` is numpy-only on both legs, so this is a
+    soundness check rather than a twin-parity one."""
+    csr = graph.csr
+    tree = _spanning_tree(csr)
+    removed = np.flatnonzero(~mask)
+    before = mask.copy()
+    verdict = kernels.certify_connected(
+        csr.indptr, csr.indices, tree.parent, tree.tin, tree.tout,
+        mask, removed,
+    )
+    assert np.array_equal(mask, before), "mask must not be modified"
+    assert type(verdict) is bool
+    if verdict:
+        (piece,) = csr.components_of_mask(mask)
+        assert np.array_equal(piece, np.flatnonzero(mask))
+    return verdict
+
+
+def _star_of_paths(arms, length):
+    """A hub (vertex 0) with ``arms`` paths of ``length`` vertices."""
+    edges = []
+    for arm in range(arms):
+        chain = [0] + [1 + arm * length + j for j in range(length)]
+        edges += list(zip(chain, chain[1:]))
+    return 1 + arms * length, edges
+
+
+# (graph builder, removed set, expected verdict)
+CERTIFICATE_SHAPES = {
+    "nothing-removed": (lambda: _star_of_paths(3, 3), [], True),
+    # Arm tips are tree leaves: no orphans at all.
+    "leaves-removed": (lambda: _star_of_paths(3, 3), [3, 6, 9], True),
+    "root-removed": (lambda: _star_of_paths(3, 3), [0], False),
+    # Cutting an arm in the middle disconnects its tail.
+    "arm-cut": (lambda: _star_of_paths(3, 3), [2], False),
+    # A 6-cycle with chord (0, 3), rooted at 0: the BFS tree hangs 4 below
+    # 3, so removing 3 orphans 4, which reaches the root's part through
+    # the non-tree edge (4, 5).
+    "cycle-orphan-anchored": (
+        lambda: (6, [(v, (v + 1) % 6) for v in range(6)] + [(0, 3)]),
+        [3],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CERTIFICATE_SHAPES))
+def test_certify_connected_shapes(shape):
+    build, removed, expected = CERTIFICATE_SHAPES[shape]
+    n, edges = build()
+    graph = graph_from_edges(edges, weights=[1.0] * n, n=n)
+    mask = np.ones(n, dtype=bool)
+    mask[removed] = False
+    assert _check_certificate(graph, mask) is expected
+
+
+@given(graphs(max_n=24, max_edges=80), st.data())
+@settings(max_examples=80, deadline=None)
+def test_certify_connected_is_sound(graph, data):
+    if len(components_bfs(graph, set(range(graph.n)))) != 1:
+        return  # the certificate needs a spanning tree of the graph
+    __, mask = _subset_mask(None, graph, data)
+    _check_certificate(graph, mask)
 
 
 @given(graphs())

@@ -9,6 +9,7 @@ thread pool rely on them), so both are pinned here under Hypothesis.
 
 import contextlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings
@@ -17,8 +18,14 @@ from hypothesis import strategies as st
 from repro.aggregators.registry import get_aggregator
 from repro.core.kcore import connected_kcore_components
 from repro.graphs.builder import graph_from_edges
+from repro.graphs.generators.random_graphs import gnm_random_graph
+from repro.influential import expansion_csr
+from repro.influential.api import top_r_communities
 from repro.influential.expansion import expansion_context, members_frozenset
+from repro.influential.expansion_csr import CSRExpansionContext
+from repro.serving.engine_pool import ExpansionEnginePool
 from repro.utils import parallel
+from repro.utils.rng import make_rng
 from repro.utils.zobrist import ZobristHasher
 
 
@@ -157,3 +164,43 @@ def test_threaded_expand_abandoned_generator(graph, k):
             )
         assert taken == full[: len(taken)]
         assert again == full
+
+
+def test_threaded_expand_builds_each_tree_once_on_caller(monkeypatch):
+    """The lazy spanning tree is resolved on the dispatching thread: with
+    two expansion threads every pooled structure's tree is built exactly
+    once, never on a worker, and the answers equal the sequential run's."""
+    base = gnm_random_graph(200, 1600, seed=5)
+    graph = base.with_weights(make_rng(6).uniform(0.1, 30.0, base.n))
+
+    def solve(threads):
+        monkeypatch.setenv(parallel.EXPANSION_THREADS_ENV_VAR, str(threads))
+        result = top_r_communities(
+            graph, k=8, r=32, f="sum", method="improved",
+            engine_pool=ExpansionEnginePool(graph),
+        )
+        return [(tuple(sorted(c.vertices)), c.value.hex()) for c in result]
+
+    sequential = solve(0)
+    caller = threading.get_ident()
+    builds = []
+    threaded = []
+    build_tree = expansion_csr._spanning_tree
+    original_threaded = CSRExpansionContext._expand_threaded
+
+    def spy_build(local):
+        builds.append((local, threading.get_ident()))
+        return build_tree(local)
+
+    def spy_threaded(self, *args):
+        threaded.append(len(self.members))
+        yield from original_threaded(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion_csr, "_spanning_tree", spy_build)
+        patch.setattr(CSRExpansionContext, "_expand_threaded", spy_threaded)
+        assert solve(2) == sequential
+    assert threaded, "fixture must exercise the threaded replay"
+    assert builds and all(ident == caller for __, ident in builds)
+    # ``builds`` keeps every local CSR alive, so ids cannot be recycled.
+    assert len({id(local) for local, __ in builds}) == len(builds)

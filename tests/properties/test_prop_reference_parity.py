@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import reference
+from repro import kernels, reference
 from repro.aggregators.registry import get_aggregator
 from repro.core.decomposition import core_decomposition
 from repro.core.kcore import (
@@ -26,6 +26,7 @@ from repro.graphs.builder import graph_from_edges
 from repro.graphs.components import components_bfs, connected_components_of
 from repro.influential.api import top_r_communities
 from repro.influential.expansion import expansion_context, members_frozenset
+from repro.influential.expansion_csr import ComponentStructure, MemberArray
 from repro.truss.decomposition import edge_supports
 from repro.utils.zobrist import ZobristHasher
 
@@ -135,6 +136,33 @@ def test_expansion_children_parity(graph, k, f):
             name: _flatten(ctx.expand()) for name, ctx in contexts.items()
         }
         assert batches["set"] == batches["csr"], (k, f)
+
+
+@given(weighted_graphs(min_n=4, max_n=40, max_edges=140), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_spanning_tree_certificate_is_sound(graph, k):
+    """Whenever the spanning-tree certificate accepts a cascade's
+    survivors, the component BFS it replaces returns exactly one piece:
+    the survivor set — for every removal from every k-core component."""
+    hasher = ZobristHasher(graph.n)
+    for component in connected_kcore_components(graph, range(graph.n), k):
+        members = MemberArray.from_iterable(component, hasher)
+        structure = ComponentStructure.build(graph, members, k, hasher)
+        tree = structure.tree
+        local = structure.local
+        for i in range(len(members)):
+            mask = np.ones(len(members), dtype=bool)
+            mask[i] = False
+            local.peel_to_kcore(mask, k)
+            survivors = np.flatnonzero(mask)
+            if survivors.size == 0:
+                continue
+            if kernels.certify_connected(
+                local.indptr, local.indices, tree.parent, tree.tin,
+                tree.tout, mask, np.flatnonzero(~mask),
+            ):
+                pieces = local.components_of_mask(mask)
+                assert [p.tolist() for p in pieces] == [survivors.tolist()]
 
 
 @given(weighted_graphs(min_n=4), st.integers(1, 3),
