@@ -44,7 +44,12 @@ import numpy as np
 
 from repro.influential.api import top_r_communities
 from repro.serving.fleet import Fleet
-from repro.serving.http import ServingApp, result_payload, run_server_in_thread
+from repro.serving.http import (
+    ServingApp,
+    query_envelope,
+    result_payload_v1,
+    run_server_in_thread,
+)
 from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
 from repro.serving.substrate import SharedSubstrate
@@ -84,9 +89,9 @@ def _client_worker(port, jobs, payloads, latencies):
             if job is None:
                 return
             index, query = job
-            body = json.dumps(query.wire_dict())
+            body = json.dumps(query_envelope(query))
             start = time.perf_counter()
-            connection.request("POST", "/query", body=body)
+            connection.request("POST", "/v1/query", body=body)
             response = connection.getresponse()
             payload = json.loads(response.read())
             latencies[index] = time.perf_counter() - start
@@ -148,7 +153,7 @@ def measure_fleet_scaling(
                 "127.0.0.1", fleet.port, timeout=60
             )
             connection.request(
-                "POST", "/update-edges",
+                "POST", "/v1/update-edges",
                 body=json.dumps({"insert": [[0, 1]]})
                 if 1 not in graph.adjacency[0]
                 else json.dumps({"delete": [[0, 1]]}),
@@ -156,7 +161,7 @@ def measure_fleet_scaling(
             connection.getresponse().read()
             lag_deadline = time.time() + 30
             while time.time() < lag_deadline:
-                connection.request("GET", "/healthz")
+                connection.request("GET", "/v1/healthz")
                 health = json.loads(connection.getresponse().read())
                 if health.get("replication_lag") == 0 and (
                     health.get("replication", {}).get("applied_seq") == 1
@@ -258,7 +263,7 @@ def measure_queue_bound(graph, workload, clients) -> dict:
             try:
                 start = time.perf_counter()
                 connection.request(
-                    "POST", "/query", body=json.dumps(query.wire_dict())
+                    "POST", "/v1/query", body=json.dumps(query_envelope(query))
                 )
                 response = connection.getresponse()
                 response.read()
@@ -330,7 +335,9 @@ def measure_fleet(
     graph = _weighted_gnm(n, m, seed)
     workload = _build_workload(graph, seed=seed + 2, size=size)
     expected = [
-        result_payload(query, top_r_communities(graph, **query.solver_kwargs()))
+        result_payload_v1(
+            query, top_r_communities(graph, **query.solver_kwargs())
+        )
         for query in workload
     ]
     with tempfile.TemporaryDirectory() as tmp:

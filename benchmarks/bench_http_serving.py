@@ -40,7 +40,12 @@ import time
 import numpy as np
 
 from repro.influential.api import top_r_communities
-from repro.serving.http import ServingApp, result_payload, run_server_in_thread
+from repro.serving.http import (
+    ServingApp,
+    query_envelope,
+    result_payload_v1,
+    run_server_in_thread,
+)
 from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
 from repro.serving.store import load_service, save_snapshot
@@ -82,7 +87,7 @@ def test_bench_http_cached_query_email(benchmark, email):
         body = json.dumps({"k": 4, "r": 5, "f": "sum"})
 
         def round_trip():
-            connection.request("POST", "/query", body=body)
+            connection.request("POST", "/v1/query", body=body)
             response = connection.getresponse()
             return json.loads(response.read())
 
@@ -100,12 +105,12 @@ def test_http_workload_matches_cold_on_email(email):
         connection = http.client.HTTPConnection(host, timeout=120)
         for query in workload:
             connection.request(
-                "POST", "/query", body=json.dumps(query.wire_dict())
+                "POST", "/v1/query", body=json.dumps(query_envelope(query))
             )
             response = connection.getresponse()
             payload = json.loads(response.read())
             cold = top_r_communities(email, **query.solver_kwargs())
-            assert payload == result_payload(query, cold)
+            assert payload == result_payload_v1(query, cold)
         connection.close()
 
 
@@ -125,9 +130,9 @@ def _client_worker(
             if job is None:
                 return
             index, query = job
-            body = json.dumps(query.wire_dict())
+            body = json.dumps(query_envelope(query))
             start = time.perf_counter()
-            connection.request("POST", "/query", body=body)
+            connection.request("POST", "/v1/query", body=body)
             response = connection.getresponse()
             payload = json.loads(response.read())
             latencies[index] = time.perf_counter() - start
@@ -159,7 +164,8 @@ def measure_http_serving(
     cold = [top_r_communities(graph, **q.solver_kwargs()) for q in workload]
     cold_seconds = time.perf_counter() - start
     expected = [
-        result_payload(query, result) for query, result in zip(workload, cold)
+        result_payload_v1(query, result)
+        for query, result in zip(workload, cold)
     ]
 
     # -- cold start: fresh build vs snapshot restore ---------------------

@@ -12,8 +12,7 @@ The constrained-search story in one self-contained script:
 3. ask the analytics endpoints who leads each team
    (``/v1/analytics/leaders``) and how far its influence reaches
    (``/v1/analytics/reach``) — answered from the warm query cache;
-4. show the structured error envelope and the ``Deprecation`` header
-   legacy flat-shape routes now carry.
+4. show the structured error envelope a malformed request gets.
 
 Run:  python examples/constrained_analytics.py
 """
@@ -69,7 +68,7 @@ def collaboration_graph(n: int = 300, m: int = 1200, seed: int = 11):
 
 
 def call(base_url: str, method: str, path: str, payload=None):
-    """Returns (status, headers, parsed JSON body)."""
+    """Returns (status, parsed JSON body)."""
     connection = http.client.HTTPConnection(
         base_url.removeprefix("http://"), timeout=120
     )
@@ -77,9 +76,7 @@ def call(base_url: str, method: str, path: str, payload=None):
         body = None if payload is None else json.dumps(payload)
         connection.request(method, path, body=body)
         response = connection.getresponse()
-        return response.status, dict(response.getheaders()), json.loads(
-            response.read()
-        )
+        return response.status, json.loads(response.read())
     finally:
         connection.close()
 
@@ -106,20 +103,20 @@ def main() -> None:
                 "constraints": {"labels": {"prefix": "team:"}},
                 "options": {"method": "improved"},
             }
-            __, ___, answer = call(base_url, "POST", "/v1/query", envelope)
+            __, answer = call(base_url, "POST", "/v1/query", envelope)
             print(f"    api_version={answer['api_version']} "
                   f"count={answer['count']}")
             print(f"    values={[round(v, 2) for v in answer['values']]}")
             print(f"    normalized echo: {json.dumps(answer['query'])}")
 
             print("\n[2] the echo resubmits verbatim (idempotent cache hit):")
-            __, ___, again = call(
+            __, again = call(
                 base_url, "POST", "/v1/query", answer["query"]
             )
             print(f"    identical: {again == answer}")
 
             print("\n[3] POST /v1/analytics/leaders — who anchors each team:")
-            __, ___, leaders = call(
+            __, leaders = call(
                 base_url, "POST", "/v1/analytics/leaders",
                 {"query": envelope, "deputies": 2},
             )
@@ -132,7 +129,7 @@ def main() -> None:
                       f"(w={lead['weight']:.2f}) deputies={deputy_ids}")
 
             print("\n[4] POST /v1/analytics/reach — influence horizon:")
-            __, ___, reach = call(
+            __, reach = call(
                 base_url, "POST", "/v1/analytics/reach",
                 {"query": envelope, "hops": 2},
             )
@@ -141,30 +138,12 @@ def main() -> None:
                       f"{entry['reach_pct']}")
 
             print("\n[5] errors are structured — a misplaced tuning knob:")
-            status, ___, error = call(
+            status, error = call(
                 base_url, "POST", "/v1/query",
                 {"k": 4, "r": 3, "method": "naive"},
             )
             print(f"    HTTP {status}: code={error['error']['code']}")
             print(f"    detail: {error['error']['detail']}")
-
-            print("\n[6] legacy flat routes still answer, flagged deprecated:")
-            legacy_body = {
-                "k": 4,
-                "r": 3,
-                "f": "sum",
-                "non_overlapping": True,
-                "constraints": {"labels": {"prefix": "team:"}},
-                "method": "improved",  # flat spelling: fine on legacy
-            }
-            status, headers, legacy = call(
-                base_url, "POST", "/query", legacy_body
-            )
-            print(f"    HTTP {status} "
-                  f"Deprecation={headers.get('Deprecation')} "
-                  f"successor={headers.get('Link')}")
-            print(f"    values match v1: "
-                  f"{legacy['values'] == answer['values']}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ The deployment story in one self-contained script:
    stand-in and expose it over HTTP (the same server ``repro serve``
    runs, hosted here on a background thread);
 2. answer single queries, a batch, and a weight update through plain
-   ``http.client`` requests — any HTTP client works the same way;
+   ``http.client`` requests against the ``/v1`` routes — any HTTP
+   client works the same way;
 3. save a snapshot, "restart" by loading a second service from it, and
    show the reload recomputes nothing yet answers identically.
 
@@ -43,6 +44,14 @@ def call(base_url: str, method: str, path: str, payload=None):
         connection.close()
 
 
+def describe(echo: dict) -> str:
+    """One line for the normalized query a v1 response echoes."""
+    line = f"k={echo['k']} r={echo['r']} f={echo['f']}"
+    if echo["options"]["eps"]:
+        line += f" eps={echo['options']['eps']:g}"
+    return line
+
+
 def main() -> None:
     graph = snap_like_graph("email")
     service = QueryService(graph)
@@ -50,32 +59,32 @@ def main() -> None:
     with run_server_in_thread(service) as base_url:
         print(f"serving {graph} at {base_url}\n")
 
-        print("[1] GET /healthz:")
-        print("   ", call(base_url, "GET", "/healthz"))
+        print("[1] GET /v1/healthz:")
+        print("   ", call(base_url, "GET", "/v1/healthz"))
 
-        print("\n[2] POST /query — one top-3 search under sum, k=4:")
-        answer = call(base_url, "POST", "/query", {"k": 4, "r": 3, "f": "sum"})
-        print(f"    {answer['query']} -> values {answer['values']}")
+        print("\n[2] POST /v1/query — one top-3 search under sum, k=4:")
+        answer = call(base_url, "POST", "/v1/query", {"k": 4, "r": 3, "f": "sum"})
+        print(f"    {describe(answer['query'])} -> values {answer['values']}")
 
-        print("\n[3] POST /batch — a mixed workload, answered in order:")
-        batch = call(base_url, "POST", "/batch", [
+        print("\n[3] POST /v1/batch — a mixed workload, answered in order:")
+        batch = call(base_url, "POST", "/v1/batch", {"queries": [
             {"k": 4, "r": 3, "f": "sum"},          # repeated: cache hit
-            {"k": 5, "r": 2, "f": "sum", "eps": 0.1},
+            {"k": 5, "r": 2, "f": "sum", "options": {"eps": 0.1}},
             {"k": 4, "r": 2, "f": "min"},
-        ])
+        ]})
         for entry in batch["results"]:
-            print(f"    {entry['query']} -> {entry['values']}")
+            print(f"    {describe(entry['query'])} -> {entry['values']}")
 
-        print("\n[4] POST /update-weights — results invalidate, topology caches survive:")
-        reweighted = call(base_url, "POST", "/update-weights", {
+        print("\n[4] POST /v1/update-weights — results invalidate, topology caches survive:")
+        reweighted = call(base_url, "POST", "/v1/update-weights", {
             "weights": [1.0] * graph.n,
         })
         print("   ", reweighted)
-        answer = call(base_url, "POST", "/query", {"k": 4, "r": 3, "f": "sum"})
+        answer = call(base_url, "POST", "/v1/query", {"k": 4, "r": 3, "f": "sum"})
         print(f"    after reweight: values {answer['values']}")
 
-        stats = call(base_url, "GET", "/stats")
-        print(f"\n[5] GET /stats: cache {stats['result_cache']}, "
+        stats = call(base_url, "GET", "/v1/stats")
+        print(f"\n[5] GET /v1/stats: cache {stats['result_cache']}, "
               f"http {stats['http']}")
 
     print("\n[6] snapshot save -> load: restart without recomputing")

@@ -27,13 +27,14 @@ JSON array of query objects whose fields mirror
     [{"k": 4, "r": 5, "f": "sum"},
      {"k": 6, "r": 3, "f": "sum-surplus(1)", "eps": 0.1}]
 
-``serve`` exposes the same service over HTTP (``POST /query``,
-``POST /batch`` with the workload schema above, ``POST /update-weights``,
-``POST /update-edges``, ``GET /stats``, ``GET /healthz``); ``snapshot
-save``/``load`` persist a service's CSR arrays and cached decompositions
-so ``serve --snapshot`` restarts come up without re-peeling anything.
-``update-edges`` applies edge insertions/deletions either to a running
-server (``--url``, via ``POST /update-edges``) or offline to a snapshot
+``serve`` exposes the same service over HTTP (``POST /v1/query``,
+``POST /v1/batch``, ``POST /v1/update-weights``, ``POST /v1/update-edges``,
+``GET /v1/stats``, ``GET /v1/healthz``; docs/API.md has the envelopes);
+``snapshot save``/``load`` persist a service's CSR arrays and cached
+decompositions so ``serve --snapshot`` restarts come up without
+re-peeling anything.  ``update-edges`` applies edge insertions/deletions
+either to a running server (``--url``, via ``POST /v1/update-edges``) or
+offline to a snapshot
 directory (``--snapshot``, rewriting it through the same incremental
 :class:`~repro.graphs.delta.GraphDelta` path).
 
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     update_target = update.add_mutually_exclusive_group(required=True)
     update_target.add_argument(
         "--url",
-        help="base URL of a running `repro serve` (POSTs /update-edges)",
+        help="base URL of a running `repro serve` (POSTs /v1/update-edges)",
     )
     update_target.add_argument(
         "--snapshot",
@@ -802,7 +803,7 @@ def _cmd_update_edges(args: argparse.Namespace) -> int:
 
         payload = {"insert": insert, "delete": delete}
         request = urllib.request.Request(
-            args.url.rstrip("/") + "/update-edges",
+            args.url.rstrip("/") + "/v1/update-edges",
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -812,14 +813,8 @@ def _cmd_update_edges(args: argparse.Namespace) -> int:
                 body = json.load(response)
         except urllib.error.HTTPError as exc:
             try:
-                error = json.loads(exc.read()).get("error", str(exc))
-                # v1 error envelope ({"code", "detail"}); older servers
-                # replied with a bare string.
-                if isinstance(error, dict):
-                    message = error.get("detail", str(error))
-                else:
-                    message = error
-            except (json.JSONDecodeError, ValueError):
+                message = json.loads(exc.read())["error"]["detail"]
+            except (ValueError, KeyError, TypeError):
                 message = str(exc)
             print(f"error: server rejected update: {message}", file=sys.stderr)
             return 2

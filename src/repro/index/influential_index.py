@@ -192,7 +192,7 @@ class InfluentialIndex:
         return f"{kind}({len(entry.communities)})"
 
     def stats(self) -> dict[str, object]:
-        """Counters and coverage, JSON-ready (feeds ``GET /stats``)."""
+        """Counters and coverage, JSON-ready (feeds ``GET /v1/stats``)."""
         ready = len(self._entries) - self.pending_levels()
         return {
             "built": self._built,

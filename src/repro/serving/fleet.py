@@ -129,7 +129,7 @@ class Replicator:
 
         The head probe is an incremental cursor (it only reads bytes
         appended since the previous status call), so polling this from
-        ``/healthz`` stays O(new records), not O(log).
+        ``/v1/healthz`` stays O(new records), not O(log).
         """
         for _record in self._head.poll():
             pass

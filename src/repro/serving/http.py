@@ -4,9 +4,8 @@
 online service using nothing beyond the standard library: an
 ``asyncio.start_server`` loop speaking enough HTTP/1.1 (keep-alive,
 ``Content-Length`` bodies, JSON in and out) for any client from ``curl``
-to a load balancer.  The JSON schemas are exactly the ones the
-``repro batch`` CLI already reads and writes, so a workload file can be
-replayed against a live server unchanged.
+to a load balancer.  A ``repro batch`` workload entry is a valid query
+envelope once its solver tuning knobs move under ``options``.
 
 Endpoints (v1)
 --------------
@@ -14,7 +13,7 @@ Endpoints (v1)
 method   path                        body → response
 =======  ==========================  ============================================
 GET      ``/``                       service banner: version, graph shape,
-                                     endpoints, deprecations
+                                     endpoints
 GET      ``/v1/healthz``             liveness: ``{"status": "ok", ...}``
 GET      ``/v1/stats``               serving counters + cache/pool/HTTP stats
 POST     ``/v1/query``               one query envelope → one result payload
@@ -40,19 +39,16 @@ constraints under ``constraints``::
      "options": {"method": "auto", "eps": 0.1, "greedy": true,
                  "seed_order": null, "rng_seed": null}}
 
-Every v1 response carries ``api_version: "v1"`` and (for query-shaped
-responses) echoes the **normalized** query — the canonical form actually
-answered, aggregator spelling and constraint shape collapsed.  Errors on
-*every* endpoint (v1 and legacy) share one machine-readable envelope::
+Every successful response carries ``api_version: "v1"`` and (for
+query-shaped responses) echoes the **normalized** query — the canonical
+form actually answered, aggregator spelling and constraint shape
+collapsed.  Errors on *every* endpoint share one machine-readable
+envelope::
 
     {"error": {"code": "spec_error", "detail": "unknown aggregator 'bogus'"}}
 
-The **legacy flat routes** (``/query``, ``/batch``, ``/update-weights``,
-``/update-edges``, ``/invalidate``, ``/healthz``, ``/stats``) still serve
-their historical request/response shapes so recorded workloads replay
-unchanged, but every legacy response carries a ``Deprecation: true``
-header plus a ``Link: </v1/...>; rel="successor-version"`` pointer; see
-docs/API.md for the migration notes.
+The ``/v1`` family is the only one served: the pre-v1 flat aliases are
+removed and answer 404 (docs/API.md maps each to its successor).
 
 Edge updates go through :class:`~repro.graphs.delta.GraphDelta`: the CSR
 is patched and core numbers are repaired incrementally, and invalidation
@@ -123,7 +119,6 @@ __all__ = [
     "API_VERSION",
     "ServingApp",
     "query_envelope",
-    "result_payload",
     "result_payload_v1",
     "run_server_in_thread",
     "serve",
@@ -136,7 +131,7 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 MAX_HEADER_LINES = 100
 
 #: Bodies past this parse on a worker thread instead of the event loop —
-#: a multi-megabyte weight vector must not stall /healthz while decoding.
+#: a multi-megabyte weight vector must not stall /v1/healthz while decoding.
 OFFLOAD_PARSE_BYTES = 1 * 1024 * 1024
 
 _REASONS = {
@@ -172,7 +167,7 @@ API_VERSION = "v1"
 
 
 def _error_body(code: str, detail: str) -> dict:
-    """The uniform error envelope every endpoint (v1 and legacy) serves."""
+    """The uniform error envelope every endpoint serves."""
     return {"error": {"code": code, "detail": detail}}
 
 
@@ -185,22 +180,6 @@ def _repro_error_code(exc: ReproError) -> str:
             out.append("_")
         out.append(char.lower())
     return "".join(out)
-
-
-def result_payload(query: InfluentialQuery, result: ResultSet) -> dict:
-    """The JSON body served for one answered query (legacy flat shape).
-
-    Matches the records ``repro batch --out`` writes, so HTTP answers and
-    batch-CLI answers diff cleanly; the test suite compares these payloads
-    against ones built from cold :func:`~repro.influential.api
-    .top_r_communities` runs to enforce byte-identical serving.
-    """
-    return {
-        "query": query.describe(),
-        "count": len(result),
-        "values": result.values(),
-        "communities": [sorted(c.vertices) for c in result],
-    }
 
 
 def query_envelope(query: InfluentialQuery) -> dict:
@@ -235,8 +214,12 @@ def query_envelope(query: InfluentialQuery) -> dict:
 
 def result_payload_v1(query: InfluentialQuery, result: ResultSet) -> dict:
     """The JSON body ``POST /v1/query`` serves: versioned, echoing the
-    normalized query, with the same values/communities the legacy shape
-    carries (so v1 and legacy answers stay value-identical)."""
+    normalized query.
+
+    The test suite compares these payloads against ones built from cold
+    :func:`~repro.influential.api.top_r_communities` runs to enforce
+    byte-identical serving.
+    """
     return {
         "api_version": API_VERSION,
         "query": query_envelope(query),
@@ -288,7 +271,7 @@ class ServingApp:
             )
         self.service = service
         self.workers = workers
-        # The default caps /update-weights around ~3M vertices of JSON;
+        # The default caps /v1/update-weights around ~3M vertices of JSON;
         # operators serving larger graphs raise it here (or via the CLI's
         # --max-body-mb).
         self.max_body_bytes = max_body_bytes
@@ -342,26 +325,6 @@ class ServingApp:
             ("POST", "/v1/analytics/leaders"): self._post_analytics_leaders,
             ("POST", "/v1/analytics/reach"): self._post_analytics_reach,
             ("POST", "/v1/analytics/summary"): self._post_analytics_summary,
-            # Legacy flat aliases: same service, historical shapes, served
-            # with a Deprecation header (see _dispatch).
-            ("GET", "/healthz"): self._get_healthz,
-            ("GET", "/stats"): self._get_stats,
-            ("POST", "/query"): self._post_query,
-            ("POST", "/batch"): self._post_batch,
-            ("POST", "/update-weights"): self._post_update_weights,
-            ("POST", "/update-edges"): self._post_update_edges,
-            ("POST", "/invalidate"): self._post_invalidate,
-        }
-        # path → v1 successor, for the Deprecation/Link headers and the
-        # banner's migration table.
-        self._deprecated_paths: dict[str, str] = {
-            "/healthz": "/v1/healthz",
-            "/stats": "/v1/stats",
-            "/query": "/v1/query",
-            "/batch": "/v1/batch",
-            "/update-weights": "/v1/update-weights",
-            "/update-edges": "/v1/update-edges",
-            "/invalidate": "/v1/invalidate",
         }
 
     # ------------------------------------------------------------------
@@ -424,7 +387,7 @@ class ServingApp:
         old_substrate, self._pool_substrate = self._pool_substrate, None
         if old_pool is not None:
             # Drain off-loop: a slow in-flight solve must not freeze
-            # /healthz while the old workers wind down.
+            # /v1/healthz while the old workers wind down.
             await asyncio.get_running_loop().run_in_executor(
                 None, old_pool.shutdown, True
             )
@@ -552,9 +515,6 @@ class ServingApp:
             "kmax": self.service.kmax,
             "workers": self.workers,
             "endpoints": sorted(f"{m} {p}" for m, p in self._routes),
-            "deprecated": {
-                old: new for old, new in sorted(self._deprecated_paths.items())
-            },
         }
 
     def _replication_status(self) -> "dict | None":
@@ -611,19 +571,6 @@ class ServingApp:
             stats["replication"] = replication
         return stats
 
-    def _parse_query(self, entry: object) -> InfluentialQuery:
-        if not isinstance(entry, Mapping):
-            raise _HTTPError(
-                400,
-                f"query must be a JSON object, got {type(entry).__name__}",
-            )
-        return InfluentialQuery.create(entry)
-
-    async def _post_query(self, body: object) -> dict:
-        query = self._parse_query(body)
-        result = await self.answer(query)
-        return result_payload(query, result)
-
     # -- v1 envelope ----------------------------------------------------
     #: Top-level fields a v1 query envelope may carry; solver tuning must
     #: sit under ``options``.
@@ -639,9 +586,9 @@ class ServingApp:
     def _parse_v1_query(self, entry: object) -> InfluentialQuery:
         """Validate one v1 query envelope into an ``InfluentialQuery``.
 
-        The flat legacy spelling of a tuning knob at the top level is the
-        expected migration mistake, so its rejection names the fix
-        ("move it under 'options'") instead of a bare unknown-field error.
+        A tuning knob spelled at the top level is the expected mistake,
+        so its rejection names the fix ("nest it under 'options'")
+        instead of a bare unknown-field error.
         """
         if not isinstance(entry, Mapping):
             raise _HTTPError(
@@ -655,8 +602,7 @@ class ServingApp:
                 raise _HTTPError(
                     400,
                     f"solver option(s) {misplaced} must be nested under "
-                    f"'options' in a v1 query (the flat shape is the "
-                    f"deprecated legacy /query contract)",
+                    f"'options' in a v1 query",
                 )
             raise _HTTPError(
                 400,
@@ -701,6 +647,10 @@ class ServingApp:
             )
         queries = [self._parse_v1_query(entry) for entry in body]
         start = time.perf_counter()
+        # return_exceptions: one bad member (e.g. a k the solver rejects)
+        # must not cancel its siblings — they may be coalesced with other
+        # connections' in-flight requests.  The batch still fails as a
+        # whole, after every member has settled.
         results = await asyncio.gather(
             *(self.answer(q) for q in queries), return_exceptions=True
         )
@@ -793,36 +743,6 @@ class ServingApp:
             "query": query_envelope(query),
             "count": len(result),
             "summary": summary,
-        }
-
-    async def _post_batch(self, body: object) -> dict:
-        if isinstance(body, Mapping) and "queries" in body:
-            body = body["queries"]
-        if not isinstance(body, list):
-            raise _HTTPError(
-                400,
-                "batch body must be a JSON array of query objects "
-                '(or {"queries": [...]})',
-            )
-        queries = [self._parse_query(entry) for entry in body]
-        start = time.perf_counter()
-        # return_exceptions: one bad member (e.g. a k the solver rejects)
-        # must not cancel its siblings — they may be coalesced with other
-        # connections' in-flight requests.  The batch still fails as a
-        # whole, after every member has settled.
-        results = await asyncio.gather(
-            *(self.answer(q) for q in queries), return_exceptions=True
-        )
-        for outcome in results:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return {
-            "count": len(results),
-            "elapsed_seconds": round(time.perf_counter() - start, 6),
-            "results": [
-                result_payload(query, result)
-                for query, result in zip(queries, results)
-            ],
         }
 
     async def _post_update_weights(self, body: object) -> dict:
@@ -1120,23 +1040,9 @@ class ServingApp:
             self._active_requests -= 1
         return keep_alive
 
-    def _deprecation_headers(self, path: str) -> dict:
-        """Headers advertising the v1 successor of a legacy route."""
-        successor = self._deprecated_paths.get(path)
-        if successor is None:
-            return {}
-        return {
-            "Deprecation": "true",
-            "Link": f'<{successor}>; rel="successor-version"',
-        }
-
     async def _dispatch(
         self, method: str, path: str, raw: bytes
     ) -> tuple[int, dict, dict]:
-        # Legacy aliases answer with their historical shapes but always
-        # carry the Deprecation/Link headers — on errors too, so a client
-        # probing with a bad body still learns about the successor.
-        deprecation = self._deprecation_headers(path)
         handler = self._routes.get((method, path))
         if handler is None:
             if any(p == path for _m, p in self._routes):
@@ -1145,7 +1051,7 @@ class ServingApp:
                     _error_body(
                         "method_not_allowed", f"{method} not allowed on {path}"
                     ),
-                    deprecation,
+                    {},
                 )
             return 404, {
                 **_error_body("not_found", f"no route {path}"),
@@ -1168,31 +1074,27 @@ class ServingApp:
                     _error_body(
                         "invalid_json", f"body is not valid JSON: {exc}"
                     ),
-                    deprecation,
+                    {},
                 )
         try:
             payload = await handler(body)
-            if path.startswith("/v1/") and "api_version" not in payload:
-                # Shared handlers (healthz, mutations) serve both route
-                # generations; the v1 spelling stamps the version here.
+            if "api_version" not in payload:
+                # Handlers that are not query-shaped (healthz, stats,
+                # mutations) leave the version stamp to this one place.
                 payload = {"api_version": API_VERSION, **payload}
-            return 200, payload, deprecation
+            return 200, payload, {}
         except _HTTPError as exc:
-            return (
-                exc.status,
-                _error_body(exc.code, str(exc)),
-                {**exc.headers, **deprecation},
-            )
+            return exc.status, _error_body(exc.code, str(exc)), exc.headers
         except ReproError as exc:
             # Spec/solver rejections: the client's request is at fault and
             # carries the same message a cold library call would raise,
             # with the exception class as the machine-readable code.
-            return 400, _error_body(_repro_error_code(exc), str(exc)), deprecation
+            return 400, _error_body(_repro_error_code(exc), str(exc)), {}
         except Exception as exc:  # noqa: BLE001 — last-resort 500
             return (
                 500,
                 _error_body("internal", f"{type(exc).__name__}: {exc}"),
-                deprecation,
+                {},
             )
 
     async def _respond(

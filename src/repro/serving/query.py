@@ -192,28 +192,6 @@ class InfluentialQuery:
             "labels": self.constraints,
         }
 
-    def wire_dict(self) -> dict[str, object]:
-        """JSON-able flat request body (the legacy ``/query`` shape,
-        also one entry of a ``repro batch`` workload file).
-        ``create`` round-trips it; the label predicate serialises to
-        its ``{"labels": ...}`` wire form."""
-        body: dict[str, object] = {
-            "k": self.k,
-            "r": self.r,
-            "f": self.f if isinstance(self.f, str) else self.aggregator.name,
-            "s": self.s,
-            "method": self.method,
-            "eps": self.eps,
-            "non_overlapping": self.non_overlapping,
-            "greedy": self.greedy,
-            "seed_order": self.seed_order,
-            "rng_seed": self.rng_seed,
-            "cohesion": self.cohesion,
-        }
-        if self.constraints is not None:
-            body["constraints"] = {"labels": self.constraints.to_json()}
-        return body
-
     def describe(self) -> str:
         """Compact one-line rendering for logs and CLI output."""
         parts = [f"k={self.k}", f"r={self.r}", f"f={self.aggregator.name}"]

@@ -62,7 +62,7 @@ class UpdateReport:
     results_dropped: int = 0
 
     def summary(self) -> dict[str, object]:
-        """The payload served by ``POST /update-edges`` and the CLI."""
+        """The payload served by ``POST /v1/update-edges`` and the CLI."""
         delta = self.delta
         return {
             "inserted": len(delta.inserted),

@@ -1,6 +1,6 @@
 """Process-memory introspection for the serving fleet.
 
-The fleet benchmarks and the ``/stats`` endpoint both need the resident
+The fleet benchmarks and the ``/v1/stats`` endpoint both need the resident
 set size of the *current* process, without psutil.  On Linux the
 authoritative number is ``VmRSS`` in ``/proc/self/status``; elsewhere we
 fall back to ``resource.getrusage`` (``ru_maxrss`` is a high-water mark,

@@ -248,12 +248,12 @@ def test_indexed_service_over_http(weighted_random):
     app = ServingApp(service)
     with run_server_in_thread(app) as base_url:
         status, payload = post(
-            base_url, "/query", {"k": 2, "r": 2, "f": "sum"}
+            base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"}
         )
         assert status == 200
         cold = top_r_communities(weighted_random, k=2, r=2, f="sum")
         assert payload["values"] == cold.values()
-        status, stats = get(base_url, "/stats")
+        status, stats = get(base_url, "/v1/stats")
         assert status == 200
         assert stats["index"]["hits"] == 1
         assert stats["solver_calls"] == 0

@@ -87,11 +87,11 @@ def test_rejected_http_query_moves_no_counters(two_triangles):
     service = QueryService(two_triangles)
     app = ServingApp(service)
     with run_server_in_thread(app) as base_url:
-        status, __ = post(base_url, "/query", {"k": -1, "r": 2, "f": "sum"})
+        status, __ = post(base_url, "/v1/query", {"k": -1, "r": 2, "f": "sum"})
         assert status == 400
         assert service.queries_served == 0
         assert service.solver_calls == 0
-        status, __ = post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})
+        status, __ = post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"})
         assert status == 200
         assert service.queries_served == 1
         assert service.solver_calls == 1

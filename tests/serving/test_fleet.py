@@ -53,7 +53,7 @@ def _wait_member_seq(port: int, seq: int, timeout: float = 20.0) -> dict:
     deadline = time.monotonic() + timeout
     status: dict = {}
     while time.monotonic() < deadline:
-        _code, body = _request(port, "GET", "/healthz")
+        _code, body = _request(port, "GET", "/v1/healthz")
         status = body.get("replication") or {}
         if status.get("applied_seq", -1) >= seq and status.get("lag") == 0:
             return body
@@ -80,12 +80,12 @@ def proxy_fleet(figure1, tmp_path):
 
 def test_fleet_members_answer_identically(proxy_fleet):
     answers = {
-        json.dumps(_request(port, "POST", "/query", QUERY)[1], sort_keys=True)
+        json.dumps(_request(port, "POST", "/v1/query", QUERY)[1], sort_keys=True)
         for port in proxy_fleet.member_ports
     }
     assert len(answers) == 1
     # And through the proxy itself.
-    status, body = _request(proxy_fleet.port, "POST", "/query", QUERY)
+    status, body = _request(proxy_fleet.port, "POST", "/v1/query", QUERY)
     assert status == 200
     assert json.dumps(body, sort_keys=True) in answers
 
@@ -93,14 +93,14 @@ def test_fleet_members_answer_identically(proxy_fleet):
 def test_mutation_replicates_to_every_member(proxy_fleet):
     target, other = proxy_fleet.member_ports
     status, update = _request(
-        target, "POST", "/update-edges", {"insert": [[0, 7]]}
+        target, "POST", "/v1/update-edges", {"insert": [[0, 7]]}
     )
     assert status == 200
     assert update["status"] == "updated"
     assert update["seq"] == 1
     _wait_member_seq(other, 1)
     post = {
-        json.dumps(_request(port, "POST", "/query", QUERY)[1], sort_keys=True)
+        json.dumps(_request(port, "POST", "/v1/query", QUERY)[1], sort_keys=True)
         for port in proxy_fleet.member_ports
     }
     assert len(post) == 1
@@ -112,10 +112,10 @@ def test_kill_a_replica_siblings_keep_serving(proxy_fleet):
     victim.join(timeout=10)
     # The proxy skips the dead backend; every request still answers.
     for _ in range(4):
-        status, body = _request(proxy_fleet.port, "GET", "/healthz")
+        status, body = _request(proxy_fleet.port, "GET", "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
-    status, _body = _request(proxy_fleet.port, "POST", "/query", QUERY)
+    status, _body = _request(proxy_fleet.port, "POST", "/v1/query", QUERY)
     assert status == 200
 
 
@@ -125,7 +125,7 @@ def test_sigterm_member_drains_and_exits_clean(proxy_fleet):
     # Park an idle keep-alive connection on the member: drain must close
     # it rather than wait forever (3.12+ wait_closed semantics).
     idle = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    idle.request("GET", "/healthz")
+    idle.request("GET", "/v1/healthz")
     idle.getresponse().read()
     try:
         os.kill(member.pid, signal.SIGTERM)
@@ -137,12 +137,12 @@ def test_sigterm_member_drains_and_exits_clean(proxy_fleet):
 
 def test_healthz_carries_fleet_fields(proxy_fleet):
     for index, port in enumerate(proxy_fleet.member_ports):
-        _status, body = _request(port, "GET", "/healthz")
+        _status, body = _request(port, "GET", "/v1/healthz")
         assert body["member"] == index
         assert body["replication_lag"] == 0
         assert body["rss_bytes"] > 0
         assert body["epoch"] == 0
-        _status, stats = _request(port, "GET", "/stats")
+        _status, stats = _request(port, "GET", "/v1/stats")
         assert stats["replication"]["applied_seq"] == 0
         assert stats["rss_bytes"] > 0
 
@@ -177,7 +177,7 @@ def test_reuseport_mode_shares_one_port(figure1, tmp_path):
         assert fleet.member_ports[0] == fleet.port
         seen = set()
         for _ in range(8):
-            status, body = _request(fleet.port, "GET", "/healthz")
+            status, body = _request(fleet.port, "GET", "/v1/healthz")
             assert status == 200
             seen.add(body["member"])
         assert seen  # at least one member answered; kernel picks which

@@ -6,7 +6,7 @@ server hosted on a background thread via
 directly, so the request-line/header/body plumbing, keep-alive, and JSON
 round-tripping are all under test.  The core guarantees:
 
-* ``POST /query`` / ``POST /batch`` payloads are **identical** to
+* ``POST /v1/query`` / ``POST /v1/batch`` payloads are **identical** to
   payloads built from cold :func:`~repro.influential.api
   .top_r_communities` runs (the acceptance bar of the serving layer);
 * concurrent identical requests **coalesce onto one solver call**
@@ -27,7 +27,11 @@ import time
 import pytest
 
 from repro.influential.api import top_r_communities
-from repro.serving.http import ServingApp, result_payload, run_server_in_thread
+from repro.serving.http import (
+    ServingApp,
+    result_payload_v1,
+    run_server_in_thread,
+)
 from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
 
@@ -64,12 +68,18 @@ def served(figure1):
         yield service, app, base_url
 
 
+def as_query(envelope: dict) -> InfluentialQuery:
+    """The query a v1 envelope asks for (tuning lifted out of options)."""
+    flat = {name: value for name, value in envelope.items() if name != "options"}
+    return InfluentialQuery.create({**flat, **envelope.get("options", {})})
+
+
 # ----------------------------------------------------------------------
 # Correctness: HTTP answers == cold solves
 # ----------------------------------------------------------------------
 QUERIES = [
     {"k": 2, "r": 2, "f": "sum"},
-    {"k": 2, "r": 3, "f": "sum", "eps": 0.1},
+    {"k": 2, "r": 3, "f": "sum", "options": {"eps": 0.1}},
     {"k": 2, "r": 2, "f": "min"},
     {"k": 2, "r": 1, "f": "max"},
     {"k": 2, "r": 2, "f": "avg", "s": 5},
@@ -81,29 +91,29 @@ QUERIES = [
 def test_query_payloads_match_cold_runs(served, figure1):
     __, ___, base_url = served
     for raw in QUERIES:
-        status, payload = post(base_url, "/query", raw)
+        status, payload = post(base_url, "/v1/query", raw)
         assert status == 200, payload
-        query = InfluentialQuery.create(raw)
+        query = as_query(raw)
         cold = top_r_communities(figure1, **query.solver_kwargs())
-        assert payload == result_payload(query, cold)
+        assert payload == result_payload_v1(query, cold)
 
 
 def test_batch_matches_cold_runs_in_order(served, figure1):
     __, ___, base_url = served
     batch = QUERIES + QUERIES[:3]  # duplicates exercise dedup
-    status, payload = post(base_url, "/batch", batch)
+    status, payload = post(base_url, "/v1/batch", batch)
     assert status == 200, payload
     assert payload["count"] == len(batch)
     for raw, served_payload in zip(batch, payload["results"]):
-        query = InfluentialQuery.create(raw)
+        query = as_query(raw)
         cold = top_r_communities(figure1, **query.solver_kwargs())
-        assert served_payload == result_payload(query, cold)
+        assert served_payload == result_payload_v1(query, cold)
 
 
 def test_batch_accepts_queries_wrapper(served):
     __, ___, base_url = served
     status, payload = post(
-        base_url, "/batch", {"queries": [{"k": 2, "r": 1, "f": "sum"}]}
+        base_url, "/v1/batch", {"queries": [{"k": 2, "r": 1, "f": "sum"}]}
     )
     assert status == 200
     assert payload["count"] == 1
@@ -112,7 +122,7 @@ def test_batch_accepts_queries_wrapper(served):
 def test_truss_cohesion_served(served, figure1):
     service, __, base_url = served
     status, payload = post(
-        base_url, "/query", {"k": 3, "r": 2, "f": "sum", "cohesion": "truss"}
+        base_url, "/v1/query", {"k": 3, "r": 2, "f": "sum", "cohesion": "truss"}
     )
     assert status == 200
     cold = QueryService(figure1).submit(
@@ -125,19 +135,19 @@ def test_truss_cohesion_served(served, figure1):
 def test_repeated_query_is_cached(served):
     service, __, base_url = served
     raw = {"k": 2, "r": 2, "f": "sum"}
-    first = post(base_url, "/query", raw)
+    first = post(base_url, "/v1/query", raw)
     calls_after_first = service.solver_calls
-    second = post(base_url, "/query", raw)
+    second = post(base_url, "/v1/query", raw)
     assert first == second
     assert service.solver_calls == calls_after_first
 
 
 def test_aggregator_spellings_share_cache_entry(served):
     service, __, base_url = served
-    post(base_url, "/query", {"k": 2, "r": 2, "f": "sum-surplus(2)"})
+    post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum-surplus(2)"})
     calls = service.solver_calls
     status, __payload = post(
-        base_url, "/query", {"k": 2, "r": 2, "f": "sum-surplus(alpha=2)"}
+        base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum-surplus(alpha=2)"}
     )
     assert status == 200
     assert service.solver_calls == calls  # canonical key collapsed them
@@ -149,7 +159,7 @@ def test_keep_alive_connection_reuse(served):
     connection = http.client.HTTPConnection(host, timeout=60)
     try:
         for __ in range(3):
-            connection.request("GET", "/healthz")
+            connection.request("GET", "/v1/healthz")
             response = connection.getresponse()
             assert response.status == 200
             assert json.loads(response.read())["status"] == "ok"
@@ -170,12 +180,12 @@ def test_concurrent_identical_requests_coalesce(served):
         return original_solve(query)
 
     service._solve = slow_solve
-    raw = {"k": 2, "r": 2, "f": "sum", "eps": 0.1}
+    raw = {"k": 2, "r": 2, "f": "sum", "options": {"eps": 0.1}}
     answers: list = [None] * 6
     threads = [
         threading.Thread(
             target=lambda i=i: answers.__setitem__(
-                i, post(base_url, "/query", raw)
+                i, post(base_url, "/v1/query", raw)
             )
         )
         for i in range(len(answers))
@@ -212,7 +222,7 @@ def test_failing_batch_member_does_not_cancel_coalesced_waiters(served):
     waiter_answer: list = []
     batch_thread = threading.Thread(
         target=lambda: batch_answer.append(
-            post(base_url, "/batch", [{"k": 0, "r": 1, "f": "sum"}, good])
+            post(base_url, "/v1/batch", [{"k": 0, "r": 1, "f": "sum"}, good])
         )
     )
     batch_thread.start()
@@ -220,7 +230,7 @@ def test_failing_batch_member_does_not_cancel_coalesced_waiters(served):
     while len(app._inflight) < 2 and time.monotonic() < deadline:
         time.sleep(0.01)  # both members' solves are now in flight
     waiter_thread = threading.Thread(
-        target=lambda: waiter_answer.append(post(base_url, "/query", good))
+        target=lambda: waiter_answer.append(post(base_url, "/v1/query", good))
     )
     waiter_thread.start()
     deadline = time.monotonic() + 30
@@ -252,12 +262,12 @@ def test_loop_stays_responsive_during_solve(served):
     result: list = []
     solver = threading.Thread(
         target=lambda: result.append(
-            post(base_url, "/query", {"k": 2, "r": 1, "f": "sum"})
+            post(base_url, "/v1/query", {"k": 2, "r": 1, "f": "sum"})
         )
     )
     solver.start()
     try:
-        status, payload = get(base_url, "/healthz")
+        status, payload = get(base_url, "/v1/healthz")
         assert status == 200 and payload["status"] == "ok"
     finally:
         release.set()
@@ -277,7 +287,7 @@ def test_unknown_route_404(served):
 
 def test_wrong_method_405(served):
     __, ___, base_url = served
-    status, __payload = get(base_url, "/query")
+    status, __payload = get(base_url, "/v1/query")
     assert status == 405
 
 
@@ -286,7 +296,7 @@ def test_invalid_json_400(served):
     host = base_url.removeprefix("http://")
     connection = http.client.HTTPConnection(host, timeout=60)
     try:
-        connection.request("POST", "/query", body="{not json")
+        connection.request("POST", "/v1/query", body="{not json")
         response = connection.getresponse()
         assert response.status == 400
         body = json.loads(response.read())
@@ -301,7 +311,7 @@ def test_invalid_json_400(served):
     [
         ([1, 2, 3], "JSON object"),
         ({"k": "four", "r": 5}, "integer"),
-        ({"k": 2, "r": 2, "flavor": "sum"}, "unknown query field"),
+        ({"k": 2, "r": 2, "flavor": "sum"}, "unknown v1 query field"),
         ({"k": 2, "r": 2, "f": "bogus"}, "unknown aggregator"),
         ({"k": 2, "r": 2, "cohesion": "lattice"}, "cohesion"),
         ({"k": 0, "r": 2, "f": "sum"}, "k"),
@@ -309,14 +319,14 @@ def test_invalid_json_400(served):
 )
 def test_bad_queries_400_with_library_message(served, raw, fragment):
     __, ___, base_url = served
-    status, payload = post(base_url, "/query", raw)
+    status, payload = post(base_url, "/v1/query", raw)
     assert status == 400
     assert fragment in payload["error"]["detail"]
 
 
 def test_batch_rejects_non_array(served):
     __, ___, base_url = served
-    status, payload = post(base_url, "/batch", {"k": 2, "r": 2})
+    status, payload = post(base_url, "/v1/batch", {"k": 2, "r": 2})
     assert status == 400
     assert "array" in payload["error"]["detail"]
 
@@ -328,7 +338,7 @@ def test_oversized_body_413(served):
     host = base_url.removeprefix("http://")
     connection = http.client.HTTPConnection(host, timeout=60)
     try:
-        connection.putrequest("POST", "/query")
+        connection.putrequest("POST", "/v1/query")
         connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
         connection.endheaders()
         response = connection.getresponse()
@@ -344,7 +354,7 @@ def test_chunked_transfer_encoding_refused(served):
     host = base_url.removeprefix("http://")
     connection = http.client.HTTPConnection(host, timeout=60)
     try:
-        connection.putrequest("POST", "/query")
+        connection.putrequest("POST", "/v1/query")
         connection.putheader("Transfer-Encoding", "chunked")
         connection.endheaders()
         response = connection.getresponse()
@@ -361,7 +371,7 @@ def test_header_flood_431(served):
     host = base_url.removeprefix("http://")
     connection = http.client.HTTPConnection(host, timeout=60)
     try:
-        connection.putrequest("GET", "/healthz")
+        connection.putrequest("GET", "/v1/healthz")
         for index in range(150):
             connection.putheader(f"x-flood-{index}", "y")
         connection.endheaders()
@@ -385,7 +395,7 @@ def test_oversized_request_line_drops_connection_quietly(served):
         received = sock.recv(4096)
     assert received == b""  # closed without a response, and no crash
     # ... and the server is still alive for the next client:
-    status, payload = get(base_url, "/healthz")
+    status, payload = get(base_url, "/v1/healthz")
     assert status == 200 and payload["status"] == "ok"
 
 
@@ -404,7 +414,7 @@ def test_per_k_invalidate_spares_inflight_other_ks(served):
     slow_answer: list = []
     slow_thread = threading.Thread(
         target=lambda: slow_answer.append(
-            post(base_url, "/query", {"k": 3, "r": 1, "f": "sum"})
+            post(base_url, "/v1/query", {"k": 3, "r": 1, "f": "sum"})
         )
     )
     slow_thread.start()
@@ -412,7 +422,7 @@ def test_per_k_invalidate_spares_inflight_other_ks(served):
     while not app._inflight and time.monotonic() < deadline:
         time.sleep(0.01)
     epoch_before = app._epoch
-    status, __payload = post(base_url, "/invalidate", {"k": 2})
+    status, __payload = post(base_url, "/v1/invalidate", {"k": 2})
     assert status == 200
     assert app._epoch == epoch_before  # per-k: no global epoch bump
     assert app._inflight, "per-k invalidate dropped an unrelated in-flight solve"
@@ -426,7 +436,7 @@ def test_per_k_invalidate_spares_inflight_other_ks(served):
 def test_http_error_counter(served):
     __, app, base_url = served
     before = app.http_errors
-    post(base_url, "/query", {"k": 2, "r": 2, "f": "bogus"})
+    post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "bogus"})
     get(base_url, "/nope")
     assert app.http_errors == before + 2
 
@@ -436,12 +446,12 @@ def test_http_error_counter(served):
 # ----------------------------------------------------------------------
 def test_update_weights_over_http(served, figure1):
     __, ___, base_url = served
-    post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})  # warm the cache
+    post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"})  # warm the cache
     new_weights = [1.0] * figure1.n
-    status, payload = post(base_url, "/update-weights", {"weights": new_weights})
+    status, payload = post(base_url, "/v1/update-weights", {"weights": new_weights})
     assert status == 200
     assert payload["status"] == "reweighted"
-    status, answer = post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})
+    status, answer = post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"})
     assert status == 200
     cold = top_r_communities(figure1.with_weights(new_weights), k=2, r=2, f="sum")
     assert answer["values"] == cold.values()
@@ -450,51 +460,51 @@ def test_update_weights_over_http(served, figure1):
 
 def test_update_weights_validation(served, figure1):
     __, ___, base_url = served
-    status, payload = post(base_url, "/update-weights", {"weights": [1.0]})
+    status, payload = post(base_url, "/v1/update-weights", {"weights": [1.0]})
     assert status == 400
     assert str(figure1.n) in payload["error"]["detail"]
-    status, __payload = post(base_url, "/update-weights", {"nope": 1})
+    status, __payload = post(base_url, "/v1/update-weights", {"nope": 1})
     assert status == 400
     status, payload = post(
-        base_url, "/update-weights", {"weights": [-1.0] * figure1.n}
+        base_url, "/v1/update-weights", {"weights": [-1.0] * figure1.n}
     )
     assert status == 400  # WeightError surfaces as a client error
     bad = ["x"] + [1.0] * (figure1.n - 1)
-    status, health = get(base_url, "/healthz")
+    status, health = get(base_url, "/v1/healthz")
     epoch_before = health["epoch"]
-    status, payload = post(base_url, "/update-weights", {"weights": bad})
+    status, payload = post(base_url, "/v1/update-weights", {"weights": bad})
     assert status == 400  # non-numeric elements: client error, not a 500
     assert "numbers" in payload["error"]["detail"]
     # a rejected body must not have cost any serving state (no epoch bump)
-    status, health = get(base_url, "/healthz")
+    status, health = get(base_url, "/v1/healthz")
     assert health["epoch"] == epoch_before
 
 
 def test_invalidate_endpoint(served):
     service, __, base_url = served
-    post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})
-    post(base_url, "/query", {"k": 3, "r": 2, "f": "sum"})
-    status, payload = post(base_url, "/invalidate", {"k": 2})
+    post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"})
+    post(base_url, "/v1/query", {"k": 3, "r": 2, "f": "sum"})
+    status, payload = post(base_url, "/v1/invalidate", {"k": 2})
     assert status == 200
     assert payload["dropped"] == 1
-    status, payload = post(base_url, "/invalidate", {})
+    status, payload = post(base_url, "/v1/invalidate", {})
     assert status == 200
     assert payload["dropped"] == 1
-    status, __payload = post(base_url, "/invalidate", {"k": "two"})
+    status, __payload = post(base_url, "/v1/invalidate", {"k": "two"})
     assert status == 400
 
 
 def test_stats_and_index_endpoints(served, figure1):
     __, ___, base_url = served
-    post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})
-    status, stats = get(base_url, "/stats")
+    post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"})
+    status, stats = get(base_url, "/v1/stats")
     assert status == 200
     assert stats["graph"] == {"n": figure1.n, "m": figure1.m}
     assert stats["http"]["requests"] >= 2
     assert "result_cache" in stats and "engine_pool" in stats
     status, index = get(base_url, "/")
     assert status == 200
-    assert "POST /query" in index["endpoints"]
+    assert "POST /v1/query" in index["endpoints"]
 
 
 # ----------------------------------------------------------------------
@@ -505,16 +515,16 @@ def test_worker_process_mode_matches_cold(figure1):
     app = ServingApp(service, workers=2)
     with run_server_in_thread(app) as base_url:
         for raw in QUERIES[:4]:
-            status, payload = post(base_url, "/query", raw)
+            status, payload = post(base_url, "/v1/query", raw)
             assert status == 200, payload
-            query = InfluentialQuery.create(raw)
+            query = as_query(raw)
             cold = top_r_communities(figure1, **query.solver_kwargs())
-            assert payload == result_payload(query, cold)
+            assert payload == result_payload_v1(query, cold)
         # Weight updates restart the workers from the new payload.
         new_weights = [float(i + 1) for i in range(figure1.n)]
-        status, __ = post(base_url, "/update-weights", {"weights": new_weights})
+        status, __ = post(base_url, "/v1/update-weights", {"weights": new_weights})
         assert status == 200
-        status, answer = post(base_url, "/query", {"k": 2, "r": 1, "f": "sum"})
+        status, answer = post(base_url, "/v1/query", {"k": 2, "r": 1, "f": "sum"})
         assert status == 200
         cold = top_r_communities(
             figure1.with_weights(new_weights), k=2, r=1, f="sum"
@@ -528,7 +538,7 @@ def test_serving_from_snapshot_over_http(figure1, tmp_path):
     path = save_snapshot(QueryService(figure1), tmp_path / "snap")
     service = load_service(path)
     with run_server_in_thread(service) as base_url:
-        status, payload = post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})
+        status, payload = post(base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum"})
         assert status == 200
         cold = top_r_communities(figure1, k=2, r=2, f="sum")
         assert payload["values"] == cold.values()
@@ -588,7 +598,7 @@ def test_queue_bound_sheds_with_retry_after(slow_served):
 
     def _fire(raw):
         outcomes.append(
-            _request_with_headers(base_url, "POST", "/query", raw)
+            _request_with_headers(base_url, "POST", "/v1/query", raw)
         )
 
     threads = [
@@ -611,7 +621,7 @@ def test_queue_bound_sheds_with_retry_after(slow_served):
     assert app.shed == 2
     # Once the convoy clears, the same queries are admitted again.
     status, _body, _headers = _request_with_headers(
-        base_url, "POST", "/query", distinct[1]
+        base_url, "POST", "/v1/query", distinct[1]
     )
     assert status == 200
 
@@ -622,7 +632,7 @@ def test_coalesced_and_cached_never_shed(slow_served):
     outcomes = []
 
     def _fire():
-        outcomes.append(post(base_url, "/query", raw))
+        outcomes.append(post(base_url, "/v1/query", raw))
 
     # Identical queries coalesce onto one in-flight solve: depth 1 is
     # never exceeded, nobody sheds.
@@ -636,11 +646,11 @@ def test_coalesced_and_cached_never_shed(slow_served):
     assert app.shed == 0
     # And a cache hit while the queue is "full" of another solve.
     blocker = threading.Thread(
-        target=post, args=(base_url, "/query", {"k": 3, "r": 1, "f": "sum"})
+        target=post, args=(base_url, "/v1/query", {"k": 3, "r": 1, "f": "sum"})
     )
     blocker.start()
     time.sleep(0.1)
-    status, _body = post(base_url, "/query", raw)  # cached from above
+    status, _body = post(base_url, "/v1/query", raw)  # cached from above
     assert status == 200
     blocker.join(timeout=30)
     assert app.shed == 0
@@ -648,7 +658,7 @@ def test_coalesced_and_cached_never_shed(slow_served):
 
 def test_stats_expose_queue_and_fleet_fields(served):
     __, app, base_url = served
-    status, stats = get(base_url, "/stats")
+    status, stats = get(base_url, "/v1/stats")
     assert status == 200
     assert stats["http"]["shed"] == 0
     assert stats["http"]["max_queue_depth"] == 0
@@ -656,7 +666,7 @@ def test_stats_expose_queue_and_fleet_fields(served):
     assert stats["epoch"] == 0
     assert stats["rss_bytes"] > 0
     assert stats["replication_lag"] is None
-    status, health = get(base_url, "/healthz")
+    status, health = get(base_url, "/v1/healthz")
     assert health["rss_bytes"] > 0
     assert health["replication_lag"] is None
     assert "member" not in health

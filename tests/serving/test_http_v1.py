@@ -1,16 +1,16 @@
-"""The versioned v1 HTTP contract: envelopes, errors, deprecation, analytics.
+"""The versioned v1 HTTP contract: envelopes, errors, removed routes, analytics.
 
-Everything the API redesign promises, over real loopback HTTP:
+Everything the API promises, over real loopback HTTP:
 
 * ``POST /v1/query`` takes the nested envelope (tuning under
   ``options``, labels under ``constraints``), answers with
   ``api_version`` plus a normalized query echo that round-trips as a
   valid request body;
-* constrained answers equal cold constrained solves, and v1 and legacy
-  routes share one cache (one solve serves both generations);
-* every error — any endpoint, any generation — is
-  ``{"error": {"code", "detail"}}``;
-* legacy routes carry ``Deprecation``/``Link`` successor headers;
+* constrained answers equal cold constrained solves, and ``/v1/query``
+  and ``/v1/batch`` share one cache (one solve serves both routes);
+* every error, on any endpoint, is ``{"error": {"code", "detail"}}``;
+* the pre-v1 flat routes are gone: each answers 404, with no
+  ``Deprecation`` or ``Link`` header;
 * the analytics endpoints reproduce the pure functions in
   :mod:`repro.analytics` exactly.
 """
@@ -24,7 +24,12 @@ import pytest
 
 from repro.analytics import community_leaders, community_summary, khop_reach
 from repro.influential.api import top_r_communities
-from repro.serving.http import API_VERSION, ServingApp, run_server_in_thread
+from repro.serving.http import (
+    API_VERSION,
+    ServingApp,
+    query_envelope,
+    run_server_in_thread,
+)
 from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
 
@@ -101,17 +106,34 @@ def test_v1_echo_round_trips_as_a_request(served):
     assert second == first  # the echo is canonical: idempotent resubmission
 
 
-def test_v1_and_legacy_share_one_cache(served):
+def test_envelope_round_trips_through_the_v1_parser(served):
+    __, ___, app, ____ = served
+    queries = [
+        InfluentialQuery(k=4, r=2),
+        InfluentialQuery(k=4, r=2, constraints={"labels": {"prefix": "g:"}}),
+        InfluentialQuery(k=3, r=1, f="sum-surplus(1.5)", eps=0.25),
+        InfluentialQuery(k=2, r=2, non_overlapping=True, constraints={"labels": "x"}),
+    ]
+    for query in queries:
+        body = json.loads(json.dumps(query_envelope(query)))  # JSON-able
+        clone = app._parse_v1_query(body)
+        assert clone.cache_key() == query.cache_key()
+    assert query_envelope(InfluentialQuery(k=4, r=2))["constraints"] is None
+
+
+def test_v1_query_and_batch_share_one_cache(served):
     __, service, ___, base_url = served
     before = service.stats()["solver_calls"]
-    status, __h, v1 = post(
+    status, __h, single = post(
         base_url, "/v1/query", {"k": 2, "r": 2, "f": "sum", "options": {}}
     )
     assert status == 200
-    status, __h, legacy = post(base_url, "/query", {"k": 2, "r": 2, "f": "sum"})
+    status, __h, batch = post(
+        base_url, "/v1/batch", {"queries": [{"k": 2, "r": 2, "f": "sum"}]}
+    )
     assert status == 200
     assert service.stats()["solver_calls"] == before + 1  # second hit was cached
-    assert v1["values"] == legacy["values"]
+    assert batch["results"] == [single]
 
 
 def test_v1_rejects_misplaced_tuning_field(served):
@@ -155,7 +177,7 @@ def test_v1_healthz_and_stats_carry_api_version(served):
 
 
 # ----------------------------------------------------------------------
-# Error envelope + deprecation headers
+# Error envelope + removed routes
 # ----------------------------------------------------------------------
 def test_error_envelope_codes(served):
     __, ___, ____, base_url = served
@@ -187,25 +209,37 @@ def test_constrained_query_on_unlabeled_graph_is_spec_error():
     assert "labels" in payload["error"]["detail"]
 
 
-def test_legacy_routes_announce_deprecation(served):
-    __, ___, ____, base_url = served
-    status, headers, payload = post(base_url, "/query", {"k": 2, "r": 1})
-    assert status == 200
-    assert headers["Deprecation"] == "true"
-    assert headers["Link"] == '</v1/query>; rel="successor-version"'
-    # Errors on legacy routes carry the headers too.
-    status, headers, payload = post(base_url, "/query", {"k": "x", "r": 1})
-    assert status == 400 and headers["Deprecation"] == "true"
-    assert payload["error"]["code"] == "spec_error"
+@pytest.mark.parametrize(
+    "method, path, body",
+    [
+        ("GET", "/healthz", None),
+        ("GET", "/stats", None),
+        ("POST", "/query", {"k": 2, "r": 1}),
+        ("POST", "/batch", [{"k": 2, "r": 1}]),
+        ("POST", "/update-weights", {"weights": []}),
+        ("POST", "/update-edges", {"insert": [[0, 9]]}),
+        ("POST", "/invalidate", {}),
+    ],
+)
+def test_former_flat_routes_answer_404(served, method, path, body):
+    __, service, ___, base_url = served
+    status, headers, payload = _request(base_url, method, path, body)
+    assert status == 404
+    assert payload["error"]["code"] == "not_found"
+    assert "Deprecation" not in headers and "Link" not in headers
+    assert service.edge_updates == 0  # nothing behind the old path ran
 
 
-def test_banner_lists_both_generations(served):
+def test_banner_lists_v1_routes_only(served):
     __, ___, ____, base_url = served
     status, __h, payload = get(base_url, "/")
     assert status == 200
     assert payload["api_version"] == API_VERSION
-    assert payload["deprecated"]["/query"] == "/v1/query"
-    assert any("/v1/" in endpoint for endpoint in payload["endpoints"])
+    assert "deprecated" not in payload
+    assert all(
+        endpoint.split()[1] == "/" or "/v1/" in endpoint
+        for endpoint in payload["endpoints"]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -155,19 +155,3 @@ def test_constrained_query_pickles():
     query = InfluentialQuery(k=4, r=2, constraints={"labels": ["a", "b"]})
     clone = pickle.loads(pickle.dumps(query))
     assert clone == query and clone.cache_key() == query.cache_key()
-
-
-def test_wire_dict_round_trips_through_create():
-    import json
-
-    queries = [
-        InfluentialQuery(k=4, r=2),
-        InfluentialQuery(k=4, r=2, constraints={"labels": {"prefix": "g:"}}),
-        InfluentialQuery(k=3, r=1, f="sum-surplus(1.5)", eps=0.25),
-        InfluentialQuery(k=2, r=2, non_overlapping=True, constraints={"labels": "x"}),
-    ]
-    for query in queries:
-        body = json.loads(json.dumps(query.wire_dict()))  # JSON-able
-        clone = InfluentialQuery.create(body)
-        assert clone.cache_key() == query.cache_key()
-    assert "constraints" not in InfluentialQuery(k=4, r=2).wire_dict()

@@ -8,7 +8,7 @@ Three layers under test:
 * the *scope* of invalidation — results and engine-pool state for
   degree constraints the delta provably left alone must survive, truss
   numbers must be evicted per affected component only;
-* the ``POST /update-edges`` endpoint and ``repro update-edges`` CLI —
+* the ``POST /v1/update-edges`` endpoint and ``repro update-edges`` CLI —
   including every documented error path (malformed lists, self-loops,
   duplicates, deleting a nonexistent edge, inserting an existing one).
 """
@@ -241,13 +241,13 @@ def served(figure1):
 def test_update_edges_over_http_matches_cold(served):
     service, app, base_url = served
     status, body = post(
-        base_url, "/update-edges", {"insert": [[0, 9]], "delete": [[0, 1]]}
+        base_url, "/v1/update-edges", {"insert": [[0, 9]], "delete": [[0, 1]]}
     )
     assert status == 200
     assert body["status"] == "updated"
     assert body["inserted"] == 1 and body["deleted"] == 1
     assert body["epoch"] == app._epoch == 1
-    status, answer = post(base_url, "/query", {"k": 2, "r": 3, "f": "sum"})
+    status, answer = post(base_url, "/v1/query", {"k": 2, "r": 3, "f": "sum"})
     assert status == 200
     cold = top_r_communities(rebuild(service.graph), k=2, r=3, f="sum")
     assert answer["communities"] == [sorted(c.vertices) for c in cold]
@@ -276,7 +276,7 @@ def test_update_edges_over_http_matches_cold(served):
 )
 def test_update_edges_http_error_paths(served, payload, fragment):
     service, app, base_url = served
-    status, body = post(base_url, "/update-edges", payload)
+    status, body = post(base_url, "/v1/update-edges", payload)
     assert status == 400
     assert fragment in body["error"]["detail"]
     # A rejected batch costs nothing: no epoch bump, no graph change.
@@ -291,11 +291,11 @@ def test_update_edges_http_preserves_unaffected_cache_entries():
     app = ServingApp(service)
     with run_server_in_thread(app) as base_url:
         high = {"k": 4, "r": 2, "f": "sum"}
-        post(base_url, "/query", high)
+        post(base_url, "/v1/query", high)
         solver_calls = service.solver_calls
-        status, body = post(base_url, "/update-edges", {"insert": [[6, 8]]})
+        status, body = post(base_url, "/v1/update-edges", {"insert": [[6, 8]]})
         assert status == 200 and body["max_affected_core"] == 2
-        status, __ = post(base_url, "/query", high)
+        status, __ = post(base_url, "/v1/query", high)
         assert status == 200
         assert service.solver_calls == solver_calls  # cache hit survived
 

@@ -110,19 +110,19 @@ def main() -> int:
             cwd,
         )
         try:
-            status, health = http(fleet_url + "/healthz")
+            status, health = http(fleet_url + "/v1/healthz")
             check(status == 200 and health["status"] == "ok", f"fleet healthz {health}")
             check(health.get("replication_lag") == 0, f"fresh fleet has lag {health}")
 
             # 2. mutate through the fleet; the standby must catch up.
             status, update = http(
-                fleet_url + "/update-edges", {"insert": [[0, 700]]}
+                fleet_url + "/v1/update-edges", {"insert": [[0, 700]]}
             )
             check(status == 200 and update["seq"] == 1, f"update failed {update}")
             deadline = time.time() + 30
             caught_up = False
             while time.time() < deadline:
-                _s, fh = http(follower_url + "/healthz")
+                _s, fh = http(follower_url + "/v1/healthz")
                 replication = fh.get("replication") or {}
                 if replication.get("applied_seq") == 1 and fh["replication_lag"] == 0:
                     caught_up = True
@@ -131,8 +131,8 @@ def main() -> int:
             check(caught_up, "follower never caught up to seq 1")
 
             query = {"k": 4, "r": 3, "f": "sum"}
-            _s, fleet_answer = http(fleet_url + "/query", query)
-            _s, standby_answer = http(follower_url + "/query", query)
+            _s, fleet_answer = http(fleet_url + "/v1/query", query)
+            _s, standby_answer = http(follower_url + "/v1/query", query)
             check(
                 fleet_answer == standby_answer,
                 "standby answer diverged from fleet",
@@ -152,12 +152,12 @@ def main() -> int:
             survived = 0
             for _ in range(6):
                 try:
-                    status, _body = http(fleet_url + "/healthz")
+                    status, _body = http(fleet_url + "/v1/healthz")
                     survived += status == 200
                 except OSError:
                     pass
             check(survived >= 4, f"fleet unhealthy after member kill ({survived}/6)")
-            status, _answer = http(fleet_url + "/query", query)
+            status, _answer = http(fleet_url + "/v1/query", query)
             check(status == 200, "query failed after member kill")
         finally:
             # 4. graceful teardown.
