@@ -149,7 +149,6 @@ def measure_http_serving(
     size: int = WORKLOAD_SIZE,
     seed: int = 7,
     clients: int = DEFAULT_CLIENTS,
-    workers: int = 0,
     snapshot_dir: "pathlib.Path | None" = None,
 ) -> dict:
     """Cold-sequential vs served-over-HTTP timings, as a JSON-ready dict."""
@@ -187,7 +186,7 @@ def measure_http_serving(
         snapshot_seconds = time.perf_counter() - start
 
         # -- HTTP: concurrent clients over keep-alive connections --------
-        app = ServingApp(service, workers=workers)
+        app = ServingApp(service)
         payloads: list = [None] * len(workload)
         latencies: list = [None] * len(workload)
         jobs: "queue.Queue" = queue.Queue()
@@ -228,7 +227,6 @@ def measure_http_serving(
         },
         "http": {
             "clients": clients,
-            "workers": workers,
             "seconds": round(http_seconds, 4),
             "qps": round(len(workload) / http_seconds, 2),
             "latency_p50_ms": round(float(np.percentile(latency_ms, 50)), 3),
@@ -303,10 +301,6 @@ def main() -> None:
         help="concurrent HTTP client threads",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="server-side solver worker processes (0 = solver thread)",
-    )
-    parser.add_argument(
         "--ci", action="store_true",
         help="shrunk graph for the gating CI smoke diff",
     )
@@ -325,7 +319,7 @@ def main() -> None:
         args.n, args.m = 2_000, 16_000
     report = measure_http_serving(
         n=args.n, m=args.m, size=args.size, seed=args.seed,
-        clients=args.clients, workers=args.workers,
+        clients=args.clients,
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

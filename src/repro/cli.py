@@ -5,7 +5,7 @@ Subcommands::
     repro search   --dataset email --k 4 --r 5 --f sum [--s 20] [--tonic]
     repro search   --edges graph.txt --weights w.txt ...
     repro batch    --dataset email --workload queries.json [--workers 4]
-    repro serve    --snapshot snap/ --port 8080 [--workers 4] [--index]
+    repro serve    --snapshot snap/ --port 8080 [--fleet 4] [--index]
     repro update-edges --url http://127.0.0.1:8080 --insert 3,17 --delete 4,9
     repro update-edges --snapshot snap/ --edits edits.json
     repro snapshot save --dataset email --out snap/ [--with-truss]
@@ -140,10 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--weights", help="path to a vertex-weight file")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080, help="bind port")
-    serve.add_argument(
-        "--workers", type=int, default=0,
-        help="solver worker processes (0 = a single solver thread)",
-    )
     serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="result-cache capacity (0 disables caching)",
@@ -629,7 +625,6 @@ def _serve_single(args: argparse.Namespace, service) -> int:
 
     app = ServingApp(
         service,
-        workers=args.workers,
         max_body_bytes=args.max_body_mb * 1024 * 1024,
         max_queue_depth=args.max_queue,
     )
@@ -709,7 +704,6 @@ def _serve_fleet(args: argparse.Namespace, service) -> int:
         start_seq=start_seq,
         snapshot_path=args.snapshot if args.refresh_every else None,
         refresh_every=args.refresh_every,
-        workers=args.workers,
         max_queue_depth=args.max_queue,
         max_body_bytes=args.max_body_mb * 1024 * 1024,
         cache_size=args.cache_size,

@@ -1,7 +1,9 @@
 """Multi-process serving fleet over one shared substrate.
 
 ``repro serve --fleet N`` forks N event-loop processes that all answer
-on one port.  The pieces, bottom-up:
+on one port.  It is the server's only process-level scaling: each member
+is one :class:`~repro.serving.http.ServingApp` with one solver thread.
+The pieces, bottom-up:
 
 * :class:`Replicator` — glues a :class:`~repro.serving.http.ServingApp`
   to a :mod:`~repro.serving.replog` log.  Mutations POSTed to *any*
@@ -379,7 +381,6 @@ def _member_main(config: dict) -> None:
     service = substrate.build_service(cache_size=config["cache_size"])
     app = ServingApp(
         service,
-        workers=config["workers"],
         max_body_bytes=config["max_body_bytes"],
         max_queue_depth=config["max_queue_depth"],
     )
@@ -531,7 +532,7 @@ class Fleet:
     ports), or ``"auto"`` (reuseport when the platform supports it).
 
     ``members`` is deliberately *not* capped at the core count (unlike
-    the CPU-bound solver pools, which clamp via
+    ``submit_many``'s CPU-bound shard pool, which clamps via
     :func:`repro.utils.parallel.cap_workers`): members are event-loop
     processes that spend most of their life parked in ``epoll``, the
     count is explicit operator configuration, and the replication tests
@@ -549,7 +550,6 @@ class Fleet:
         start_seq: "int | None" = None,
         snapshot_path=None,
         refresh_every: int = 0,
-        workers: int = 0,
         max_queue_depth: int = 0,
         max_body_bytes: int = 64 * 1024 * 1024,
         cache_size: int = 1024,
@@ -570,7 +570,6 @@ class Fleet:
         self.start_seq = start_seq
         self.snapshot_path = snapshot_path
         self.refresh_every = int(refresh_every)
-        self.workers = int(workers)
         self.max_queue_depth = int(max_queue_depth)
         self.max_body_bytes = int(max_body_bytes)
         self.cache_size = int(cache_size)
@@ -624,7 +623,6 @@ class Fleet:
                         else None
                     ),
                     "refresh_every": self.refresh_every,
-                    "workers": self.workers,
                     "max_queue_depth": self.max_queue_depth,
                     "max_body_bytes": self.max_body_bytes,
                     "cache_size": self.cache_size,

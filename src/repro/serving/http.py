@@ -64,18 +64,13 @@ The event loop never runs a solver.  Each request is validated into an
 :class:`~repro.serving.query.InfluentialQuery` on the loop; its canonical
 :meth:`~repro.serving.query.InfluentialQuery.cache_key` is probed against
 the service's result cache (a hit answers inline), and misses are
-dispatched off the loop:
-
-* ``workers=0`` (default) — a dedicated single solver thread.  One
-  thread, because :class:`~repro.serving.service.QueryService`'s engine
-  pool is deliberately lock-free; the loop thread touches only the
-  result cache, which the solver thread never does (solves go through
-  the cache-free ``_solve``).
-* ``workers=N`` — the same :class:`~concurrent.futures
-  .ProcessPoolExecutor` machinery as ``submit_many(..., workers=N)``,
-  kept **persistent** across requests: workers build their service once
-  from the shared CSR payload (decompositions included, so they never
-  re-peel) and solve queries round-robin.
+dispatched to a dedicated single solver thread.  One thread, because
+:class:`~repro.serving.service.QueryService`'s engine pool is
+deliberately lock-free; the loop thread touches only the result cache,
+which the solver thread never does (solves go through the cache-free
+``_solve``).  Process-level scaling is the fleet's job
+(:mod:`repro.serving.fleet`): N processes, each one such app, over one
+shared-memory substrate.
 
 **Single-flight dedup:** concurrent requests whose queries share a cache
 key coalesce onto one in-flight computation — the first arrival creates
@@ -98,7 +93,7 @@ import math
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Awaitable, Callable, Mapping
 
 import numpy as np
@@ -107,13 +102,8 @@ from repro._version import __version__
 from repro.errors import ReproError, SpecError
 from repro.influential.results import ResultSet
 from repro.serving.query import InfluentialQuery
-from repro.serving.service import (
-    QueryService,
-    _worker_init,
-    _worker_solve_counted,
-)
+from repro.serving.service import QueryService
 from repro.utils.memory import rss_bytes
-from repro.utils.parallel import cap_workers
 
 __all__ = [
     "API_VERSION",
@@ -258,19 +248,14 @@ class ServingApp:
     def __init__(
         self,
         service: QueryService,
-        workers: int = 0,
         max_body_bytes: int = MAX_BODY_BYTES,
         max_queue_depth: int = 0,
-        zero_copy: bool = True,
     ) -> None:
-        if workers < 0:
-            raise SpecError(f"workers must be >= 0, got {workers}")
         if max_queue_depth < 0:
             raise SpecError(
                 f"max_queue_depth must be >= 0, got {max_queue_depth}"
             )
         self.service = service
-        self.workers = workers
         # The default caps /v1/update-weights around ~3M vertices of JSON;
         # operators serving larger graphs raise it here (or via the CLI's
         # --max-body-mb).
@@ -281,20 +266,14 @@ class ServingApp:
         # exactly the convoy that made single-process p99 14x p50.  0
         # keeps the historical unbounded behaviour.
         self.max_queue_depth = max_queue_depth
-        # Whether the persistent worker pool shares arrays through a
-        # SharedSubstrate (descriptor initargs) instead of pickling them.
-        self.zero_copy = zero_copy
         self._inflight: dict[tuple, asyncio.Task] = {}
         self._epoch = 0
-        # Cleared while a weight update is in progress: new solves (and
-        # lazy process-pool creation, whose payload embeds the weights)
-        # wait for it, so nothing computes against half-updated state.
+        # Cleared while an update is in progress: new solves wait for it,
+        # so nothing computes against half-updated state.
         self._ready = asyncio.Event()
         self._ready.set()
         self._update_lock = asyncio.Lock()
         self._solver_thread: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._pool_substrate = None
         self._server: asyncio.AbstractServer | None = None
         # Set by the fleet layer (repro/serving/fleet.py) when this app is
         # one member of a fleet: mutations then go through the replication
@@ -331,81 +310,23 @@ class ServingApp:
     # Executors
     # ------------------------------------------------------------------
     def _ensure_executors(self) -> None:
-        if self.workers == 0:
-            if self._solver_thread is None:
-                self._solver_thread = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-solver"
-                )
-        elif self._process_pool is None:
-            import multiprocessing
-
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            if self.zero_copy:
-                # One shm copy of the arrays for *all* workers; each
-                # worker attaches read-only views and materialises only
-                # the neighbour sets it touches.  The segments live until
-                # this pool retires (update/teardown) — workers spawn
-                # lazily, so the substrate must outlive the pool itself.
-                from repro.serving.substrate import SharedSubstrate
-
-                self._pool_substrate = SharedSubstrate.publish(self.service)
-            # `workers` is the operator's request; the pool itself is
-            # capped at the usable core count — solver workers are
-            # CPU-bound, so overcommitting cores only buys fork overhead
-            # and memory pressure (same sizing rule as submit_many's
-            # shard pool).
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=cap_workers(self.workers),
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=self.service.worker_initargs(self._pool_substrate),
+        if self._solver_thread is None:
+            self._solver_thread = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-solver"
             )
 
     def shutdown_executors(self) -> None:
-        """Stop the solver thread / worker processes (idempotent)."""
+        """Stop the solver thread (idempotent)."""
         if self._solver_thread is not None:
             self._solver_thread.shutdown(wait=True)
             self._solver_thread = None
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
-        if self._pool_substrate is not None:
-            self._pool_substrate.unlink()
-            self._pool_substrate = None
-
-    async def _retire_process_pool(self) -> None:
-        """Shut the worker pool (and its substrate) down, off-loop.
-
-        Mutations call this: the retired pool's workers hold the *old*
-        arrays.  The substrate is unlinked only after the pool has fully
-        drained — workers spawn lazily, and a late-spawning worker must
-        never find its segments already gone.
-        """
-        old_pool, self._process_pool = self._process_pool, None
-        old_substrate, self._pool_substrate = self._pool_substrate, None
-        if old_pool is not None:
-            # Drain off-loop: a slow in-flight solve must not freeze
-            # /v1/healthz while the old workers wind down.
-            await asyncio.get_running_loop().run_in_executor(
-                None, old_pool.shutdown, True
-            )
-        if old_substrate is not None:
-            old_substrate.unlink()
 
     async def _run_off_loop(self, fn, *args):
-        """Run ``fn`` on the solver thread (or a transient one)."""
-        loop = asyncio.get_running_loop()
-        if self.workers == 0:
-            self._ensure_executors()
-            return await loop.run_in_executor(self._solver_thread, fn, *args)
-        # Process-pool mode: the parent's pool/graph are never touched by
-        # solves (those live in the workers), so maintenance runs on a
-        # transient thread.  Deliberately no _ensure_executors here — the
-        # process pool must only come up through _compute, after the
-        # ready gate, so its payload never embeds mid-update weights.
-        return await loop.run_in_executor(None, fn, *args)
+        """Run ``fn`` on the solver thread, serialized with every solve."""
+        self._ensure_executors()
+        return await asyncio.get_running_loop().run_in_executor(
+            self._solver_thread, fn, *args
+        )
 
     # ------------------------------------------------------------------
     # Single-flight answering
@@ -472,8 +393,8 @@ class ServingApp:
         # Wait out any in-progress weight update, then snapshot the epoch:
         # a result computed against these weights is only cached while no
         # newer update has invalidated them.  No await sits between the
-        # gate, the epoch read and the executor dispatch, so the pool a
-        # solve lands on always matches the epoch it captured.
+        # gate, the epoch read and the executor dispatch, so the solve is
+        # queued on the solver thread ahead of any later update's mutation.
         await self._ready.wait()
         epoch = self._epoch
         started = time.perf_counter()
@@ -488,19 +409,9 @@ class ServingApp:
         return result
 
     async def _compute(self, query: InfluentialQuery) -> ResultSet:
-        self._ensure_executors()
-        loop = asyncio.get_running_loop()
-        if self._process_pool is not None:
-            results, solved = await loop.run_in_executor(
-                self._process_pool, _worker_solve_counted, [query]
-            )
-            self.service.solver_calls += solved
-            return results[0]
         # The solver thread runs the cache-free half of submit(): the
         # result cache stays loop-owned, the engine pool solver-owned.
-        return await loop.run_in_executor(
-            self._solver_thread, self.service._solve, query
-        )
+        return await self._run_off_loop(self.service._solve, query)
 
     # ------------------------------------------------------------------
     # Endpoint handlers (body → JSON-ready dict, or _HTTPError)
@@ -513,7 +424,6 @@ class ServingApp:
             "api_version": API_VERSION,
             "graph": {"n": graph.n, "m": graph.m},
             "kmax": self.service.kmax,
-            "workers": self.workers,
             "endpoints": sorted(f"{m} {p}" for m, p in self._routes),
         }
 
@@ -557,7 +467,6 @@ class ServingApp:
             "epoch": self._epoch,
             "inflight": len(self._inflight),
             "max_queue_depth": self.max_queue_depth,
-            "workers": self.workers,
             "draining": self._draining,
         }
         stats["epoch"] = self._epoch
@@ -756,9 +665,9 @@ class ServingApp:
             )
         def _validated() -> np.ndarray:
             # Full validation *before* any teardown: a bad body must 400
-            # without costing the worker pool, the in-flight solves, or
-            # the epoch.  with_weights builds a validated throwaway twin
-            # (finite, non-negative, right shape) and mutates nothing.
+            # without costing the in-flight solves or the epoch.
+            # with_weights builds a validated throwaway twin (finite,
+            # non-negative, right shape) and mutates nothing.
             array = np.asarray(weights, dtype=np.float64)
             self.service.graph.with_weights(array)
             return array
@@ -793,19 +702,15 @@ class ServingApp:
     async def _apply_weights_locked(self, candidate: np.ndarray) -> None:
         """The mutation half of a weight update; caller holds _update_lock.
 
-        Gates new solves (and lazy pool creation) for the duration,
-        admits no cache writes from the old weighting, and retires the
-        old worker pool: solves already in flight drain against the old
+        Gates new solves for the duration and admits no cache writes from
+        the old weighting: solves already in flight drain against the old
         weights and answer their waiters, but their pre-bump epoch keeps
-        them out of the invalidated cache.  The next solve rebuilds the
-        pool from the updated substrate (peel-free — it carries the
-        topology-derived decompositions unchanged).
+        them out of the invalidated cache.
         """
         self._ready.clear()
         try:
             self._epoch += 1
             self._inflight.clear()
-            await self._retire_process_pool()
             await self._run_off_loop(
                 self.service._reweight_shared_state, candidate
             )
@@ -852,7 +757,7 @@ class ServingApp:
             # Full validation against the *current* graph before any
             # teardown (the lock serializes updates, so the graph cannot
             # shift underneath): a malformed batch must 400 without
-            # costing the epoch, the worker pool, or a single cache entry.
+            # costing the epoch or a single cache entry.
             try:
                 inserts, deletes = GraphDelta.validate(
                     self.service.graph,
@@ -874,14 +779,12 @@ class ServingApp:
 
         Same discipline as a weight update: bump the epoch so in-flight
         solves (admitted against the old topology) answer their waiters
-        but never repopulate the cache, and retire the worker pool — its
-        substrate embeds the old CSR arrays and decompositions.
+        but never repopulate the cache.
         """
         self._ready.clear()
         try:
             self._epoch += 1
             self._inflight.clear()
-            await self._retire_process_pool()
             report = await self._run_off_loop(
                 self.service._apply_edges_shared_state, inserts, deletes
             )
@@ -1236,7 +1139,6 @@ def serve(
     service: QueryService,
     host: str = "127.0.0.1",
     port: int = 8080,
-    workers: int = 0,
     max_body_bytes: int = MAX_BODY_BYTES,
     on_ready: "Callable[[asyncio.AbstractServer], None] | None" = None,
 ) -> None:
@@ -1247,7 +1149,7 @@ def serve(
     :func:`repro.serving.store.load_service`).  A failed bind raises
     ``OSError`` before ``on_ready`` runs.
     """
-    app = ServingApp(service, workers=workers, max_body_bytes=max_body_bytes)
+    app = ServingApp(service, max_body_bytes=max_body_bytes)
     try:
         asyncio.run(app.run(host=host, port=port, on_ready=on_ready))
     except KeyboardInterrupt:

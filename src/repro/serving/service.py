@@ -257,9 +257,10 @@ class QueryService:
     ) -> None:
         """Record an externally computed answer under ``query``'s key.
 
-        The result must be what a cold solve of ``query`` would return
-        (e.g. computed by a process-pool worker from the same snapshot) —
-        the cache trusts it exactly as it trusts its own solves.
+        The result must be what a cold solve of ``query`` would return —
+        the cache trusts it exactly as it trusts its own solves.  The HTTP
+        front end stores what its solver thread computed through the
+        cache-free :meth:`_solve`, keeping the cache loop-owned.
         """
         query = InfluentialQuery.create(query)
         self._results.put(query.cache_key(), result)
@@ -658,11 +659,9 @@ class QueryService:
             # spawn pickles them once per worker).
             "core_numbers": self._pool.core_numbers,
             # Never a *stale* truss cache, but never a recomputation
-            # either: the HTTP front end builds this payload on the event
-            # loop thread (ProcessPoolExecutor initargs), where a truss
-            # peel would stall every connection.  While a post-update
-            # refresh is pending, workers simply start without the cache
-            # and lazily recompute if they actually serve truss traffic.
+            # either: building the payload must stay cheap.  While a
+            # post-update refresh is pending, workers simply start without
+            # the cache and lazily recompute if they serve truss traffic.
             "truss_numbers": (
                 self._truss_numbers if self._truss_pending is None else None
             ),
@@ -731,18 +730,12 @@ def _worker_init(payload: dict) -> None:
     )
 
 
-def _worker_solve(shard: list[InfluentialQuery]) -> list[ResultSet]:
-    """Answer one shard through the worker-local service."""
-    assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return [_WORKER_SERVICE.submit(query) for query in shard]
-
-
 def _worker_solve_counted(
     shard: list[InfluentialQuery],
 ) -> tuple[list[ResultSet], int]:
-    """Like :func:`_worker_solve`, also reporting how many solver calls
-    actually ran (a worker may answer from its local cache — the HTTP
-    front end's stats must not count those as solves)."""
+    """Answer one shard through the worker-local service, also reporting
+    how many solver calls actually ran (a worker may answer from its
+    local cache — the parent's ``solver_calls`` must not count those)."""
     assert _WORKER_SERVICE is not None, "worker initializer did not run"
     before = _WORKER_SERVICE.solver_calls
     results = [_WORKER_SERVICE.submit(query) for query in shard]

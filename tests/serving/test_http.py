@@ -508,30 +508,8 @@ def test_stats_and_index_endpoints(served, figure1):
 
 
 # ----------------------------------------------------------------------
-# Process-pool workers + snapshot-backed serving
+# Snapshot-backed serving
 # ----------------------------------------------------------------------
-def test_worker_process_mode_matches_cold(figure1):
-    service = QueryService(figure1)
-    app = ServingApp(service, workers=2)
-    with run_server_in_thread(app) as base_url:
-        for raw in QUERIES[:4]:
-            status, payload = post(base_url, "/v1/query", raw)
-            assert status == 200, payload
-            query = as_query(raw)
-            cold = top_r_communities(figure1, **query.solver_kwargs())
-            assert payload == result_payload_v1(query, cold)
-        # Weight updates restart the workers from the new payload.
-        new_weights = [float(i + 1) for i in range(figure1.n)]
-        status, __ = post(base_url, "/v1/update-weights", {"weights": new_weights})
-        assert status == 200
-        status, answer = post(base_url, "/v1/query", {"k": 2, "r": 1, "f": "sum"})
-        assert status == 200
-        cold = top_r_communities(
-            figure1.with_weights(new_weights), k=2, r=1, f="sum"
-        )
-        assert answer["values"] == cold.values()
-
-
 def test_serving_from_snapshot_over_http(figure1, tmp_path):
     from repro.serving.store import load_service, save_snapshot
 
@@ -542,13 +520,6 @@ def test_serving_from_snapshot_over_http(figure1, tmp_path):
         assert status == 200
         cold = top_r_communities(figure1, k=2, r=2, f="sum")
         assert payload["values"] == cold.values()
-
-
-def test_negative_workers_rejected(figure1):
-    from repro.errors import SpecError
-
-    with pytest.raises(SpecError):
-        ServingApp(QueryService(figure1), workers=-1)
 
 
 # ----------------------------------------------------------------------

@@ -176,6 +176,13 @@ def test_v1_healthz_and_stats_carry_api_version(served):
         assert payload["api_version"] == API_VERSION
 
 
+def test_stats_http_section_has_no_workers_key(served):
+    __, ___, ____, base_url = served
+    status, __h, stats = get(base_url, "/v1/stats")
+    assert status == 200
+    assert "workers" not in stats["http"]  # one solver thread, no pool knob
+
+
 # ----------------------------------------------------------------------
 # Error envelope + removed routes
 # ----------------------------------------------------------------------
@@ -235,7 +242,7 @@ def test_banner_lists_v1_routes_only(served):
     status, __h, payload = get(base_url, "/")
     assert status == 200
     assert payload["api_version"] == API_VERSION
-    assert "deprecated" not in payload
+    assert "deprecated" not in payload and "workers" not in payload
     assert all(
         endpoint.split()[1] == "/" or "/v1/" in endpoint
         for endpoint in payload["endpoints"]
