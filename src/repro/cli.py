@@ -34,9 +34,8 @@ JSON array of query objects whose fields mirror
 decompositions so ``serve --snapshot`` restarts come up without
 re-peeling anything.  ``update-edges`` applies edge insertions/deletions
 either to a running server (``--url``, via ``POST /v1/update-edges``) or
-offline to a snapshot
-directory (``--snapshot``, rewriting it through the same incremental
-:class:`~repro.graphs.delta.GraphDelta` path).
+offline to a snapshot directory (``--snapshot``, rewriting it through the
+same incremental :class:`~repro.graphs.delta.GraphDelta` path).
 
 ``index build`` precomputes the :class:`repro.index.InfluentialIndex`
 for a snapshot — every (k, aggregator) community family down to

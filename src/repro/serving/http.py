@@ -129,6 +129,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    409: "Conflict",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -398,7 +399,9 @@ class ServingApp:
         await self._ready.wait()
         epoch = self._epoch
         started = time.perf_counter()
-        result = await self._compute(query)
+        # The solver thread runs the cache-free half of submit(): the
+        # result cache stays loop-owned, the engine pool solver-owned.
+        result = await self._run_off_loop(self.service._solve, query)
         elapsed = time.perf_counter() - started
         # EWMA with a healthy share of the newest observation: the queue
         # bound's Retry-After must track regime changes (a burst of slow
@@ -407,11 +410,6 @@ class ServingApp:
         if self._epoch == epoch:
             self.service.store(query, result)
         return result
-
-    async def _compute(self, query: InfluentialQuery) -> ResultSet:
-        # The solver thread runs the cache-free half of submit(): the
-        # result cache stays loop-owned, the engine pool solver-owned.
-        return await self._run_off_loop(self.service._solve, query)
 
     # ------------------------------------------------------------------
     # Endpoint handlers (body → JSON-ready dict, or _HTTPError)

@@ -3,9 +3,10 @@
 Before this module, every helper process (``submit_many`` pool workers,
 for one) received a pickled payload of the CSR arrays, weights, labels,
 decompositions, and index arrays, then rebuilt a private eager set
-adjacency on top: one full copy of everything per process.  A :class:`SharedSubstrate` replaces the payload with a
-*descriptor* (a small JSON-able dict) naming where the real bytes live,
-in one of two places:
+adjacency on top: one full copy of everything per process.  A
+:class:`SharedSubstrate` replaces the payload with a *descriptor* (a
+small JSON-able dict) naming where the real bytes live, in one of two
+places:
 
 * ``kind="shm"`` — POSIX shared-memory segments
   (:mod:`multiprocessing.shared_memory`).  The owner copies each array

@@ -246,6 +246,30 @@ def test_publish_conflict_keeps_interleaved_foreign_record(figure1, tmp_path):
     app.shutdown_executors()
 
 
+def test_replication_conflict_status_line_reads_409_conflict(figure1, tmp_path):
+    from repro.serving.http import run_server_in_thread
+
+    app = ServingApp(QueryService(figure1))
+    attach_replication(app, tmp_path / "repl.log")
+    # Edge (0, 1) already exists in figure1: the logged record fails to
+    # replay on every replica, and the publishing member answers 409.
+    body = json.dumps({"insert": [[0, 1]]}).encode()
+    request = (
+        b"POST /v1/update-edges HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body)
+    ) + body
+    with run_server_in_thread(app) as base_url:
+        host, port = base_url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+    status_line, __, rest = reply.partition(b"\r\n")
+    assert status_line == b"HTTP/1.1 409 Conflict"
+    assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"]["code"] == "conflict"
+
+
 def test_fleet_requires_log_and_members():
     from repro.serving.fleet import FleetError
 

@@ -201,6 +201,13 @@ def test_error_envelope_codes(served):
     assert status == 405 and payload["error"]["code"] == "method_not_allowed"
 
 
+def test_every_error_status_has_a_reason_phrase():
+    from repro.serving.http import _REASONS, _STATUS_CODES
+
+    # A status missing here goes out as "HTTP/1.1 <status> Unknown".
+    assert set(_STATUS_CODES) <= set(_REASONS)
+
+
 def test_constrained_query_on_unlabeled_graph_is_spec_error():
     from repro.graphs.builder import graph_from_edges
 
