@@ -9,7 +9,8 @@ these checkers re-derive every claimed property from the graph:
 * maximality — no *one-vertex extension* keeps the value (a sound,
   polynomial necessary condition for Def. 3.3; the exponential full check
   lives in the brute-force oracle);
-* size and disjointness for Definitions 4-5.
+* size and disjointness for Definitions 4-5;
+* distinctness — a result set never lists one vertex set twice.
 
 ``certify_*`` raise :class:`CertificationError` with a precise message;
 ``check_*`` return booleans for use in property tests.
@@ -118,8 +119,8 @@ def certify_result_set(
     non_overlapping: bool = False,
     require_maximal: bool = False,
 ) -> None:
-    """Certify every community plus ranking order and (optionally)
-    pairwise disjointness (Definition 5)."""
+    """Certify every community, the ranking order, (optionally) pairwise
+    disjointness (Definition 5), and that no vertex set repeats."""
     previous = math.inf
     for community in results:
         certify_community(graph, community, k=k, s=s, require_maximal=require_maximal)
@@ -128,3 +129,6 @@ def certify_result_set(
         previous = community.value
     if non_overlapping and not results.is_pairwise_disjoint():
         raise CertificationError("result set violates the non-overlapping constraint")
+    distinct = {community.vertices for community in results}
+    if len(distinct) < len(results):
+        raise CertificationError("result set lists the same community twice")

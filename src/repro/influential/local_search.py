@@ -13,6 +13,10 @@ The heuristic for the NP-hard size-constrained problems (and, with
    communities and merges them into the running top-r (Line 7);
 5. return the top-r sorted by value (Lines 8-9).
 
+Different seeds often build the same prefix, so the running top-r is
+offered each vertex set at most once (see :class:`DistinctTopR`): a
+result never lists one community twice, and may hold fewer than r.
+
 The non-overlapping variant (for Problem 2 / TONIC) removes each accepted
 community from the graph before continuing, exactly as the paper's
 "Non-overlapping" paragraph prescribes; seeds are then visited heaviest
@@ -81,6 +85,30 @@ def s_nearest_neighbors(
     return order
 
 
+class DistinctTopR(TopR[Community]):
+    """The running top-r of Algorithm 4: each vertex set is offered once.
+
+    :class:`TopR` keeps whatever it is given, and two seeds whose
+    neighbourhoods share a prefix offer the same community.  Dropping a
+    repeat is exact: its first offer was either admitted or rejected at
+    a threshold that can only have risen since, so a second offer could
+    only duplicate an answer, never change which sets are kept.
+    """
+
+    __slots__ = ("_offered",)
+
+    def __init__(self, r: int) -> None:
+        super().__init__(r, key=lambda c: c.value)
+        self._offered: set[frozenset[int]] = set()
+
+    def offer(self, item: Community) -> bool:
+        """Submit ``item`` unless its vertex set was offered before."""
+        if item.vertices in self._offered:
+            return False
+        self._offered.add(item.vertices)
+        return super().offer(item)
+
+
 def _ordered_seeds(
     graph: Graph, alive: set[int], seed_order: str, rng_seed: int | None
 ) -> list[int]:
@@ -137,7 +165,7 @@ def local_search(
         )
 
     alive_mask = membership_mask(graph.n, alive)
-    top: TopR[Community] = TopR(r, key=lambda c: c.value)
+    top = DistinctTopR(r)
     for seed in seeds:  # Lines 2-7
         if seed not in alive:  # Line 3: "if vi is not removed"
             continue

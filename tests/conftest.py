@@ -43,6 +43,13 @@ def two_triangles():
 
 
 @pytest.fixture
+def five_clique():
+    """K5 with weights 5, 4, 3, 2, 1 on vertices 0..4."""
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    return graph_from_edges(edges, weights=[5.0, 4.0, 3.0, 2.0, 1.0])
+
+
+@pytest.fixture
 def path_graph():
     """A 5-vertex path (max core number 1)."""
     return graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4)], weights=[1.0] * 5)

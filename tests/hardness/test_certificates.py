@@ -91,3 +91,11 @@ def test_certify_result_set_happy_path(two_triangles):
         ]
     )
     certify_result_set(two_triangles, results, k=2, non_overlapping=True)
+
+
+def test_certify_result_set_rejects_duplicates(five_clique):
+    # The same community listed three times is each time valid on its own.
+    whole = Community(frozenset(range(5)), 15.0, "sum", 2)
+    with pytest.raises(CertificationError, match="twice"):
+        certify_result_set(five_clique, ResultSet([whole] * 3), k=2, s=5)
+    certify_result_set(five_clique, ResultSet([whole]), k=2, s=5)
