@@ -11,37 +11,50 @@ oracle that tests and benches compare against:
   Algorithms 1 and 2, with :func:`seed_candidates` and
   :func:`expansion_context` as drop-in set twins of the factories in
   :mod:`repro.influential.expansion`;
-* :func:`set_engine` — run the solvers on that engine for one block.
+* :class:`SumStrategy` / :class:`AvgStrategy` (picked by
+  :func:`strategy_for`) — Algorithm 4's candidate strategies, which
+  re-test every prefix with :func:`_is_candidate` (a fresh set and a
+  rescan of each member's adjacency) and evaluate ``f`` through
+  :class:`~repro.utils.stats.IncrementalStats`;
+* :func:`set_engine` — run the solvers on these engines for one block.
 
 No production module imports this one (a test enforces it).
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.aggregators.base import Aggregator
-from repro.core.kcore import kcore_worklist
-from repro.graphs.components import components_bfs
+from repro.core.kcore import is_kcore_subset, kcore_worklist
+from repro.graphs.components import components_bfs, is_connected_subset
 from repro.graphs.graph import Graph
+from repro.influential.community import Community, community_from_vertices
 from repro.influential.expansion import (
     ChildCandidate,
     members_frozenset,
     removal_loss,
     sum_alpha_of,
 )
+from repro.utils.stats import IncrementalStats
+from repro.utils.topr import TopR
 from repro.utils.zobrist import ZobristHasher
 
 __all__ = [
+    "AvgStrategy",
     "ExpansionContext",
+    "Strategy",
+    "SumStrategy",
     "core_decomposition",
     "edge_supports",
     "expansion_context",
     "seed_candidates",
     "set_engine",
+    "strategy_for",
 ]
 
 
@@ -397,27 +410,148 @@ def expansion_context(
     )
 
 
+def _is_candidate(graph: Graph, vertices: Sequence[int], k: int) -> bool:
+    """The strategies' "C is k-core" test.
+
+    Cohesiveness (min induced degree >= k) plus connectivity — Definition 3
+    requires both, and a greedy weight-sorted prefix can be disconnected
+    even when its BFS origin was connected.
+    """
+    subset = set(vertices)
+    return is_kcore_subset(graph, subset, k) and is_connected_subset(graph, subset)
+
+
+class Strategy(ABC):
+    """Turns an ordered seed neighbourhood into candidate communities."""
+
+    def __init__(self, graph: Graph, k: int, s: int, aggregator: Aggregator) -> None:
+        self.graph = graph
+        self.k = k
+        self.s = s
+        self.aggregator = aggregator
+        self._graph_total = (
+            graph.total_weight if aggregator.needs_graph_total else None
+        )
+
+    def _value(self, stats: IncrementalStats) -> float:
+        return self.aggregator.from_stats(stats.snapshot(), self._graph_total)
+
+    def _make(self, vertices: Sequence[int]) -> Community:
+        return community_from_vertices(self.graph, vertices, self.aggregator, self.k)
+
+    @abstractmethod
+    def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
+        """Derive candidates from ``ordered`` and offer them to ``top``."""
+
+
+class SumStrategy(Strategy):
+    """Procedure SumStrategy: block of s, shrink from the tail.
+
+    For size-proportional aggregators the largest feasible prefix has the
+    largest value, so the search starts from the full block and drops the
+    last (in greedy mode: lightest) vertices until the k-core test passes
+    or the value no longer beats the threshold.
+    """
+
+    def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
+        block = list(ordered[: self.s])  # Lines 3-5: first s vertices
+        stats = IncrementalStats()
+        weights = self.graph.weights
+        for v in block:
+            stats.add(float(weights[v]))
+        # Lines 6-12: shrink from the tail while worthwhile.
+        while len(block) > self.k and self._value(stats) > top.threshold():
+            if _is_candidate(self.graph, block, self.k):
+                top.offer(self._make(block))
+                break
+            removed = block.pop()  # C.last
+            stats.remove(float(weights[removed]))
+
+
+class AvgStrategy(Strategy):
+    """Procedure AvgStrategy: grow the prefix, test each step.
+
+    ``greedy`` mirrors the paper's flag: with a descending-weight order the
+    first qualifying prefix cannot be improved by adding lighter vertices,
+    so greedy mode stops there (Lines 6-8); random mode collects every
+    qualifying prefix and keeps the best (Lines 9-13).
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        k: int,
+        s: int,
+        aggregator: Aggregator,
+        greedy: bool,
+    ) -> None:
+        super().__init__(graph, k, s, aggregator)
+        self.greedy = greedy
+
+    def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
+        prefix: list[int] = []
+        stats = IncrementalStats()
+        weights = self.graph.weights
+        best: tuple[float, list[int]] | None = None
+        for v in ordered[: self.s]:  # Lines 3-10
+            prefix.append(v)
+            stats.add(float(weights[v]))
+            if len(prefix) <= self.k:
+                continue
+            value = self._value(stats)
+            if value > top.threshold() and _is_candidate(self.graph, prefix, self.k):
+                if self.greedy:
+                    top.offer(self._make(prefix))  # Lines 6-8
+                    return
+                if best is None or value > best[0]:  # Line 10 collects; 12 argmax
+                    best = (value, list(prefix))
+        if best is not None:
+            top.offer(self._make(best[1]))  # Line 13
+
+
+def strategy_for(
+    graph: Graph,
+    k: int,
+    s: int,
+    aggregator: Aggregator,
+    greedy: bool,
+) -> Strategy:
+    """Pick the paper's strategy for ``aggregator``.
+
+    Size-proportional aggregators get SumStrategy; everything else the
+    grow-and-test AvgStrategy (Remark 1's generic fallback).
+    """
+    if aggregator.is_size_proportional:
+        return SumStrategy(graph, k, s, aggregator)
+    return AvgStrategy(graph, k, s, aggregator, greedy)
+
+
 @contextmanager
 def set_engine() -> Iterator[None]:
-    """Run Algorithms 1 and 2 on the set engine for the ``with`` block.
+    """Run Algorithms 1, 2 and 4 on the reference engines for the block.
 
     Rebinds the engine factories that :mod:`repro.influential.improved`
     and :mod:`repro.influential.naive_sum` call — ``seed_candidates`` and
     ``expansion_context`` — to the set twins above, so a solver call
-    seeds and expands exactly as the original set engine did.  The
-    rebinding is module-global: single-threaded use only, in tests and
-    benches, never in production code.
+    seeds and expands exactly as the original set engine did; and the
+    ``strategy_for`` that :mod:`repro.influential.local_search` calls to
+    the one above, so Algorithm 4 tests its prefixes as it originally
+    did.  The rebinding is module-global: single-threaded use only, in
+    tests and benches, never in production code.
     """
-    from repro.influential import improved, naive_sum
+    from repro.influential import improved, local_search, naive_sum
 
     modules = (improved, naive_sum)
     saved = [(m.seed_candidates, m.expansion_context) for m in modules]
+    saved_strategy_for = local_search.strategy_for
     for module in modules:
         module.seed_candidates = seed_candidates
         module.expansion_context = expansion_context
+    local_search.strategy_for = strategy_for
     try:
         yield
     finally:
         for module, (seeds, context) in zip(modules, saved):
             module.seed_candidates = seeds
             module.expansion_context = context
+        local_search.strategy_for = saved_strategy_for

@@ -70,3 +70,34 @@ def test_no_public_callable_takes_a_backend_parameter():
         if "backend" in parameters:
             offenders.append(qualname)
     assert offenders == []
+
+
+def test_reference_exports_resolve():
+    from repro import reference
+
+    assert all(hasattr(reference, name) for name in reference.__all__)
+
+
+def test_set_engine_swaps_every_engine_factory_and_restores_it():
+    from repro import reference
+    from repro.influential import improved, local_search, naive_sum
+
+    def factories():
+        return (
+            improved.seed_candidates,
+            improved.expansion_context,
+            naive_sum.seed_candidates,
+            naive_sum.expansion_context,
+            local_search.strategy_for,
+        )
+
+    production = factories()
+    with reference.set_engine():
+        assert factories() == (
+            reference.seed_candidates,
+            reference.expansion_context,
+            reference.seed_candidates,
+            reference.expansion_context,
+            reference.strategy_for,
+        )
+    assert factories() == production
