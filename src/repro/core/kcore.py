@@ -19,7 +19,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.decomposition import core_decomposition
 from repro.errors import SpecError
 from repro.graphs.components import connected_components_of
 from repro.graphs.csr import membership_mask
@@ -34,13 +33,13 @@ def _check_k(k: int) -> None:
 def maximal_kcore(graph: Graph, k: int) -> set[int]:
     """Vertex set of the maximal k-core of the whole graph.
 
-    Uses the core decomposition (O(n + m)) and thresholds at k, which both
-    computes the answer and caches nothing — callers doing many k values
-    should threshold :func:`core_decomposition` themselves.
+    One cascade peel of the whole vertex set at this k, O(n + m) —
+    callers doing many k values should threshold
+    :func:`~repro.core.decomposition.core_decomposition` themselves.
     """
     _check_k(k)
-    cores = core_decomposition(graph)
-    return set(np.flatnonzero(cores >= k).tolist())
+    mask, __ = graph.csr.peel_to_kcore(np.ones(graph.n, dtype=bool), k)
+    return set(np.flatnonzero(mask).tolist())
 
 
 def kcore_of_subset(graph: Graph, vertices: Iterable[int], k: int) -> set[int]:

@@ -23,14 +23,19 @@ community from the graph before continuing, exactly as the paper's
 first so high-value regions are claimed before their vertices can be
 absorbed by weaker neighbours.
 
-Complexity: O(n * k * s^2) per the paper (plus O(s log s) sorting per seed
-in greedy mode); Remark 2's caveat — local search works when the result
-community's diameter is small — carries over unchanged.
+Complexity: the paper states O(n * k * s^2).  Here each seed costs a BFS
+over the alive neighbour lists of the vertices it pops — read off the CSR
+once per query on the TIC path, where the k-core never shrinks — an
+O(s log s) sort in greedy mode, and the strategy's prefix sweep, which
+is O(s) values plus set intersections only for the prefixes it actually
+tests (see :mod:`repro.influential.strategies`).  Remark 2's caveat —
+local search works when the result community's diameter is small —
+carries over unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from typing import Callable
 
 import numpy as np
 
@@ -62,27 +67,46 @@ def s_nearest_neighbors(
     *absence of weight sorting*, not nondeterminism.
 
     ``within_mask`` is the boolean array equivalent of ``within`` (built
-    here when not supplied; :func:`local_search` keeps one per query): the
-    per-vertex restriction is one vectorised filter of the already-sorted
-    CSR neighbour run.
+    here when not supplied): the per-vertex restriction is one vectorised
+    filter of the already-sorted CSR neighbour run.
     """
     if within_mask is None:
         within_mask = membership_mask(graph.n, within)
+    return _bfs_order(seed, s, _masked_neighbours(graph, within_mask))
+
+
+def _masked_neighbours(graph: Graph, mask: np.ndarray) -> Callable[[int], list[int]]:
+    """``u -> its neighbours inside mask``, ascending, read off the CSR."""
     csr = graph.csr
+
+    def neighbours(u: int) -> list[int]:
+        neigh = csr.neighbors(u)
+        return neigh[mask[neigh]].tolist()
+
+    return neighbours
+
+
+def _bfs_order(seed: int, s: int, neighbours: Callable[[int], list[int]]) -> list[int]:
     order = [seed]
     seen = {seed}
-    queue = deque([seed])
-    while queue and len(order) < s:
-        u = queue.popleft()
-        neigh = csr.neighbors(u)
-        for v in neigh[within_mask[neigh]].tolist():
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-                if len(order) >= s:
-                    break
+    head = 0  # order doubles as the BFS queue
+    while head < len(order) < s:
+        fresh = [v for v in neighbours(order[head]) if v not in seen]
+        head += 1
+        if fresh:
+            fresh = fresh[: s - len(order)]
+            order += fresh
+            seen.update(fresh)
     return order
+
+
+def _weight_ranks(graph: Graph) -> list[int]:
+    """Each vertex's place in the (-weight, id) order: sorting by it is the
+    greedy mode's descending-weight sort with ties broken by id."""
+    ids = np.arange(graph.n)
+    ranks = np.empty(graph.n, dtype=np.int64)
+    ranks[np.lexsort((ids, -graph.weights))] = ids
+    return ranks.tolist()
 
 
 class DistinctTopR(TopR[Community]):
@@ -110,12 +134,14 @@ class DistinctTopR(TopR[Community]):
 
 
 def _ordered_seeds(
-    graph: Graph, alive: set[int], seed_order: str, rng_seed: int | None
+    alive: set[int],
+    seed_order: str,
+    rng_seed: int | None,
+    ranks: list[int] | None,
 ) -> list[int]:
     seeds = sorted(alive)
     if seed_order == "weight":
-        weights = graph.weights
-        seeds.sort(key=lambda v: (-weights[v], v))
+        seeds.sort(key=ranks.__getitem__)
     elif seed_order == "shuffled":
         rng = make_rng(rng_seed)
         permutation = rng.permutation(len(seeds))
@@ -155,27 +181,36 @@ def local_search(
         seed_order = "weight" if non_overlapping else "id"
 
     alive = maximal_kcore(graph, k)  # Line 1
-    seeds = _ordered_seeds(graph, alive, seed_order, rng_seed)
+    ranks = _weight_ranks(graph) if greedy or seed_order == "weight" else None
+    seeds = _ordered_seeds(alive, seed_order, rng_seed, ranks)
     strategy = strategy_for(graph, k, s, aggregator, greedy)
-    weights = graph.weights
+    sort_key = ranks.__getitem__ if greedy else None
 
     if non_overlapping:
         return _tonic_local_search(
-            graph, k, r, s, alive, seeds, strategy, greedy
+            graph, k, r, s, alive, seeds, strategy, sort_key
         )
 
-    alive_mask = membership_mask(graph.n, alive)
+    # The k-core never shrinks here, so each vertex's alive neighbours are
+    # read off the CSR once per query and reused by every later BFS.
+    masked = _masked_neighbours(graph, membership_mask(graph.n, alive))
+    cache: dict[int, list[int]] = {}
+
+    def neighbours(u: int) -> list[int]:
+        found = cache.get(u)
+        if found is None:
+            found = cache[u] = masked(u)
+        return found
+
     top = DistinctTopR(r)
     for seed in seeds:  # Lines 2-7
         if seed not in alive:  # Line 3: "if vi is not removed"
             continue
-        neighbourhood = s_nearest_neighbors(
-            graph, seed, s, alive, alive_mask
-        )  # Line 4
+        neighbourhood = _bfs_order(seed, s, neighbours)  # Line 4
         if len(neighbourhood) <= k:
             continue
-        if greedy:  # Lines 5-6
-            neighbourhood.sort(key=lambda v: (-weights[v], v))
+        if sort_key is not None:  # Lines 5-6
+            neighbourhood.sort(key=sort_key)
         strategy.offer_candidates(neighbourhood, top)  # Line 7
     return ResultSet(top.ranked())  # Lines 8-9
 
@@ -188,7 +223,7 @@ def _tonic_local_search(
     alive: set[int],
     seeds: list[int],
     strategy,
-    greedy: bool,
+    sort_key: Callable[[int], int] | None,
 ) -> ResultSet:
     """Non-overlapping variant: accept-and-remove, then keep the best r.
 
@@ -200,7 +235,6 @@ def _tonic_local_search(
     """
     from repro.core.kcore import kcore_of_subset
 
-    weights = graph.weights
     accepted: list[Community] = []
     alive_mask = membership_mask(graph.n, alive)
     for seed in seeds:
@@ -211,8 +245,8 @@ def _tonic_local_search(
         neighbourhood = s_nearest_neighbors(graph, seed, s, alive, alive_mask)
         if len(neighbourhood) <= k:
             continue
-        if greedy:
-            neighbourhood.sort(key=lambda v: (-weights[v], v))
+        if sort_key is not None:
+            neighbourhood.sort(key=sort_key)
         slot: TopR[Community] = TopR(1, key=lambda c: c.value)
         strategy.offer_candidates(neighbourhood, slot)
         if len(slot):

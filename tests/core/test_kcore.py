@@ -1,8 +1,11 @@
 """Unit tests for maximal k-core / subset k-core operations."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro import reference
+from repro.core.decomposition import core_decomposition
 from repro.core.kcore import (
     connected_kcore_components,
     is_kcore_subset,
@@ -10,7 +13,15 @@ from repro.core.kcore import (
     maximal_kcore,
 )
 from repro.errors import SpecError
+from repro.graphs.generators.examples import tiny_kcore_graph
+from repro.serving.oracle import small_oracle_graphs
 from tests.conftest import random_weighted_graph
+
+GOLDEN = dict(
+    small_oracle_graphs(),
+    tiny=tiny_kcore_graph(),
+    random=random_weighted_graph(60, 0.15, seed=3),
+)
 
 
 def test_maximal_kcore_tiny(tiny):
@@ -18,6 +29,17 @@ def test_maximal_kcore_tiny(tiny):
     assert maximal_kcore(tiny, 2) == {0, 1, 2, 3, 4}
     assert maximal_kcore(tiny, 1) == set(range(7))
     assert maximal_kcore(tiny, 4) == set()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_single_k_peel_matches_decomposition_threshold(name):
+    """The one-k peel equals thresholding the full core decomposition —
+    production's and the reference's — at every k up to kmax + 1."""
+    graph = GOLDEN[name]
+    cores = core_decomposition(graph)
+    assert np.array_equal(cores, reference.core_decomposition(graph))
+    for k in range(int(cores.max()) + 2):
+        assert maximal_kcore(graph, k) == set(np.flatnonzero(cores >= k).tolist())
 
 
 def test_matches_networkx_k_core():

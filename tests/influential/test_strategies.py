@@ -1,4 +1,8 @@
-"""Unit tests for the Sum/Avg local-search strategies."""
+"""Unit tests for the Sum/Avg local-search strategies.
+
+The candidate checks use :func:`repro.reference._is_candidate`, the
+set-based "C is k-core" test the strategies' prefix sweep replaces.
+"""
 
 import pytest
 
@@ -6,12 +10,8 @@ from repro.aggregators.average import Average
 from repro.aggregators.density import BalancedDensity
 from repro.aggregators.summation import Sum
 from repro.influential.community import Community
-from repro.influential.strategies import (
-    AvgStrategy,
-    SumStrategy,
-    _is_candidate,
-    strategy_for,
-)
+from repro.influential.strategies import AvgStrategy, SumStrategy, strategy_for
+from repro.reference import _is_candidate
 from repro.utils.topr import TopR
 
 
