@@ -150,9 +150,11 @@ class GridCell:
 #: check rides on it); ``full`` is the nightly sweep.
 #: The aggregator axis pairs ``sum`` (the headline expansion solvers +
 #: index) with ``min`` (the minmax solver family); ``avg`` is excluded
-#: from timed grids on purpose — its local-search solver runs minutes per
-#: cell even on tiny graphs, which belongs in the paper-figure harness
-#: (``repro bench --exp fig7``), not a gating sweep.
+#: from timed grids on purpose — unconstrained, its local-search solver
+#: BFSes the whole k-core from every seed, so one cold ``ci`` cell
+#: (g1000x8000, k=4 or 8, r=5) takes 8-11 s where ``sum`` takes
+#: milliseconds (single runs on one core).  It belongs in the
+#: paper-figure harness (``repro bench --exp fig7``), not a gating sweep.
 GRIDS: dict[str, GridSpec] = {
     "smoke": GridSpec(
         name="smoke",
