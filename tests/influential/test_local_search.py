@@ -109,17 +109,13 @@ def test_unconstrained_via_full_size(figure1):
 def test_results_are_distinct_on_a_clique(five_clique):
     # Every seed's neighbourhood is the whole clique, so every seed builds
     # the same prefixes; each community must still be listed once.
-    result = local_search(five_clique, k=2, r=3, s=5, f="sum")
-    assert [c.members() for c in result] == [[0, 1, 2, 3, 4]]
-    result = local_search(five_clique, k=2, r=3, s=5, f="avg")
-    assert [c.members() for c in result] == [[0, 1, 2]]
-    certify_result_set(five_clique, result, k=2, s=5)
-
-
-def test_top_r_communities_never_repeats_a_community(five_clique):
     from repro.influential.api import top_r_communities
 
-    for kwargs in ({"f": "sum", "s": 5}, {"f": "avg"}, {"f": "avg", "s": 5}):
+    for kwargs, members in (
+        ({"f": "sum", "s": 5}, [0, 1, 2, 3, 4]),
+        ({"f": "avg", "s": 5}, [0, 1, 2]),
+        ({"f": "avg"}, [0, 1, 2]),  # unconstrained: local search with s = |V|
+    ):
         result = top_r_communities(five_clique, k=2, r=3, **kwargs)
-        assert len(result) == 1
+        assert [c.members() for c in result] == [members]
         certify_result_set(five_clique, result, k=2, s=kwargs.get("s"))
