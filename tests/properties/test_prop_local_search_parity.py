@@ -7,9 +7,10 @@ which rebuild a set and rescan adjacency for every prefix and evaluate
 ``f`` through ``IncrementalStats``.  On random graphs and random orders —
 weight ties, disconnected prefixes and vertices below k included — both
 must offer the same candidates with bit-identical values, and whole
-local-search runs must return identical result sets.  The driver's
-per-query precomputation — the weight-rank sort key and the alive
-neighbour lists behind the BFS — is pinned to the plain forms it replaced.
+local-search runs must return identical result sets.  The per-query
+precomputation in :func:`local_search` — the weight-rank sort key and the
+alive neighbour lists behind the BFS — is pinned to the plain forms it
+replaced.
 """
 
 from hypothesis import given, settings
@@ -158,7 +159,7 @@ def _plain_bfs(graph, seed, s, alive):
 
 @given(weighted_graphs(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_driver_precomputation_matches_plain_forms(graph, data):
+def test_per_query_precomputation_matches_plain_forms(graph, data):
     alive = set(data.draw(st.lists(st.integers(0, graph.n - 1), min_size=1)))
     ranks = _weight_ranks(graph)
     weights = graph.weights
