@@ -1,7 +1,7 @@
 """Index lifecycle through the serving stack.
 
 Covers what the golden suite doesn't: the :class:`QueryService`
-integration (counters, cache interplay, worker payloads), snapshot
+integration (counters, cache interplay), snapshot
 persistence, and incremental maintenance — edge updates retaining
 every level above the locality bound, weight updates going through the
 lazy value-only refresh, ``replace_graph`` resetting everything.
@@ -77,7 +77,7 @@ def test_stats_exposes_the_index_section(weighted_random):
     assert section["depth"] == 2
 
 
-def test_submit_many_answers_indexed_queries_without_workers(weighted_random):
+def test_submit_many_answers_indexed_queries_without_the_solver(weighted_random):
     service = QueryService(weighted_random, cache_size=0)
     service.enable_index(depth=4)
     batch = [
@@ -85,7 +85,7 @@ def test_submit_many_answers_indexed_queries_without_workers(weighted_random):
         for k in range(1, service.kmax + 1)
         for r in (1, 4)
     ]
-    results = service.submit_many(batch, workers=2)
+    results = service.submit_many(batch)
     assert service.solver_calls == 0
     assert service.queries_served == len(batch)
     for query, served in zip(batch, results):
@@ -93,17 +93,6 @@ def test_submit_many_answers_indexed_queries_without_workers(weighted_random):
             weighted_random, **query.solver_kwargs()
         )
         assert _byte_identical(served, cold)
-
-
-def test_worker_payload_ships_the_index(weighted_random):
-    service = QueryService(weighted_random)
-    service.enable_index(depth=4)
-    payload = service._worker_payload()
-    assert payload["index"] is not None
-    restored = InfluentialIndex.from_payload(payload["index"])
-    assert restored.built
-    assert len(restored) == len(service.index)
-    assert restored.aggregators == service.index.aggregators
 
 
 def test_snapshot_roundtrip_restores_the_index(tmp_path, weighted_random):

@@ -33,6 +33,7 @@ from repro.serving.store import (
     load_snapshot,
     save_snapshot,
 )
+from repro.serving.substrate import SharedSubstrate
 from repro.utils.rng import make_rng
 from tests.conftest import ENGINES, engine
 
@@ -258,14 +259,28 @@ def test_cold_service_does_peel(labelled_graph, monkeypatch):
     assert calls["count"] == 1
 
 
-def test_worker_payload_ships_decompositions(saved):
-    """Process-pool workers inherit the caches instead of re-peeling."""
+def test_substrate_ships_decompositions(saved, monkeypatch):
+    """Fleet members inherit the caches instead of re-peeling."""
     service, __ = saved
-    payload = service._worker_payload()
-    np.testing.assert_array_equal(
-        payload["core_numbers"], service.core_numbers
-    )
-    assert payload["truss_numbers"] == service.truss_numbers
+    import repro.serving.engine_pool as engine_pool
+
+    def no_peel(*args, **kwargs):
+        raise AssertionError("attached service re-ran the core decomposition")
+
+    substrate = SharedSubstrate.publish(service)
+    try:
+        attached = SharedSubstrate.attach(substrate.descriptor())
+        try:
+            monkeypatch.setattr(engine_pool, "core_decomposition", no_peel)
+            twin = attached.build_service()
+            np.testing.assert_array_equal(
+                twin.core_numbers, service.core_numbers
+            )
+            assert twin.peek_truss_numbers() == service.truss_numbers
+        finally:
+            attached.close()
+    finally:
+        substrate.unlink()
 
 
 # ----------------------------------------------------------------------

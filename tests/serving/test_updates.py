@@ -32,6 +32,7 @@ from repro.serving import (
     run_server_in_thread,
     save_snapshot,
 )
+from repro.serving.substrate import SharedSubstrate
 from repro.truss.decomposition import truss_decomposition
 from tests.conftest import ENGINES, engine
 
@@ -201,16 +202,30 @@ def test_truss_results_always_dropped(figure1):
     assert service.peek(query) is None
 
 
-def test_worker_payload_never_ships_a_stale_truss_cache(figure1):
+def _published_truss(service):
+    """The truss cache a fleet member attached to ``service`` starts with."""
+    substrate = SharedSubstrate.publish(service)
+    try:
+        attached = SharedSubstrate.attach(substrate.descriptor())
+        try:
+            return attached.build_service().peek_truss_numbers()
+        finally:
+            attached.close()
+    finally:
+        substrate.unlink()
+
+
+def test_substrate_never_ships_a_stale_truss_cache(figure1):
     service = QueryService(figure1)
     service.truss_numbers  # noqa: B018 — warm the cache, then poke it
     service.update_edges(insert=[(0, 9)])
-    # While the per-component refresh is pending, the payload ships no
-    # truss cache at all (it must neither be stale nor trigger a truss
-    # peel — the HTTP front end builds payloads on the event loop).
-    assert service._worker_payload()["truss_numbers"] is None
+    # While the per-component refresh is pending, the substrate carries no
+    # truss cache at all: it must neither be stale nor trigger a truss
+    # peel (publishing is how a fleet starts, so it must stay cheap).
+    assert _published_truss(service) is None
+    assert service.truss_pending
     refreshed = service.truss_numbers  # resolve the pending components
-    assert service._worker_payload()["truss_numbers"] == refreshed
+    assert _published_truss(service) == refreshed
     assert refreshed == truss_decomposition(rebuild(service.graph))
 
 
