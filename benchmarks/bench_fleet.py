@@ -10,12 +10,11 @@ Four measurements, all on the PR 3 mixed-workload catalogue:
   should approach the member count for solver-bound workloads; the
   report records ``cpus`` so a 1-CPU runner's flat ratio reads as what
   it is, not a regression.
-* **Per-worker RSS** — three spawn-context children report their RSS:
-  a control (interpreter + imports only), a worker initialised through
-  the legacy pickled payload (eager adjacency sets), and a worker
-  attached to the substrate (lazy adjacency over shared views).  The
-  substrate's overhead over control is the fleet's true per-member
-  footprint; the pickled overhead is what PR 7 removed.
+* **Per-worker RSS** — two spawn-context children report their RSS: a
+  control (interpreter + imports only) and one that runs a fleet
+  member's start path (attach the substrate, ``build_service`` over
+  lazy adjacency and shared views).  Its overhead over control is the
+  fleet's per-member footprint.
 * **Replication catch-up** — one edge batch POSTed to one member; time
   until a sibling reports ``replication_lag == 0``.
 * **Queue bound** — a burst of distinct slow queries against depth-
@@ -198,16 +197,17 @@ def measure_fleet_scaling(
 
 
 # ----------------------------------------------------------------------
-# Per-worker RSS: control vs pickled payload vs substrate attach
+# Per-worker RSS: control vs substrate attach
 # ----------------------------------------------------------------------
-def _rss_child(kind: str, payload, pipe) -> None:
+def _rss_child(descriptor, pipe) -> None:
     # Spawn-context child: a clean interpreter, so the RSS delta over the
-    # control child is exactly the cost of standing up the worker state.
-    from repro.serving.service import _worker_init
+    # control child (no descriptor) is exactly the cost of standing up a
+    # fleet member's service; the locals keep it alive while RSS is read.
     from repro.utils.memory import rss_bytes as _rss
 
-    if kind != "control":
-        _worker_init(payload)
+    if descriptor is not None:
+        attached = SharedSubstrate.attach(descriptor)
+        service = attached.build_service()  # noqa: F841
     pipe.send(_rss())
     pipe.close()
 
@@ -218,15 +218,11 @@ def measure_worker_rss(graph) -> dict:
     context = multiprocessing.get_context("spawn")
     try:
         results = {}
-        jobs = {
-            "control": None,
-            "pickled": service._worker_payload(),
-            "substrate": service.worker_initargs(substrate)[0],
-        }
-        for kind, payload in jobs.items():
+        jobs = {"control": None, "substrate": substrate.descriptor()}
+        for kind, descriptor in jobs.items():
             parent_end, child_end = context.Pipe()
             child = context.Process(
-                target=_rss_child, args=(kind, payload, child_end)
+                target=_rss_child, args=(descriptor, child_end)
             )
             child.start()
             results[kind] = int(parent_end.recv())
@@ -234,15 +230,12 @@ def measure_worker_rss(graph) -> dict:
             parent_end.close()
     finally:
         substrate.unlink()
-    pickled_overhead = max(1, results["pickled"] - results["control"])
-    substrate_overhead = max(1, results["substrate"] - results["control"])
     return {
         "control_rss_bytes": results["control"],
-        "pickled_worker_rss_bytes": results["pickled"],
         "substrate_worker_rss_bytes": results["substrate"],
-        "pickled_overhead_bytes": pickled_overhead,
-        "substrate_overhead_bytes": substrate_overhead,
-        "rss_reduction_ratio": round(pickled_overhead / substrate_overhead, 2),
+        "substrate_overhead_bytes": max(
+            1, results["substrate"] - results["control"]
+        ),
     }
 
 
@@ -367,8 +360,8 @@ def measure_fleet(
 def compare_to_baseline(
     fresh: pathlib.Path, baseline: pathlib.Path, tolerance: float = 0.7
 ) -> int:
-    """Gating ratio diff: qps scaling and the RSS reduction factor, with a
-    served/cold answer disagreement failing outright."""
+    """Gating ratio diff: qps scaling, with a served/cold answer
+    disagreement failing outright."""
     from baseline_diff import report_ratio_metrics
 
     fresh_report = json.loads(fresh.read_text())
@@ -399,11 +392,6 @@ def compare_to_baseline(
                 "fleet qps scaling",
                 fresh_report["scaling"]["scaling_ratio"],
                 base_report["scaling"]["scaling_ratio"],
-            ),
-            (
-                "worker RSS reduction",
-                fresh_report["worker_rss"]["rss_reduction_ratio"],
-                base_report["worker_rss"]["rss_reduction_ratio"],
             ),
         ],
         tolerance=tolerance,

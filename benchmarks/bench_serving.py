@@ -22,9 +22,7 @@ graphs.
 
 ``python benchmarks/bench_serving.py`` writes ``BENCH_serving.json``;
 ``--ci`` shrinks the graph for the gating CI smoke diff against the
-committed ``BENCH_serving_ci_baseline.json``; ``--workers N`` additionally
-measures the process-pool sharding path (informational — on few-core
-runners worker startup dominates).
+committed ``BENCH_serving_ci_baseline.json``.
 """
 
 from __future__ import annotations
@@ -138,7 +136,6 @@ def measure_serving_throughput(
     m: int = 64_000,
     size: int = WORKLOAD_SIZE,
     seed: int = 7,
-    workers: int | None = None,
 ) -> dict:
     """Cold-sequential vs pooled-service timings, as a JSON-ready dict."""
     graph = _weighted_gnm(n, m, seed)
@@ -177,17 +174,6 @@ def measure_serving_throughput(
         "results_agree": agree,
         "service_stats": service.stats(),
     }
-    if workers:
-        fresh = QueryService(graph)
-        start = time.perf_counter()
-        sharded = fresh.submit_many(workload, workers=workers)
-        workers_seconds = time.perf_counter() - start
-        report["workers"] = {
-            "count": workers,
-            "seconds": round(workers_seconds, 4),
-            "qps": round(len(workload) / workers_seconds, 2),
-            "results_agree": sharded == pooled,
-        }
     return report
 
 
@@ -242,10 +228,6 @@ def main() -> None:
     parser.add_argument("--size", type=int, default=WORKLOAD_SIZE)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="also measure the process-pool sharding path",
-    )
-    parser.add_argument(
         "--ci", action="store_true",
         help="shrunk graph for the gating CI smoke diff",
     )
@@ -264,7 +246,6 @@ def main() -> None:
         args.n, args.m = 2_000, 16_000
     report = measure_serving_throughput(
         n=args.n, m=args.m, size=args.size, seed=args.seed,
-        workers=args.workers,
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

@@ -4,7 +4,7 @@ Subcommands::
 
     repro search   --dataset email --k 4 --r 5 --f sum [--s 20] [--tonic]
     repro search   --edges graph.txt --weights w.txt ...
-    repro batch    --dataset email --workload queries.json [--workers 4]
+    repro batch    --dataset email --workload queries.json [--stats]
     repro serve    --snapshot snap/ --port 8080 [--fleet 4] [--index]
     repro update-edges --url http://127.0.0.1:8080 --insert 3,17 --delete 4,9
     repro update-edges --snapshot snap/ --edits edits.json
@@ -19,9 +19,8 @@ Subcommands::
 
 ``batch`` serves a whole JSON workload through one
 :class:`repro.serving.service.QueryService` — shared CSR, cached
-decompositions, an expansion-engine pool and a keyed result cache —
-optionally sharded across worker processes.  The workload file holds a
-JSON array of query objects whose fields mirror
+decompositions, an expansion-engine pool and a keyed result cache.  The
+workload file holds a JSON array of query objects whose fields mirror
 :class:`repro.serving.query.InfluentialQuery`::
 
     [{"k": 4, "r": 5, "f": "sum"},
@@ -106,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--workload", required=True,
         help="JSON file holding an array of query objects",
-    )
-    batch.add_argument(
-        "--workers", type=int, default=None,
-        help="shard distinct queries across this many worker processes",
     )
     batch.add_argument(
         "--cache-size", type=int, default=1024,
@@ -511,7 +506,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     service = QueryService(graph, cache_size=args.cache_size)
     start = time.perf_counter()
-    results = service.submit_many(queries, workers=args.workers)
+    results = service.submit_many(queries)
     elapsed = time.perf_counter() - start
 
     for index, (query, result) in enumerate(zip(queries, results), start=1):

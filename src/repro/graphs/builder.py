@@ -145,8 +145,8 @@ def graph_from_csr_arrays(
 ) -> Graph:
     """Rebuild a :class:`Graph` from flat CSR arrays.
 
-    The inverse of flattening: the serving layer's process-pool workers
-    receive one ``(indptr, indices, weights)`` payload per worker and
+    The inverse of flattening: snapshot loads and fleet members attaching
+    a shared substrate receive ``(indptr, indices, weights)`` arrays and
     reconstruct the graph without re-parsing edge lists or re-sorting
     anything.  Both representations come up warm — the set adjacency is
     built from the neighbour runs and the CSR cache is seeded directly
@@ -156,15 +156,16 @@ def graph_from_csr_arrays(
     (an O(m) Python loop that dominates reconstruction time).  The cheap
     vectorised shape/sortedness checks still run.  Reserve it for arrays
     this process produced or a manifest already vouches for — snapshot
-    loads (:func:`repro.serving.store.load_snapshot`) and same-machine
-    worker payloads — never for arrays off the wire.
+    loads (:func:`repro.serving.store.load_snapshot`) and shared
+    substrates (:mod:`repro.serving.substrate`) — never for arrays off
+    the wire.
 
     ``lazy_adjacency=True`` (requires ``trusted=True``) skips the eager
     list-of-sets build entirely and installs a
     :class:`repro.graphs.lazy.LazyAdjacency` view instead: neighbour sets
-    materialise per vertex on first access.  This is how fleet members and
-    pool workers attach to a shared/mmapped substrate without paying the
-    O(n + 2m) private-heap copy of the set adjacency.
+    materialise per vertex on first access.  This is how fleet members
+    attach to a shared/mmapped substrate without paying the O(n + 2m)
+    private-heap copy of the set adjacency.
     """
     from repro.graphs.csr import CSRAdjacency
     from repro.graphs.lazy import LazyAdjacency

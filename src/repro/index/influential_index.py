@@ -432,7 +432,7 @@ class InfluentialIndex:
         }
 
     # ------------------------------------------------------------------
-    # Persistence (snapshot arrays + worker payloads)
+    # Persistence (snapshot arrays + shared substrates)
     # ------------------------------------------------------------------
     def to_payload(self) -> dict[str, object]:
         """Flat-array form: JSON-able header + three numpy arrays.
@@ -441,7 +441,7 @@ class InfluentialIndex:
         (``members``), delimited by ``offsets`` (length: total
         communities + 1), with per-community values in ``values`` —
         the same mmap-friendly layout the snapshot store writes, and
-        the payload worker processes rebuild their index from.
+        the arrays a shared substrate carries to fleet members.
         """
         keys = sorted(self._entries)
         header = []

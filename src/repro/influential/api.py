@@ -333,7 +333,6 @@ def top_r_many(
     graph: "Graph | None",
     queries,
     cache_size: int = 1024,
-    workers: int | None = None,
     service=None,
     snapshot=None,
 ) -> "list[ResultSet]":
@@ -345,8 +344,7 @@ def top_r_many(
     :class:`~repro.serving.service.QueryService` is stood up around
     ``graph`` — CSR warmed, decompositions cached, one expansion-engine
     pool, an LRU result cache of ``cache_size`` — and the batch is
-    answered in submission order; ``workers > 1`` shards the batch across
-    a process pool.  Results are byte-identical to calling
+    answered in submission order.  Results are byte-identical to calling
     :func:`top_r_communities` per query; long-lived callers should hold a
     :class:`~repro.serving.service.QueryService` themselves so the caches
     survive across batches.
@@ -373,4 +371,4 @@ def top_r_many(
             service = load_service(snapshot, cache_size=cache_size)
         else:
             service = QueryService(graph, cache_size=cache_size)
-    return service.submit_many(queries, workers=workers)
+    return service.submit_many(queries)

@@ -17,10 +17,9 @@ Three predicate kinds cover the serving surface:
 * ``any`` — membership in a label set;
 * ``prefix`` — label starts-with (hierarchical labels like ``"ml/nlp"``).
 
-Predicates are frozen, hashable and picklable, so they ride inside
-:meth:`repro.serving.query.InfluentialQuery.cache_key` and ship to
-process-pool workers unchanged.  :meth:`from_json` accepts the wire
-shapes of the v1 HTTP API (``{"eq": ...}``, ``{"any": [...]}``,
+Predicates are frozen and hashable, so they ride inside
+:meth:`repro.serving.query.InfluentialQuery.cache_key` unchanged.
+:meth:`from_json` accepts the wire shapes of the v1 HTTP API (``{"eq": ...}``, ``{"any": [...]}``,
 ``{"prefix": ...}``, plus the shorthands bare-string → ``eq`` and
 bare-list → ``any``).
 """

@@ -12,8 +12,7 @@ together:
   expansion-engine state (seed components, relabelled local CSRs,
   Zobrist tables) reused across queries;
 * :class:`~repro.serving.service.QueryService` — loads a graph once,
-  caches decompositions and results, answers batches, and shards
-  independent queries across worker processes;
+  caches decompositions and results, and answers queries and batches;
 * :mod:`~repro.serving.http` — the asyncio HTTP front end
   (:class:`~repro.serving.http.ServingApp`, :func:`~repro.serving.http
   .serve`) with single-flight request coalescing;
@@ -26,6 +25,9 @@ together:
   :func:`~repro.serving.store.load_service`): mmapped CSR arrays,
   weights, labels and cached decompositions, so a restarted server
   skips both graph rebuild and re-peeling;
+* :mod:`~repro.serving.fleet` — ``repro serve --fleet N``: N server
+  processes over one :class:`~repro.serving.substrate.SharedSubstrate`,
+  the package's only multi-process mechanism;
 * :mod:`~repro.serving.oracle` — the small-graph oracle harness pinning
   every served answer to the brute-force reference.
 

@@ -81,8 +81,8 @@ class ExpansionEnginePool:
     cache: with or without it, solver outputs are byte-identical — the
     oracle and property suites under ``tests/serving`` hold it to that.
 
-    Not thread-safe; the service's process-pool path gives each worker its
-    own pool instead of locking this one.
+    Not thread-safe; each fleet member owns its own service and pool
+    instead of sharing a locked one.
     """
 
     __slots__ = (

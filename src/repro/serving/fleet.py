@@ -531,12 +531,11 @@ class Fleet:
     port), ``"proxy"`` (parent round-robins to per-member ephemeral
     ports), or ``"auto"`` (reuseport when the platform supports it).
 
-    ``members`` is deliberately *not* capped at the core count (unlike
-    ``submit_many``'s CPU-bound shard pool, which clamps via
-    :func:`repro.utils.parallel.cap_workers`): members are event-loop
-    processes that spend most of their life parked in ``epoll``, the
-    count is explicit operator configuration, and the replication tests
-    legitimately run more members than a small CI box has cores.
+    ``members`` is deliberately *not* capped at the core count: members
+    are event-loop processes that spend most of their life parked in
+    ``epoll``, the count is explicit operator configuration, and the
+    replication tests legitimately run more members than a small CI box
+    has cores.
     """
 
     def __init__(

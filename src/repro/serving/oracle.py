@@ -1,6 +1,6 @@
 """Small-graph oracle harness: the serving layer's safety net.
 
-The serving layer promises that cached, pooled, sharded answers are
+The serving layer promises that cached and pooled answers are
 **byte-identical** to cold single queries, and that the solvers those
 queries run remain faithful to Definitions 3-5.  This module packages the
 checks behind that promise so the golden tests, the Hypothesis property
@@ -261,24 +261,17 @@ def constrained_discrepancies(
     return problems
 
 
-def service_discrepancies(
-    graph: Graph,
-    queries: Iterable,
-    workers: int | None = None,
-) -> list[str]:
-    """Served answers (cold pass, cached pass, optional worker pass) vs.
-    cold direct API calls, for a batch of queries over ``graph``."""
+def service_discrepancies(graph: Graph, queries: Iterable) -> list[str]:
+    """Served answers (cold pass, then cached pass) vs. cold direct API
+    calls, for a batch of queries over ``graph``."""
     from repro.serving.query import InfluentialQuery
     from repro.serving.service import QueryService
 
     batch = [InfluentialQuery.create(q) for q in queries]
     service = QueryService(graph)
     problems: list[str] = []
-    passes = [("cold", None), ("cached", None)]
-    if workers:
-        passes.append(("workers", workers))
-    for label, pass_workers in passes:
-        results = service.submit_many(batch, workers=pass_workers)
+    for label in ("cold", "cached"):
+        results = service.submit_many(batch)
         for query, produced in zip(batch, results):
             if query.cohesion == "truss":
                 continue  # pinned by the dedicated truss golden tests

@@ -14,12 +14,10 @@ graph** instead of once per query:
   :meth:`~repro.serving.query.InfluentialQuery.cache_key` identities,
   with explicit invalidation (per key, per k, or on weight updates).
 
-``submit`` answers one query; ``submit_many`` answers a batch — in
-submission order, deduplicating identical queries, and optionally
-sharding distinct queries across a :class:`~concurrent.futures
-.ProcessPoolExecutor` whose workers rebuild the graph from the shared
-int32 CSR arrays exactly once (fork start method inherits the pages
-copy-on-write; spawn falls back to one pickled payload per worker).
+``submit`` answers one query; ``submit_many`` answers a batch in
+submission order, solving each distinct query once (duplicates are
+cache hits).  Scaling past one process is the serving fleet's job
+(:mod:`repro.serving.fleet`).
 
 Results are **byte-identical to cold single queries** by construction:
 the pool is a pure cache, cache keys are canonical, and the oracle /
@@ -29,9 +27,6 @@ both the direct API and the brute-force oracle.
 
 from __future__ import annotations
 
-import multiprocessing
-import zlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +40,6 @@ from repro.influential.results import ResultSet
 from repro.serving.cache import LRUCache
 from repro.serving.engine_pool import ExpansionEnginePool
 from repro.serving.query import InfluentialQuery
-from repro.utils.parallel import cap_workers
 from repro.serving.updates import (
     UpdateReport,
     component_mask,
@@ -56,19 +50,6 @@ from repro.serving.updates import (
 __all__ = ["QueryService"]
 
 _MISS = object()
-
-
-def _stable_shard(key: tuple) -> int:
-    """Deterministic shard digest of a cache key.
-
-    ``hash()`` of a tuple containing strings is salted per process by
-    ``PYTHONHASHSEED``, so using it to shard would shuffle worker
-    assignment — and therefore load balance and bench timings — run to
-    run.  ``repr`` of a cache key is canonical (ints, floats, strings,
-    bools, None in a fixed layout; float repr is shortest-roundtrip and
-    stable), so a CRC over its UTF-8 encoding pins the shard everywhere.
-    """
-    return zlib.crc32(repr(key).encode("utf-8"))
 
 
 class QueryService:
@@ -83,7 +64,7 @@ class QueryService:
 
     Thread-unsafe by design (wrap submissions in a lock, or give each
     thread its own service over the shared graph); process-parallelism is
-    built in via ``submit_many(..., workers=N)``.
+    the fleet's (:class:`~repro.serving.fleet.Fleet`).
     """
 
     def __init__(
@@ -164,8 +145,8 @@ class QueryService:
     def peek_truss_numbers(self) -> "dict[tuple[int, int], int] | None":
         """The truss cache if one was ever computed (refreshed), else None.
 
-        Snapshot saves and worker payloads use this: they must never ship
-        a partially evicted dict, but must not force a cold decomposition
+        Snapshot saves use this: they must never ship a partially evicted
+        dict, but must not force a cold decomposition
         on a service that never served truss traffic either.
         """
         if self._truss_numbers is None:
@@ -176,8 +157,7 @@ class QueryService:
     def truss_pending(self) -> bool:
         """True while an edge update's truss refresh is still lazy.
 
-        Substrate publication and worker payloads check this instead of
-        touching :attr:`truss_numbers` (which would force the refresh on
+        Substrate publication checks this instead of touching :attr:`truss_numbers` (which would force the refresh on
         whatever thread asked — the event loop, typically)."""
         return self._truss_pending is not None
 
@@ -266,112 +246,17 @@ class QueryService:
         self._results.put(query.cache_key(), result)
 
     def submit_many(
-        self,
-        queries: Iterable["InfluentialQuery | Mapping[str, object]"],
-        workers: int | None = None,
-        zero_copy: bool = True,
+        self, queries: Iterable["InfluentialQuery | Mapping[str, object]"]
     ) -> list[ResultSet]:
-        """Answer a batch, in submission order.
+        """Answer a batch, in submission order, one :meth:`submit` each.
 
-        ``workers > 1`` shards the *distinct, uncached* queries across a
-        process pool; duplicates are answered once, and every computed
-        result lands in this service's cache for later batches.  A query
-        that raises (malformed spec, method mismatch) raises here exactly
-        as it would cold, whichever path computed it — but counters stay
-        consistent: ``solver_calls`` reflects every shard that *did*
-        complete (its results are cached), and ``queries_served`` counts
-        only batches that were actually answered in full.
-
-        ``zero_copy=True`` (default) publishes the shared arrays into a
-        :class:`~repro.serving.substrate.SharedSubstrate` once and hands
-        workers its descriptor: each worker attaches read-only views and
-        lazily materialises only the neighbour sets it touches, instead
-        of receiving a pickled copy of everything and rebuilding an
-        eager adjacency.  The segments are unlinked when the pool shuts
-        down.  ``zero_copy=False`` keeps the legacy pickled payload
-        (the fleet benchmark uses it as the RSS comparison point).
+        Duplicates are solved once and then served from the result cache.
+        A malformed spec raises before anything is solved; a query the
+        solver rejects stops the batch, and the queries before it stay
+        answered and counted.
         """
         batch = [InfluentialQuery.create(q) for q in queries]
-        if workers is None or workers <= 1 or len(batch) <= 1:
-            return [self.submit(query) for query in batch]
-
-        # Distinct cache keys, first submission wins the solve.
-        distinct: dict[tuple, InfluentialQuery] = {}
-        for query in batch:
-            distinct.setdefault(query.cache_key(), query)
-        resolved: dict[tuple, ResultSet] = {}
-        todo: dict[tuple, InfluentialQuery] = {}
-        for key, query in distinct.items():
-            cached = self._results.get(key, _MISS)
-            if cached is _MISS:
-                todo[key] = query
-            else:
-                resolved[key] = cached  # type: ignore[assignment]
-        if todo and self._index is not None and self._index.built:
-            # Indexed queries never reach the worker pool: a dict lookup
-            # plus a slice is far cheaper than shipping them anywhere.
-            for key, query in list(todo.items()):
-                served = self._index.serve(query, self._graph, self._pool)
-                if served is not None:
-                    resolved[key] = served
-                    self._results.put(key, served)
-                    del todo[key]
-        if todo:
-            shards: list[list[InfluentialQuery]] = [[] for _ in range(workers)]
-            for key, query in todo.items():
-                # A stable digest, not hash(): tuple hashes are salted by
-                # PYTHONHASHSEED, which would shuffle shard assignment
-                # (and bench timings) across runs.
-                shards[_stable_shard(key) % workers].append(query)
-            shards = [shard for shard in shards if shard]
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            substrate = None
-            if zero_copy:
-                from repro.serving.substrate import SharedSubstrate
-
-                substrate = SharedSubstrate.publish(self)
-            failure: BaseException | None = None
-            try:
-                # Shard count stays as requested (assignment is part of
-                # the workload's determinism), but the pool never forks
-                # more processes than there are usable cores: extra
-                # workers beyond that only add fork/IPC overhead, and
-                # queued shard futures drain through the capped pool
-                # unchanged.
-                with ProcessPoolExecutor(
-                    max_workers=cap_workers(len(shards)),
-                    mp_context=context,
-                    initializer=_worker_init,
-                    initargs=self.worker_initargs(substrate),
-                ) as executor:
-                    futures = [
-                        executor.submit(_worker_solve_counted, shard)
-                        for shard in shards
-                    ]
-                    for shard, future in zip(shards, futures):
-                        try:
-                            results, solved = future.result()
-                        except BaseException as exc:  # noqa: BLE001 — re-raised
-                            # Keep draining: sibling shards that completed
-                            # must still land in the cache and the solve
-                            # counter.
-                            if failure is None:
-                                failure = exc
-                            continue
-                        self.solver_calls += solved
-                        for query, result in zip(shard, results):
-                            key = query.cache_key()
-                            resolved[key] = result
-                            self._results.put(key, result)
-            finally:
-                if substrate is not None:
-                    substrate.unlink()
-            if failure is not None:
-                raise failure
-        self.queries_served += len(batch)
-        return [resolved[query.cache_key()] for query in batch]
+        return [self.submit(query) for query in batch]
 
     # ------------------------------------------------------------------
     # Solving
@@ -609,7 +494,7 @@ class QueryService:
         return dropped
 
     # ------------------------------------------------------------------
-    # Introspection / worker plumbing
+    # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:
         """Serving counters plus both caches' stats, JSON-ready."""
@@ -625,118 +510,8 @@ class QueryService:
             "index": self._index.stats() if self._index is not None else None,
         }
 
-    def worker_initargs(self, substrate=None) -> tuple:
-        """``initargs`` for a :func:`_worker_init`-initialised pool.
-
-        With a :class:`~repro.serving.substrate.SharedSubstrate`, the
-        payload is its (small, JSON-able) descriptor plus the service
-        knobs — workers attach read-only views and build a lazy-adjacency
-        service, copying nothing.  Without one, the legacy pickled-array
-        payload ships (fork inherits the pages copy-on-write; spawn pays
-        one pickle per worker *and* an eager set adjacency each).
-        """
-        if substrate is None:
-            return (self._worker_payload(),)
-        return (
-            {
-                "substrate": substrate.descriptor(),
-                "cache_size": self._cache_size,
-                "pool_capacity": self._pool_capacity,
-            },
-        )
-
-    def _worker_payload(self) -> dict[str, object]:
-        csr = self._graph.csr
-        return {
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-            "weights": self._graph.weights,
-            "labels": self._graph.labels,
-            "cache_size": self._cache_size,
-            "pool_capacity": self._pool_capacity,
-            # Ship the decompositions this service already paid for, so
-            # workers come up without re-peeling (fork shares the pages;
-            # spawn pickles them once per worker).
-            "core_numbers": self._pool.core_numbers,
-            # Never a *stale* truss cache, but never a recomputation
-            # either: building the payload must stay cheap.  While a
-            # post-update refresh is pending, workers simply start without
-            # the cache and lazily recompute if they serve truss traffic.
-            "truss_numbers": (
-                self._truss_numbers if self._truss_pending is None else None
-            ),
-            # Flat-array form of the community index (when enabled), so
-            # workers serve indexed queries from the same precomputed
-            # rankings instead of re-running captures of their own.
-            "index": (
-                self._index.to_payload()
-                if self._index is not None and self._index.built
-                else None
-            ),
-        }
-
     def __repr__(self) -> str:
         return (
             f"QueryService(n={self._graph.n}, m={self._graph.m}, "
             f"served={self.queries_served}, cached={len(self._results)})"
         )
-
-
-# ----------------------------------------------------------------------
-# Process-pool workers (module level: must be picklable by reference)
-# ----------------------------------------------------------------------
-_WORKER_SERVICE: QueryService | None = None
-# The worker's substrate attachment, when zero-copy init was used: held
-# at module level so the mapped segments stay alive for the worker's
-# whole lifetime (the service's arrays are views into them).
-_WORKER_SUBSTRATE = None
-
-
-def _worker_init(payload: dict) -> None:
-    """Build this worker's service once, from the shared CSR arrays."""
-    global _WORKER_SERVICE, _WORKER_SUBSTRATE
-    from repro.graphs.builder import graph_from_csr_arrays
-
-    if "substrate" in payload:
-        from repro.serving.substrate import SharedSubstrate
-
-        _WORKER_SUBSTRATE = SharedSubstrate.attach(payload["substrate"])
-        _WORKER_SERVICE = _WORKER_SUBSTRATE.build_service(
-            cache_size=payload["cache_size"],
-            pool_capacity=payload["pool_capacity"],
-        )
-        return
-    graph = graph_from_csr_arrays(
-        payload["indptr"],
-        payload["indices"],
-        payload["weights"],
-        labels=payload["labels"],
-        # Same-machine payload straight from the parent's validated Graph:
-        # skip the O(m) per-edge revalidation at every worker startup.
-        trusted=True,
-    )
-    index_payload = payload.get("index")
-    _WORKER_SERVICE = QueryService(
-        graph,
-        cache_size=payload["cache_size"],
-        pool_capacity=payload["pool_capacity"],
-        core_numbers=payload.get("core_numbers"),
-        truss_numbers=payload.get("truss_numbers"),
-        index=(
-            InfluentialIndex.from_payload(index_payload)
-            if index_payload is not None
-            else None
-        ),
-    )
-
-
-def _worker_solve_counted(
-    shard: list[InfluentialQuery],
-) -> tuple[list[ResultSet], int]:
-    """Answer one shard through the worker-local service, also reporting
-    how many solver calls actually ran (a worker may answer from its
-    local cache — the parent's ``solver_calls`` must not count those)."""
-    assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    before = _WORKER_SERVICE.solver_calls
-    results = [_WORKER_SERVICE.submit(query) for query in shard]
-    return results, _WORKER_SERVICE.solver_calls - before

@@ -1,11 +1,9 @@
 """The zero-copy substrate: one copy of the graph per *machine*.
 
-Before this module, every helper process (``submit_many`` pool workers,
-for one) received a pickled payload of the CSR arrays, weights, labels,
-decompositions, and index arrays, then rebuilt a private eager set
-adjacency on top: one full copy of everything per process.  A
-:class:`SharedSubstrate` replaces the payload with a *descriptor* (a
-small JSON-able dict) naming where the real bytes live, in one of two
+A fleet member (:mod:`repro.serving.fleet`) must not hold its own copy
+of the CSR arrays, weights, labels, decompositions and index arrays.  A
+:class:`SharedSubstrate` hands it a *descriptor* instead (a small
+JSON-able dict) naming where the real bytes live, in one of two
 places:
 
 * ``kind="shm"`` — POSIX shared-memory segments
@@ -23,8 +21,8 @@ Either way, attachers build their :class:`~repro.serving.service
 .QueryService` over a **lazy** set adjacency
 (:class:`repro.graphs.lazy.LazyAdjacency`), so the private per-process
 heap is bounded by what the process actually touches instead of
-O(n + 2m) up front.  ``benchmarks/bench_fleet.py`` measures the
-difference against the legacy pickled path.
+O(n + 2m) up front.  ``benchmarks/bench_fleet.py`` measures that
+per-member footprint against a control process.
 
 Ownership and unlinking
 -----------------------
@@ -187,8 +185,8 @@ class SharedSubstrate:
             "weights": graph.weights,
             "core_numbers": np.asarray(service.core_numbers),
         }
-        # Same rule as the legacy worker payload: never ship a partially
-        # evicted truss cache, never force a cold peel either.
+        # Never ship a partially evicted truss cache, and never force a
+        # cold peel either: publishing must stay cheap.
         truss = service.peek_truss_numbers() if not service.truss_pending else None
         if truss is not None:
             items = sorted(truss.items())
@@ -280,8 +278,8 @@ class SharedSubstrate:
         """Open read-only views onto a published substrate.
 
         The reverse of :meth:`publish`/:meth:`from_snapshot`; the
-        descriptor travels as plain JSON (pool ``initargs``, fleet spawn
-        configs, the CLI's ``--follow`` plumbing).
+        descriptor travels as plain JSON (fleet spawn configs, the CLI's
+        ``--follow`` plumbing).
         """
         kind = descriptor.get("kind")
         if kind == "snapshot":
@@ -405,17 +403,11 @@ class SharedSubstrate:
             "values": self._arrays["index_values"],
         }
 
-    def build_service(
-        self,
-        cache_size: int = 1024,
-        pool_capacity: int = 1024,
-        lazy_adjacency: bool = True,
-    ) -> "QueryService":
+    def build_service(self, cache_size: int = 1024) -> "QueryService":
         """Stand up a :class:`QueryService` over the shared arrays.
 
-        With ``lazy_adjacency=True`` (the default, and the point) the
-        graph's set adjacency materialises per vertex on demand; the CSR
-        arrays, weights, and decompositions are the shared views
+        The graph's set adjacency materialises per vertex on demand; the
+        CSR arrays, weights, and decompositions are the shared views
         themselves — no copy.
         """
         from repro.graphs.builder import graph_from_csr_arrays
@@ -428,13 +420,12 @@ class SharedSubstrate:
             self._arrays["weights"],
             labels=self._labels,
             trusted=True,
-            lazy_adjacency=lazy_adjacency,
+            lazy_adjacency=True,
         )
         payload = self.index_payload()
         return QueryService(
             graph,
             cache_size=cache_size,
-            pool_capacity=pool_capacity,
             core_numbers=np.asarray(self._arrays["core_numbers"]),
             truss_numbers=self.truss_numbers(),
             index=(

@@ -1,14 +1,11 @@
-"""Worker/thread sizing helpers shared by every executor the repo builds.
+"""CPU-count and thread-sizing helpers for the expansion thread pool.
 
 Two distinct concerns live here:
 
-* **Process sizing** — :func:`effective_cpu_count` is the one place that
-  answers "how many workers can actually run?"  ``os.process_cpu_count``
+* **CPU count** — :func:`effective_cpu_count` is the one place that
+  answers "how many threads can actually run?"  ``os.process_cpu_count``
   (Python 3.13+) respects CPU affinity; older interpreters fall back to
-  ``sched_getaffinity`` and then ``os.cpu_count``.  :func:`cap_workers`
-  clamps a requested pool size to it: forking one process per work item
-  regardless of cores (the pre-PR-8 batch-shard bug) just buys fork/IPC
-  overhead and memory pressure for zero extra parallelism.
+  ``sched_getaffinity`` and then ``os.cpu_count``.
 * **Intra-query expansion threads** — the compiled kernels
   (:mod:`repro.kernels`) release the GIL, so independent frontier pops
   inside one expansion can genuinely overlap on threads.
@@ -26,7 +23,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
-    "cap_workers",
     "effective_cpu_count",
     "expansion_executor",
     "expansion_threads",
@@ -51,11 +47,6 @@ def effective_cpu_count() -> int:
         except (AttributeError, OSError):
             count = os.cpu_count()
     return max(1, int(count or 1))
-
-
-def cap_workers(requested: int) -> int:
-    """Clamp a requested pool size to the usable core count (floor 1)."""
-    return max(1, min(int(requested), effective_cpu_count()))
 
 
 def expansion_threads() -> int:

@@ -77,7 +77,7 @@ def test_stats_exposes_the_index_section(weighted_random):
     assert section["depth"] == 2
 
 
-def test_submit_many_answers_indexed_queries_without_the_solver(weighted_random):
+def test_submit_many_answers_indexed_queries_without_workers(weighted_random):
     service = QueryService(weighted_random, cache_size=0)
     service.enable_index(depth=4)
     batch = [

@@ -114,18 +114,6 @@ class TestService:
         with pytest.raises(SpecError):
             service.submit(InfluentialQuery(k=2, r=1, s=50))
 
-    def test_degenerate_batch_with_workers(self, tiny):
-        service = QueryService(tiny)
-        batch = [
-            InfluentialQuery(k=9, r=2),
-            InfluentialQuery(k=2, r=99),
-            InfluentialQuery(k=9, r=2),
-        ]
-        sharded = service.submit_many(batch, workers=2)
-        assert sharded == [
-            top_r_communities(tiny, **q.solver_kwargs()) for q in batch
-        ]
-
     def test_empty_graph_truss_service(self, empty_graph):
         service = QueryService(empty_graph)
         assert service.tmax == 0

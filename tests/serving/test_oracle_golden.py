@@ -61,17 +61,6 @@ def test_service_matches_cold_queries(name, engine_name):
     assert not problems, "\n".join(problems)
 
 
-def test_service_matches_cold_through_worker_processes():
-    graph = GRAPHS["barbell"]
-    workload = [
-        InfluentialQuery(k=k, r=2, f=f)
-        for k in (2, 3)
-        for f in ("sum", "min", "max")
-    ]
-    problems = service_discrepancies(graph, workload, workers=2)
-    assert not problems, "\n".join(problems)
-
-
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_truss_golden_barbell(engine_name, monkeypatch):
     # Two K4s bridged by a path: every K4 edge closes 2 triangles (each K4

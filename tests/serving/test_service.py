@@ -68,17 +68,6 @@ def test_submit_many_preserves_order_and_dedupes(served_graph):
         )
 
 
-def test_submit_many_with_workers_matches_sequential(served_graph):
-    sequential = QueryService(served_graph).submit_many(MIXED_WORKLOAD)
-    service = QueryService(served_graph)
-    sharded = service.submit_many(MIXED_WORKLOAD, workers=2)
-    assert sharded == sequential
-    # Computed results landed in the parent's cache for later submits.
-    solves = service.solver_calls
-    service.submit_many(MIXED_WORKLOAD)
-    assert service.solver_calls == solves
-
-
 def test_kmax_fast_path_and_core_cache(served_graph):
     service = QueryService(served_graph)
     assert service.kmax >= 2

@@ -149,17 +149,3 @@ def test_attach_rejects_garbage_descriptor():
         SharedSubstrate.attach({"kind": "shm", "arrays": {}})
     with pytest.raises(SubstrateError):
         SharedSubstrate.attach({"kind": "nope"})
-
-
-def test_submit_many_zero_copy_matches_serial(figure1):
-    service = QueryService(figure1)
-    queries = [
-        {"k": 2, "r": 2, "f": "sum"},
-        {"k": 3, "r": 1, "f": "sum"},
-    ]
-    serial = [service.submit(q) for q in queries]
-    before = set(_shm_segments())
-    sharded = service.submit_many(queries, workers=2)
-    assert [r.values() for r in sharded] == [r.values() for r in serial]
-    # The substrate published for the worker pool must be gone again.
-    assert not (set(_shm_segments()) - before)
