@@ -246,9 +246,9 @@ def _pair_band(
 
 
 def _cold_key(cell: CellRecord) -> "tuple | None":
-    """The reference (tier="cold", workers=0) coordinates for a cell."""
+    """The reference (tier="cold") coordinates for a cell."""
     axes = dict(cell.axes)
-    if axes.get("tier") == "cold" or axes.get("workers", 0) != 0:
+    if axes.get("tier") == "cold":
         return None
     axes["tier"] = "cold"
     return tuple(sorted((k, str(v)) for k, v in axes.items()))
@@ -259,10 +259,9 @@ def _axes_key(cell: CellRecord) -> tuple:
 
 
 def _answer_group(cell: CellRecord) -> tuple:
-    """Cells that must return identical answers: axes minus the engine."""
+    """Cells that must return identical answers: axes minus the tier."""
     axes = dict(cell.axes)
-    for engine_axis in ("tier", "workers"):
-        axes.pop(engine_axis, None)
+    axes.pop("tier", None)
     return tuple(sorted((k, str(v)) for k, v in axes.items()))
 
 

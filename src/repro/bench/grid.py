@@ -1,9 +1,9 @@
 """The declarative experiment grid: Section VI's evaluation as data.
 
 The paper evaluates over a parameter grid (dataset × k × r × aggregator ×
-ε); this repo's performance claims add two more axes — worker count and
-*serving tier* (cold solver call, pooled
-:class:`~repro.serving.service.QueryService`, precomputed index).  A
+ε); this repo's performance claims add a *serving tier* axis (cold solver
+call, pooled :class:`~repro.serving.service.QueryService`, precomputed
+index) and a label-constraint axis.  A
 :class:`GridSpec` names one such grid declaratively; :func:`run_grid`
 executes every cell best-of-N and appends the outcome to a
 :class:`~repro.bench.history.HistoryDB`, keyed by
@@ -12,8 +12,7 @@ cell — errors are recorded, never raised, so one broken cell cannot hide
 the rest of the sweep.
 
 Each done cell also records a digest of the *answer* it measured: cells
-that differ only in engine axes (tier, workers) must agree, and
-the comparator (:func:`repro.bench.compare.compare_grid_runs`) fails the
+that differ only in the serving tier must agree, and the comparator (:func:`repro.bench.compare.compare_grid_runs`) fails the
 run when they do not.
 """
 
@@ -47,7 +46,6 @@ class GridSpec:
     ks: tuple[int, ...]
     rs: tuple[int, ...]
     aggregators: tuple[str, ...]
-    workers: tuple[int, ...]
     tiers: tuple[str, ...]  # "cold" | "service" | "index"
     #: Label-constraint axis: ``"none"`` or compact predicate specs like
     #: ``"eq:deg:high"`` / ``"any:deg:mid,deg:high"`` / ``"prefix:deg:"``
@@ -66,21 +64,20 @@ class GridSpec:
     def cells(self) -> list["GridCell"]:
         """Every cell, in deterministic enumeration order."""
         out = []
-        for (n, m), k, r, f, workers, tier, constrained in (
+        for (n, m), k, r, f, tier, constrained in (
             itertools.product(
                 self.graphs,
                 self.ks,
                 self.rs,
                 self.aggregators,
-                self.workers,
                 self.tiers,
                 self.constrained,
             )
         ):
             out.append(
                 GridCell(
-                    n=n, m=m, k=k, r=r, aggregator=f, workers=workers,
-                    tier=tier, eps=self.eps, constrained=constrained,
+                    n=n, m=m, k=k, r=r, aggregator=f, tier=tier,
+                    eps=self.eps, constrained=constrained,
                 )
             )
         return out
@@ -95,7 +92,6 @@ class GridCell:
     k: int
     r: int
     aggregator: str
-    workers: int
     tier: str
     eps: float
     constrained: str = "none"
@@ -109,7 +105,7 @@ class GridCell:
         )
         return (
             f"g{self.n}x{self.m}/k{self.k}/r{self.r}/f={self.aggregator}"
-            f"/w{self.workers}{constraint}/{self.tier}"
+            f"{constraint}/{self.tier}"
         )
 
     @property
@@ -119,7 +115,6 @@ class GridCell:
             "k": self.k,
             "r": self.r,
             "f": self.aggregator,
-            "workers": self.workers,
             "tier": self.tier,
             "eps": self.eps,
             "constrained": self.constrained,
@@ -128,13 +123,10 @@ class GridCell:
     def skip_reason(self) -> "str | None":
         """Why this cell is inapplicable (``None`` = runnable).
 
-        The workers axis shards batches through the service tier only,
-        and the precomputed index serves the sum aggregator — other
-        combinations are recorded as ``skipped`` so the grid's shape
+        The precomputed index serves the sum aggregator, unconstrained —
+        other combinations are recorded as ``skipped`` so the grid's shape
         stays visible in history.
         """
-        if self.workers > 0 and self.tier != "service":
-            return "workers axis applies to the service tier only"
         if self.tier == "index" and self.aggregator != "sum":
             return "index tier serves the sum aggregator only"
         if self.tier == "index" and self.constrained != "none":
@@ -162,7 +154,6 @@ GRIDS: dict[str, GridSpec] = {
         ks=(3,),
         rs=(3,),
         aggregators=("sum",),
-        workers=(0,),
         tiers=("cold", "service"),
         repeats=2,
     ),
@@ -172,7 +163,6 @@ GRIDS: dict[str, GridSpec] = {
         ks=(4, 8),
         rs=(5,),
         aggregators=("sum", "min"),
-        workers=(0,),
         tiers=("cold", "service", "index"),
         # The constrained leg gates the label-pushdown path per PR: same
         # digest across tiers, timed like everything else.
@@ -184,7 +174,6 @@ GRIDS: dict[str, GridSpec] = {
         ks=(4, 8, 16),
         rs=(5, 20),
         aggregators=("sum", "min"),
-        workers=(0, 2),
         tiers=("cold", "service", "index"),
     ),
 }
@@ -299,35 +288,19 @@ class CellExecutor:
             k=cell.k, r=cell.r, f=cell.aggregator, eps=cell.eps,
             constraints=constraints,
         )
-        if cell.workers > 0:
-            # Sharded batches need distinct queries to spread: an r-sweep
-            # around the cell's query is the smallest honest workload.
-            batch = [
-                InfluentialQuery(
-                    k=cell.k, r=rank, f=cell.aggregator, eps=cell.eps,
-                    constraints=constraints,
-                )
-                for rank in range(1, 2 * cell.workers + 1)
-            ]
-            def solve():
-                return service.submit_many(batch, workers=cell.workers)
-        else:
-            def solve():
-                return service.submit(query)
+
+        def solve():
+            return service.submit(query)
+
         solve()  # warm the engine pool / index outside every timed repeat
         times, result = [], None
         for __ in range(self._spec.repeats):
             # Invalidate the result cache each repeat so the measurement is
             # the pool-warm serving path, not a dict hit.
             service.invalidate()
-            seconds, returned = time_call(solve, clock=self._clock)
+            seconds, result = time_call(solve, clock=self._clock)
             times.append(seconds)
-            result = returned
-        if cell.workers > 0:
-            answer = service.submit(query)  # digest the cell's own query
-        else:
-            answer = result
-        return CellOutcome(tuple(times), _digest(answer))
+        return CellOutcome(tuple(times), _digest(result))
 
 
 def _constraint_spec(value: str) -> "dict | None":

@@ -46,9 +46,9 @@ MIN_DIGEST = "2222222222222222222222222222222222222222222222222222222222222222"
 def _cell(f, tier, runs=None, digest=None, status="done", error=None, k=3):
     axes = {
         "graph": "g500x2000", "k": k, "r": 3, "f": f,
-        "workers": 0, "tier": tier, "eps": 0.1,
+        "tier": tier, "eps": 0.1,
     }
-    cell_id = f"g500x2000/k{k}/r3/f={f}/w0/{tier}"
+    cell_id = f"g500x2000/k{k}/r3/f={f}/{tier}"
     done = status == "done"
     return CellRecord(
         cell_id=cell_id,

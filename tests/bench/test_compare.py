@@ -145,12 +145,11 @@ def test_hard_failures_gate_like_regressions():
 GRAPH = "g100x400"
 
 
-def _cell(tier, runs, digest="same-answer", workers=0, status="done"):
+def _cell(tier, runs, digest="same-answer", status="done"):
     axes = {
-        "graph": GRAPH, "k": 4, "r": 5, "f": "sum",
-        "workers": workers, "tier": tier, "eps": 0.1,
+        "graph": GRAPH, "k": 4, "r": 5, "f": "sum", "tier": tier, "eps": 0.1,
     }
-    cell_id = f"{GRAPH}/k4/r5/f=sum/w{workers}/{tier}"
+    cell_id = f"{GRAPH}/k4/r5/f=sum/{tier}"
     done = status == "done"
     return CellRecord(
         cell_id=cell_id,
@@ -311,7 +310,7 @@ def test_newly_skipped_cell_is_a_note_not_a_failure(tmp_path, baseline_db):
         [
             _cell("cold", (0.9,)),
             CellRecord(
-                cell_id=f"{GRAPH}/k4/r5/f=sum/w0/service",
+                cell_id=f"{GRAPH}/k4/r5/f=sum/service",
                 axes={}, status="skipped", error="inapplicable",
             ),
         ],

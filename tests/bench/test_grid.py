@@ -1,5 +1,8 @@
 """Unit tests for the declarative experiment grid and its runner."""
 
+import pathlib
+import shutil
+
 import pytest
 
 from repro.bench.clock import ManualClock
@@ -18,7 +21,6 @@ TINY = GridSpec(
     ks=(2,),
     rs=(2,),
     aggregators=("sum", "min"),
-    workers=(0, 1),
     tiers=("cold", "service", "index"),
     repeats=2,
 )
@@ -40,19 +42,16 @@ def test_config_hash_is_deterministic_and_shape_sensitive():
 def test_cells_enumerate_deterministically():
     ids = [cell.cell_id for cell in TINY.cells()]
     assert ids == [cell.cell_id for cell in TINY.cells()]
-    assert len(ids) == len(set(ids)) == 2 * 2 * 3
-    assert "g60x180/k2/r2/f=sum/w0/cold" in ids
+    assert len(ids) == len(set(ids)) == 2 * 3
+    assert "g60x180/k2/r2/f=sum/cold" in ids
 
 
 def test_skip_reasons():
     by_id = {cell.cell_id: cell for cell in TINY.cells()}
-    assert by_id["g60x180/k2/r2/f=sum/w0/cold"].skip_reason() is None
-    assert by_id["g60x180/k2/r2/f=sum/w0/index"].skip_reason() is None
-    # Workers shard through the service tier only.
-    assert by_id["g60x180/k2/r2/f=sum/w1/cold"].skip_reason()
-    assert by_id["g60x180/k2/r2/f=sum/w1/service"].skip_reason() is None
+    assert by_id["g60x180/k2/r2/f=sum/cold"].skip_reason() is None
+    assert by_id["g60x180/k2/r2/f=sum/index"].skip_reason() is None
     # The precomputed index serves sum only.
-    assert by_id["g60x180/k2/r2/f=min/w0/index"].skip_reason()
+    assert by_id["g60x180/k2/r2/f=min/index"].skip_reason()
 
 
 def test_named_grids_resolve():
@@ -61,6 +60,26 @@ def test_named_grids_resolve():
     assert grid_spec("ci").repeats == GRIDS["ci"].repeats  # original intact
     with pytest.raises(ValueError, match="unknown grid"):
         grid_spec("nope")
+
+
+def test_committed_ci_baseline_matches_the_ci_grid(tmp_path):
+    # CI compares each PR's ci run against this file by config hash; a
+    # grid edit without a baseline migration would turn the timing gate
+    # into a silent "no comparable baseline" pass.
+    committed = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks"
+        / "grid_ci_baseline.sqlite"
+    )
+    copy = tmp_path / "baseline.sqlite"
+    shutil.copy(committed, copy)
+    spec = GRIDS["ci"]
+    with HistoryDB(copy) as db:
+        run = db.latest_run(grid_name="ci", config_hash=spec.config_hash())
+        assert run is not None, "no ci run with the current ci config hash"
+        cells = db.run_cells(run.run_id)
+    assert list(cells) == [cell.cell_id for cell in spec.cells()]
+    assert [c.axes for c in cells.values()] == [c.axes for c in spec.cells()]
 
 
 def test_timed_grids_exclude_avg():
@@ -136,7 +155,6 @@ def test_executor_smoke_with_manual_clock(tmp_path):
         TINY,
         graphs=((40, 80),),
         aggregators=("sum",),
-        workers=(0,),
         tiers=("cold", "service"),
         repeats=3,
     )

@@ -5,7 +5,7 @@ import pytest
 from repro.bench.history import CellRecord, HistoryDB
 
 
-def _cell(cell_id="g10x20/k2/r1/f=sum/w0/cold", **overrides):
+def _cell(cell_id="g10x20/k2/r1/f=sum/cold", **overrides):
     base = dict(
         cell_id=cell_id,
         axes={"graph": "g10x20", "k": 2, "tier": "cold"},
@@ -39,7 +39,7 @@ def test_record_and_read_back_roundtrip(db):
     assert runs[0].commit_sha == "c0ffee"
     assert runs[0].meta == {"host": "runner-1"}
     cells = db.run_cells(run_id)
-    cell = cells["g10x20/k2/r1/f=sum/w0/cold"]
+    cell = cells["g10x20/k2/r1/f=sum/cold"]
     assert cell.status == "done"
     assert cell.best_seconds == 0.5
     assert cell.run_seconds == (0.6, 0.5, 0.7)
