@@ -10,7 +10,6 @@ provides all three.
 from repro.core.decomposition import core_decomposition, core_number_histogram, kmax
 from repro.core.kcore import (
     connected_kcore_components,
-    is_kcore_subset,
     kcore_of_subset,
     maximal_kcore,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "connected_kcore_components",
     "core_decomposition",
     "core_number_histogram",
-    "is_kcore_subset",
     "kcore_of_subset",
     "kmax",
     "maximal_kcore",

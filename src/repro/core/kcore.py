@@ -98,17 +98,3 @@ def connected_kcore_components(
     if not core:
         return []
     return connected_components_of(graph, core)
-
-
-def is_kcore_subset(graph: Graph, vertices: Iterable[int], k: int) -> bool:
-    """True if ``G[vertices]`` already has minimum induced degree >= k.
-
-    This is the "C is k-core" test of the local-search strategies —
-    note it checks cohesiveness only, not connectivity.
-    """
-    _check_k(k)
-    subset = set(vertices)
-    if not subset:
-        return False
-    adj = graph.adjacency
-    return all(len(adj[v] & subset) >= k for v in subset)

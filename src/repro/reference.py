@@ -14,8 +14,9 @@ oracle that tests and benches compare against:
 * :class:`SumStrategy` / :class:`AvgStrategy` (picked by
   :func:`strategy_for`) — Algorithm 4's candidate strategies, which
   re-test every prefix with :func:`_is_candidate` (a fresh set and a
-  rescan of each member's adjacency) and evaluate ``f`` through
-  :class:`~repro.utils.stats.IncrementalStats`;
+  rescan of each member's adjacency, via :func:`is_kcore_subset`) and
+  evaluate ``f`` through :class:`IncrementalStats` (exact running
+  min/max over a :class:`SortedMultiset`);
 * :func:`set_engine` — run the solvers on these engines for one block.
 
 No production module imports this one (a test enforces it).
@@ -24,13 +25,14 @@ No production module imports this one (a test enforces it).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left, insort
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.aggregators.base import Aggregator
-from repro.core.kcore import is_kcore_subset, kcore_worklist
+from repro.core.kcore import _check_k, kcore_worklist
 from repro.graphs.components import components_bfs, is_connected_subset
 from repro.graphs.graph import Graph
 from repro.influential.community import Community, community_from_vertices
@@ -40,18 +42,21 @@ from repro.influential.expansion import (
     removal_loss,
     sum_alpha_of,
 )
-from repro.utils.stats import IncrementalStats
+from repro.utils.stats import SubsetStats
 from repro.utils.topr import TopR
 from repro.utils.zobrist import ZobristHasher
 
 __all__ = [
     "AvgStrategy",
     "ExpansionContext",
+    "IncrementalStats",
+    "SortedMultiset",
     "Strategy",
     "SumStrategy",
     "core_decomposition",
     "edge_supports",
     "expansion_context",
+    "is_kcore_subset",
     "seed_candidates",
     "set_engine",
     "strategy_for",
@@ -408,6 +413,136 @@ def expansion_context(
         graph, members_frozenset(members), k, aggregator, parent_value,
         hasher, parent_key,
     )
+
+
+def is_kcore_subset(graph: Graph, vertices: Iterable[int], k: int) -> bool:
+    """True if ``G[vertices]`` already has minimum induced degree >= k.
+
+    This is the "C is k-core" test of the local-search strategies —
+    note it checks cohesiveness only, not connectivity.
+    """
+    _check_k(k)
+    subset = set(vertices)
+    if not subset:
+        return False
+    adj = graph.adjacency
+    return all(len(adj[v] & subset) >= k for v in subset)
+
+
+class SortedMultiset:
+    """Sorted multiset of floats supporting add/discard/min/max/median.
+
+    Backs :class:`IncrementalStats`' exact minima/maxima under removals: a
+    bisect-backed list gives O(log n) search and O(n) insert/remove with
+    tiny constants at the sizes the strategies touch (at most ``s``).
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, values: Iterable[float] = ()) -> None:
+        self._data = sorted(values)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._data)
+
+    def __contains__(self, value: float) -> bool:
+        i = bisect_left(self._data, value)
+        return i < len(self._data) and self._data[i] == value
+
+    def add(self, value: float) -> None:
+        """Insert ``value`` (duplicates allowed)."""
+        insort(self._data, value)
+
+    def remove(self, value: float) -> None:
+        """Remove one occurrence of ``value``; KeyError if absent."""
+        i = bisect_left(self._data, value)
+        if i >= len(self._data) or self._data[i] != value:
+            raise KeyError(f"value {value!r} not in multiset")
+        del self._data[i]
+
+    def discard(self, value: float) -> bool:
+        """Remove one occurrence if present; return whether removed."""
+        try:
+            self.remove(value)
+        except KeyError:
+            return False
+        return True
+
+    def min(self) -> float:
+        """Smallest element; ValueError when empty."""
+        if not self._data:
+            raise ValueError("min of empty multiset")
+        return self._data[0]
+
+    def max(self) -> float:
+        """Largest element; ValueError when empty."""
+        if not self._data:
+            raise ValueError("max of empty multiset")
+        return self._data[-1]
+
+    def kth(self, k: int) -> float:
+        """The k-th smallest element (0-based)."""
+        return self._data[k]
+
+    def count(self, value: float) -> int:
+        """Number of occurrences of ``value``."""
+        lo = bisect_left(self._data, value)
+        count = 0
+        for x in self._data[lo:]:
+            if x != value:
+                break
+            count += 1
+        return count
+
+
+class IncrementalStats:
+    """Mutable subset statistics with O(log s) add/remove.
+
+    Minima/maxima are kept exact through a :class:`SortedMultiset`, so unlike
+    the common sum-only accumulators this structure supports *removals*
+    without ever recomputing from scratch — the property-based tests pin the
+    equivalence with recomputation.
+    """
+
+    __slots__ = ("_weights", "_sum")
+
+    def __init__(self) -> None:
+        self._weights = SortedMultiset()
+        self._sum = 0.0
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def add(self, weight: float) -> None:
+        """Account for one vertex of ``weight`` joining the subset."""
+        self._weights.add(weight)
+        self._sum += weight
+
+    def remove(self, weight: float) -> None:
+        """Account for one vertex of ``weight`` leaving the subset."""
+        self._weights.remove(weight)
+        self._sum -= weight
+
+    @property
+    def size(self) -> int:
+        """Current subset cardinality."""
+        return len(self._weights)
+
+    @property
+    def weight_sum(self) -> float:
+        """Current total weight."""
+        return self._sum
+
+    def snapshot(self) -> SubsetStats:
+        """Freeze the current statistics into a :class:`SubsetStats`."""
+        if not self._weights:
+            return SubsetStats.empty()
+        return SubsetStats(
+            len(self._weights), self._sum, self._weights.min(), self._weights.max()
+        )
 
 
 def _is_candidate(graph: Graph, vertices: Sequence[int], k: int) -> bool:

@@ -1,15 +1,14 @@
 """Small self-contained data structures and helpers used across the library.
 
 Nothing in this package knows about graphs or communities; it is the layer
-below the substrate: disjoint sets, heaps, incremental set hashing, sorted
-multisets, top-r accumulators, timing, seeded randomness and ASCII tables.
+below the substrate: disjoint sets, heaps, incremental set hashing, subset
+weight statistics, top-r accumulators, timing, seeded randomness and ASCII tables.
 """
 
 from repro.utils.dsu import DisjointSetUnion
 from repro.utils.heaps import IndexedMaxHeap, LazyMaxHeap
 from repro.utils.rng import make_rng, spawn_seeds
-from repro.utils.sortedlist import SortedMultiset
-from repro.utils.stats import IncrementalStats, SubsetStats
+from repro.utils.stats import SubsetStats
 from repro.utils.tables import format_table, format_markdown_table
 from repro.utils.timing import Stopwatch, format_seconds
 from repro.utils.topr import TopR
@@ -19,9 +18,7 @@ __all__ = [
     "DisjointSetUnion",
     "IndexedMaxHeap",
     "LazyMaxHeap",
-    "IncrementalStats",
     "SubsetStats",
-    "SortedMultiset",
     "Stopwatch",
     "TopR",
     "ZobristHasher",

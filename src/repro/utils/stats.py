@@ -1,18 +1,13 @@
-"""Weight statistics of vertex subsets, with incremental maintenance.
+"""Weight statistics of vertex subsets.
 
 Every aggregation function in the paper's Table I is a function of the tuple
 ``(|H|, w(H), min w, max w)`` plus the graph-level total weight (needed only
-by balanced density).  :class:`SubsetStats` is the immutable tuple;
-:class:`IncrementalStats` maintains it under vertex insertions and removals
-so a caller can re-evaluate ``f(C)`` in O(log s) per move instead of
-O(|C|).
+by balanced density).  :class:`SubsetStats` is that immutable tuple.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-from repro.utils.sortedlist import SortedMultiset
 
 
 class _Fields(NamedTuple):
@@ -52,50 +47,3 @@ class SubsetStats(_Fields):
         if not weights:
             return SubsetStats.empty()
         return SubsetStats(len(weights), float(sum(weights)), min(weights), max(weights))
-
-
-class IncrementalStats:
-    """Mutable subset statistics with O(log s) add/remove.
-
-    Minima/maxima are kept exact through a :class:`SortedMultiset`, so unlike
-    the common sum-only accumulators this structure supports *removals*
-    without ever recomputing from scratch — the property-based tests pin the
-    equivalence with recomputation.
-    """
-
-    __slots__ = ("_weights", "_sum")
-
-    def __init__(self) -> None:
-        self._weights = SortedMultiset()
-        self._sum = 0.0
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def add(self, weight: float) -> None:
-        """Account for one vertex of ``weight`` joining the subset."""
-        self._weights.add(weight)
-        self._sum += weight
-
-    def remove(self, weight: float) -> None:
-        """Account for one vertex of ``weight`` leaving the subset."""
-        self._weights.remove(weight)
-        self._sum -= weight
-
-    @property
-    def size(self) -> int:
-        """Current subset cardinality."""
-        return len(self._weights)
-
-    @property
-    def weight_sum(self) -> float:
-        """Current total weight."""
-        return self._sum
-
-    def snapshot(self) -> SubsetStats:
-        """Freeze the current statistics into a :class:`SubsetStats`."""
-        if not self._weights:
-            return SubsetStats.empty()
-        return SubsetStats(
-            len(self._weights), self._sum, self._weights.min(), self._weights.max()
-        )

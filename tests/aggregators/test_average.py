@@ -4,9 +4,9 @@ counterexamples (non-submodularity, non-monotonicity of g)."""
 import pytest
 
 from repro.aggregators.average import Average
-from repro.core.kcore import is_kcore_subset
 from repro.errors import AggregatorError
 from repro.graphs.components import is_connected_subset
+from repro.reference import is_kcore_subset
 from repro.utils.stats import SubsetStats
 
 

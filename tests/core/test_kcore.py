@@ -8,11 +8,11 @@ from repro import reference
 from repro.core.decomposition import core_decomposition
 from repro.core.kcore import (
     connected_kcore_components,
-    is_kcore_subset,
     kcore_of_subset,
     maximal_kcore,
 )
 from repro.errors import SpecError
+from repro.reference import is_kcore_subset
 from repro.graphs.generators.examples import tiny_kcore_graph
 from repro.serving.oracle import small_oracle_graphs
 from tests.conftest import random_weighted_graph

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.kcore import is_kcore_subset
 from repro.errors import GraphError
 from repro.graphs.generators.planted import PlantedSpec, planted_communities
 from repro.graphs.validation import validate_graph
+from repro.reference import is_kcore_subset
 
 
 def test_blocks_are_planted_where_claimed():

@@ -3,9 +3,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.reference import IncrementalStats, SortedMultiset
 from repro.utils.heaps import IndexedMaxHeap, LazyMaxHeap
-from repro.utils.sortedlist import SortedMultiset
-from repro.utils.stats import IncrementalStats, SubsetStats
+from repro.utils.stats import SubsetStats
 from repro.utils.topr import TopR
 from repro.utils.zobrist import ZobristHasher
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.sortedlist import SortedMultiset
+from repro.reference import SortedMultiset
 
 
 def test_construction_sorts():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.utils.stats import IncrementalStats, SubsetStats
+from repro.reference import IncrementalStats
+from repro.utils.stats import SubsetStats
 
 
 class TestSubsetStats:
