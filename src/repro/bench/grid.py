@@ -12,8 +12,9 @@ cell — errors are recorded, never raised, so one broken cell cannot hide
 the rest of the sweep.
 
 Each done cell also records a digest of the *answer* it measured: cells
-that differ only in the serving tier must agree, and the comparator (:func:`repro.bench.compare.compare_grid_runs`) fails the
-run when they do not.
+that differ only in the serving tier must agree, and the comparator
+(:func:`repro.bench.compare.compare_grid_runs`) fails the run when they
+do not.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ Three predicate kinds cover the serving surface:
 
 Predicates are frozen and hashable, so they ride inside
 :meth:`repro.serving.query.InfluentialQuery.cache_key` unchanged.
-:meth:`from_json` accepts the wire shapes of the v1 HTTP API (``{"eq": ...}``, ``{"any": [...]}``,
-``{"prefix": ...}``, plus the shorthands bare-string → ``eq`` and
-bare-list → ``any``).
+:meth:`from_json` accepts the wire shapes of the v1 HTTP API
+(``{"eq": ...}``, ``{"any": [...]}``, ``{"prefix": ...}``, plus the
+shorthands bare-string → ``eq`` and bare-list → ``any``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Multi-process serving fleet over one shared substrate.
 
 ``repro serve --fleet N`` forks N event-loop processes that all answer
-on one port.  It is the server's only process-level scaling: each member
-is one :class:`~repro.serving.http.ServingApp` with one solver thread.
+on one port.  It is the package's only process-level scaling (batches
+through ``submit_many`` and ``repro batch`` run in one process): each
+member is one :class:`~repro.serving.http.ServingApp` with one solver
+thread.
 The pieces, bottom-up:
 
 * :class:`Replicator` — glues a :class:`~repro.serving.http.ServingApp`

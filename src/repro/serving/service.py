@@ -145,9 +145,9 @@ class QueryService:
     def peek_truss_numbers(self) -> "dict[tuple[int, int], int] | None":
         """The truss cache if one was ever computed (refreshed), else None.
 
-        Snapshot saves use this: they must never ship a partially evicted
-        dict, but must not force a cold decomposition
-        on a service that never served truss traffic either.
+        Snapshot saves and substrate publication use this: they must never
+        ship a partially evicted dict, but must not force a cold
+        decomposition on a service that never served truss traffic either.
         """
         if self._truss_numbers is None:
             return None
@@ -157,8 +157,9 @@ class QueryService:
     def truss_pending(self) -> bool:
         """True while an edge update's truss refresh is still lazy.
 
-        Substrate publication checks this instead of touching :attr:`truss_numbers` (which would force the refresh on
-        whatever thread asked — the event loop, typically)."""
+        Substrate publication checks this instead of touching
+        :attr:`truss_numbers` (which would force the refresh on whatever
+        thread asked — the event loop, typically)."""
         return self._truss_pending is not None
 
     @property

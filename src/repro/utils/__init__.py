@@ -2,7 +2,8 @@
 
 Nothing in this package knows about graphs or communities; it is the layer
 below the substrate: disjoint sets, heaps, incremental set hashing, subset
-weight statistics, top-r accumulators, timing, seeded randomness and ASCII tables.
+weight statistics, top-r accumulators, timing, seeded randomness and ASCII
+tables.
 """
 
 from repro.utils.dsu import DisjointSetUnion
