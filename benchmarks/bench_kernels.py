@@ -26,7 +26,11 @@ import time
 import numpy as np
 
 from repro import kernels
+from repro.core.kcore import connected_kcore_components
+from repro.influential.expansion_csr import ComponentStructure, MemberArray
 from repro.kernels import _numpy as fallback
+from repro.reference import _articulation_vertices
+from repro.utils.zobrist import ZobristHasher
 
 DEFAULT_N = 200_000
 DEFAULT_M = 1_600_000
@@ -64,6 +68,27 @@ def test_bench_components_kernel(benchmark, email):
         kernels.components_of_mask, csr.indptr, csr.indices, mask
     )
     assert sum(piece.size for piece in pieces) == email.n
+
+
+def test_bench_articulation_mask(benchmark, email):
+    """The expansion engine's articulation mask (a Tarjan–Vishkin test
+    over the structure's spanning tree) on the largest 4-core component,
+    checked vertex for vertex against the reference Tarjan walk."""
+    benchmark.group = "kernel-tier"
+    hasher = ZobristHasher(email.n)
+    component = max(connected_kcore_components(email, range(email.n), 4), key=len)
+    members = MemberArray.from_iterable(component, hasher)
+    structure = ComponentStructure.build(email, members, 4, hasher)
+    structure.tree  # built once, like a pooled structure's
+
+    def mask():
+        structure._articulation = None  # recompute the lazy mask
+        return structure.articulation
+
+    ours = benchmark(mask)
+    local = structure.local
+    adjacency = {i: set(local.neighbors(i).tolist()) for i in range(local.n)}
+    assert set(np.flatnonzero(ours).tolist()) == _articulation_vertices(adjacency)
 
 
 # ----------------------------------------------------------------------

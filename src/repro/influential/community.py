@@ -37,6 +37,29 @@ class Community:
             raise ValueError("a community cannot be empty")
         object.__setattr__(self, "_sorted", tuple(sorted(self.vertices)))
 
+    @classmethod
+    def _from_sorted(
+        cls, ordered: tuple[int, ...], value: float, aggregator: str, k: int
+    ) -> "Community":
+        """Build from member ids already in ascending order.
+
+        The result boundary holds the expansion engine's sorted id arrays,
+        so this skips ``__post_init__``'s re-sort; the instance is
+        indistinguishable from ``Community(frozenset(ordered), ...)``.
+        """
+        if not ordered:
+            raise ValueError("a community cannot be empty")
+        self = object.__new__(cls)
+        for name, field_value in (
+            ("vertices", frozenset(ordered)),
+            ("value", value),
+            ("aggregator", aggregator),
+            ("k", k),
+            ("_sorted", ordered),
+        ):
+            object.__setattr__(self, name, field_value)
+        return self
+
     @property
     def size(self) -> int:
         """``|H|``: number of member vertices."""

@@ -88,8 +88,11 @@ class ChildCandidate:
 
     def to_community(self, aggregator_name: str, k: int) -> Community:
         """The frozenset-backed result object (the boundary conversion)."""
-        return Community(
-            members_frozenset(self.vertices), self.value, aggregator_name, k
+        if isinstance(self.vertices, frozenset):
+            return Community(self.vertices, self.value, aggregator_name, k)
+        # A MemberArray's ids are already sorted: no second sort.
+        return Community._from_sorted(
+            tuple(self.vertices.ids.tolist()), self.value, aggregator_name, k
         )
 
 

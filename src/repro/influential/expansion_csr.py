@@ -24,8 +24,11 @@ pseudocode step                        array operation
 "compute the k-core of C - {v}"        fast path: no neighbour of ``i`` has
 (Alg. 1 L5, Alg. 2 L12's re-core)      induced degree k (``has_weak``) and
                                        ``i`` is not an articulation vertex
-                                       (``articulation``) — the child is
-                                       literally ``np.delete(ids, i)``;
+                                       (``articulation``, a vectorised
+                                       Tarjan–Vishkin test over the
+                                       spanning tree ``tree``) — the
+                                       child is literally
+                                       ``np.delete(ids, i)``;
                                        slow path: mask-peel cascade via
                                        :meth:`CSRAdjacency.peel_to_kcore`
                                        on the component-local CSR
@@ -154,14 +157,14 @@ class ComponentStructure:
     Everything a :class:`CSRExpansionContext` derives from the *topology*
     (and the per-graph weight/token arrays) lives here: the component-local
     CSR, induced degrees, the ``has_weak`` cascade predicate, the lazily
-    computed articulation mask and BFS spanning tree (the tree lets a
-    cascade prove its survivors connected without a component BFS), plus
-    the gathered member weights and Zobrist tokens.  None of it depends on
-    the aggregator, the parent value, or the query's ``r``/``eps`` — which
-    is what makes a structure safe to cache and share across queries.  A
-    structure is only valid for the ``k`` it was built with (``has_weak``
-    thresholds at exactly ``k``); the serving-layer engine pool keys its
-    cache by ``(k, members)``.
+    computed BFS spanning tree and the articulation mask read off it (the
+    tree also lets a cascade prove its survivors connected without a
+    component BFS), plus the gathered member weights and Zobrist tokens.
+    None of it depends on the aggregator, the parent value, or the query's
+    ``r``/``eps`` — which is what makes a structure safe to cache and
+    share across queries.  A structure is only valid for the ``k`` it was
+    built with (``has_weak`` thresholds at exactly ``k``); the
+    serving-layer engine pool keys its cache by ``(k, members)``.
 
     ``substructure`` relabels a community that lives *inside* this one
     against the component-local CSR instead of the global graph: pops that
@@ -195,11 +198,10 @@ class ComponentStructure:
         self.local_weights = local_weights
         self.local_tokens = local_tokens
         self.has_weak = has_weak
-        # Articulation detection is the one per-component cost that cannot
-        # be a numpy reduction; it is computed lazily because value-pruned
-        # expansions (the steady state of Algorithm 2) never need it.
+        # The articulation mask and the spanning tree it is read off are
+        # computed lazily: value-pruned expansions (the steady state of
+        # Algorithm 2) never need either.
         self._articulation: np.ndarray | None = None
-        # Same reasoning for the spanning tree: only cascades read it.
         self._tree: SpanningTree | None = None
 
     @classmethod
@@ -265,9 +267,7 @@ class ComponentStructure:
     def articulation(self) -> np.ndarray:
         """Boolean mask over local ids: True at articulation vertices."""
         if self._articulation is None:
-            self._articulation = _articulation_mask(
-                self.local.indptr, self.local.indices
-            )
+            self._articulation = _articulation_mask(self.local, self.tree)
         return self._articulation
 
     @property
@@ -459,8 +459,9 @@ class CSRExpansionContext:
             eligible = np.arange(c, dtype=np.int64)
         if eligible.size == 0:
             return
-        # Resolve the structure (and its lazy articulation mask) here, on
-        # the calling thread, before any work is dispatched to threads.
+        # Resolve the structure and its lazy articulation mask (which
+        # builds the spanning tree cascades read) here, on the calling
+        # thread, before any work is dispatched to threads.
         structure = self.structure
         articulation = structure.articulation
         has_weak = structure.has_weak
@@ -472,9 +473,6 @@ class CSRExpansionContext:
                 np.count_nonzero(has_weak[eligible] | articulation[eligible])
             )
             if cascades >= 2:
-                # Cascades read the lazy spanning tree: build it here,
-                # not racing on the worker threads.
-                structure.tree
                 yield from self._expand_threaded(
                     eligible.tolist(),
                     loss_list,
@@ -500,9 +498,9 @@ class CSRExpansionContext:
 
         Reads only immutable structure arrays and allocates fresh
         scratch, so any number of these may run concurrently against one
-        :class:`ComponentStructure` (``articulation`` and ``tree`` are
-        forced by the caller before dispatch, so the lazy inits never
-        race).
+        :class:`ComponentStructure` (the caller forces ``articulation``
+        before dispatch, and that builds ``tree`` too, so the lazy inits
+        never race).
         """
         if self.has_weak[i] or self.articulation[i]:
             return self._cascade_children(i)
@@ -643,9 +641,13 @@ def _spanning_tree(local: CSRAdjacency) -> SpanningTree:
     preorder numbers are handed out top-down — siblings, grouped by
     parent, take consecutive blocks right after their parent's number.
     ``local`` must be connected and non-empty, as every structure's is: a
-    structure holds one connected k-core component.
+    structure holds one connected k-core component.  Anything else raises
+    :class:`ValueError` (the articulation mask reads this tree, so the
+    precondition is checked, not asserted).
     """
     c = local.n
+    if c == 0:
+        raise ValueError("spanning tree needs a non-empty local graph")
     root = int(np.argmax(local.degrees()))
     parent = np.full(c, -1, dtype=np.int64)
     parent[root] = root
@@ -660,7 +662,12 @@ def _spanning_tree(local: CSRAdjacency) -> SpanningTree:
         frontier = frontier.astype(np.int64)
         parent[frontier] = owners[fresh][first]
         levels.append(frontier)
-    assert parent.min() >= 0, "the local graph must be connected"
+    unreached = int(np.count_nonzero(parent < 0))
+    if unreached:
+        raise ValueError(
+            f"spanning tree needs a connected local graph: {unreached} of "
+            f"{c} vertices are unreachable from the root"
+        )
     size = np.ones(c, dtype=np.int64)
     for level in reversed(levels):
         np.add.at(size, parent[level], size[level])
@@ -679,57 +686,110 @@ def _spanning_tree(local: CSRAdjacency) -> SpanningTree:
     )
 
 
-def _articulation_mask(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Articulation vertices of a local CSR graph, as a boolean mask.
+def _articulation_mask(local: CSRAdjacency, tree: SpanningTree) -> np.ndarray:
+    """Articulation vertices of the connected ``local`` graph, as a mask.
 
-    The same iterative Tarjan lowpoint walk as the set engine, but over the
-    flat CSR arrays with an explicit per-vertex edge cursor instead of
-    per-frame neighbour iterators.  The arrays are converted to Python
-    lists once: the walk is inherently sequential, and list indexing beats
-    numpy scalar indexing several-fold in that regime.
+    Tarjan & Vishkin's biconnectivity test, which works on any rooted
+    spanning tree.  Each tree edge is named by its child vertex; two tree
+    edges lie in one block (biconnected component) exactly when a chain
+    of these joins links them:
+
+    1. a non-tree edge ``{u, w}`` with neither endpoint an ancestor of the
+       other joins edge ``u`` and edge ``w``;
+    2. a child ``w`` of a non-root ``p`` joins edge ``p`` when some
+       neighbour of ``w``'s subtree lies outside ``p``'s subtree:
+       ``low[w] < tin[p]`` or ``high[w] >= tout[p]``, where ``low``/
+       ``high`` are the min/max preorder number adjacent to the subtree.
+
+    ``v`` is an articulation vertex iff its own edge and its children's
+    edges fall into two or more blocks.  Every step is a whole-graph
+    array operation.
     """
-    n = len(indptr) - 1
-    ip = indptr.tolist()
-    idx = indices.tolist()
-    visited = bytearray(n)
-    articulation = bytearray(n)
-    depth = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    cursor = list(ip[:n])
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = 1
-        root_children = 0
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            e = cursor[v]
-            if e < ip[v + 1]:
-                cursor[v] = e + 1
-                u = idx[e]
-                if u == parent[v]:
-                    continue
-                if visited[u]:
-                    if depth[u] < low[v]:
-                        low[v] = depth[u]
-                else:
-                    visited[u] = 1
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    low[u] = depth[u]
-                    if v == root:
-                        root_children += 1
-                    stack.append(u)
-            else:
-                stack.pop()
-                p = parent[v]
-                if p != -1:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if p != root and low[v] >= depth[p]:
-                        articulation[p] = 1
-        if root_children > 1:
-            articulation[root] = 1
-    return np.frombuffer(bytes(articulation), dtype=bool)
+    c = local.n
+    if c <= 2:
+        return np.zeros(c, dtype=bool)
+    indptr, indices = local.indptr, local.indices
+    parent = tree.parent.astype(np.int64)
+    tin = tree.tin.astype(np.int64)
+    tout = tree.tout.astype(np.int64)
+    # Per-vertex bounds (every vertex of a connected graph has a
+    # neighbour, so no reduceat run is empty), then per-subtree bounds as
+    # range reductions over the preorder.  Tree neighbours are harmless:
+    # the parent of ``w`` sits at ``tin[p]``, inside both tests' bounds.
+    reached = tin[indices]
+    at = np.empty(c, dtype=np.int64)
+    at[tin] = np.arange(c)
+    low = _subtree_reduce(
+        np.minimum, np.minimum.reduceat(reached, indptr[:-1])[at], tin, tout
+    )
+    high = _subtree_reduce(
+        np.maximum, np.maximum.reduceat(reached, indptr[:-1])[at], tin, tout
+    )
+    # Rule 1, over each edge's arc out of its earlier endpoint in
+    # preorder: that endpoint is an ancestor of the other iff the other
+    # lies inside its subtree.
+    degree = np.diff(indptr)
+    cross = (np.repeat(tin, degree) < reached) & (reached >= np.repeat(tout, degree))
+    u = np.repeat(np.arange(c, dtype=np.int64), degree)[cross]
+    w = indices[cross].astype(np.int64)
+    # Rule 2, over the children of non-root vertices.
+    vertices = np.arange(c, dtype=np.int64)
+    is_root = parent == vertices
+    child = np.flatnonzero(~is_root & ~is_root[parent])
+    up = parent[child]
+    escapes = (low[child] < tin[up]) | (high[child] >= tout[up])
+    block = _min_labels(
+        c,
+        np.concatenate([u, child[escapes]]),
+        np.concatenate([w, up[escapes]]),
+    )
+    articulation = np.zeros(c, dtype=bool)
+    articulation[up[block[child] != block[up]]] = True
+    root_children = block[np.flatnonzero(~is_root & is_root[parent])]
+    articulation[is_root] = root_children.min() != root_children.max()
+    return articulation
+
+
+def _subtree_reduce(
+    ufunc: np.ufunc, values: np.ndarray, tin: np.ndarray, tout: np.ndarray
+) -> np.ndarray:
+    """``ufunc``-reduction of ``values[tin[v]:tout[v]]`` for every ``v``.
+
+    A sparse table over the preorder: row ``j`` holds the reductions of
+    every window of length ``2**j``, and each (non-empty) range is the
+    union of two overlapping windows — O(c log c) work however deep the
+    tree is.
+    """
+    c = values.size
+    table = np.empty((max(c.bit_length(), 1), c), dtype=values.dtype)
+    table[0] = values
+    span = 1
+    for row in range(1, table.shape[0]):
+        prev = table[row - 1, : c - span + 1]
+        table[row, : c - 2 * span + 1] = ufunc(prev[:-span], prev[span:])
+        span *= 2
+    row = np.frexp(tout - tin)[1] - 1
+    return ufunc(table[row, tin], table[row, tout - (1 << row)])
+
+
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the pairs ``(a[i], b[i])`` over ``n``.
+
+    Min-label hooking: each pair hooks its larger root under its smaller
+    one, pointer jumping then flattens every vertex onto its root, and
+    the pairs are rewritten onto their roots, dropping those already
+    joined.  Labels only ever decrease, so the hooks form a forest and
+    each vertex ends labelled with its component's smallest id.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while a.size:
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        a, b = label[a], label[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+    return label

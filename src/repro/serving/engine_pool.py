@@ -3,14 +3,15 @@
 The CSR expansion engine of :mod:`repro.influential.expansion_csr` pays,
 per popped community that has at least one removal surviving the Line-13
 value prefilter, one relabelling of the community against the global CSR
-(plus degrees, the cascade predicate, and — lazily — articulation
-vertices and the BFS spanning tree that lets a cascade skip its component
-BFS); a pop the bound rules out entirely never asks the pool at all.
-Within a single query the solvers already build that state at most once
-per community; across a *served batch* the same communities are popped
-again and again — every query at degree constraint ``k`` starts from the
-identical maximal-k-core components, and queries differing only in
-``r``/``eps``/aggregator re-walk largely the same lattice.
+(plus degrees, the cascade predicate, and — lazily — the BFS spanning
+tree and the articulation vertices read off it; the tree also lets a
+cascade skip its component BFS); a pop the bound rules out entirely never
+asks the pool at all.  Within a single query the solvers already build
+that state at most once per community; across a *served batch* the same
+communities are popped again and again — every query at degree
+constraint ``k`` starts from the identical maximal-k-core components, and
+queries differing only in ``r``/``eps``/aggregator re-walk largely the
+same lattice.
 
 :class:`ExpansionEnginePool` hoists the query-independent half of the
 engine (:class:`~repro.influential.expansion_csr.ComponentStructure`) into
@@ -345,8 +346,9 @@ class ExpansionEnginePool:
 
         ``graph`` must share the topology (``with_weights`` derivation);
         every cached structure re-gathers its weight slice in place —
-        local CSRs, degrees, articulation masks, spanning trees and Zobrist
-        tokens are all weight-independent and survive untouched.
+        local CSRs, degrees, spanning trees, the articulation masks read off
+        them and Zobrist tokens are all weight-independent and survive
+        untouched.
         """
         if graph.n != self.graph.n or graph.m != self.graph.m:
             raise ValueError(

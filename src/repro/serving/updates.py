@@ -107,8 +107,8 @@ def structure_survives(
 
     A cached component structure only encodes the topology induced on its
     member set, so an edge with at most one endpoint inside leaves every
-    cached array (local CSR, degrees, cascade predicate, articulation,
-    spanning tree) valid.
+    cached array (local CSR, degrees, cascade predicate, spanning tree and
+    the articulation mask read off it) valid.
     """
     for u, v in edges:
         lo = int(np.searchsorted(members, u))

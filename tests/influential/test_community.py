@@ -1,9 +1,15 @@
 """Unit tests for the Community result type."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.aggregators.summation import Sum
 from repro.influential.community import Community, community_from_vertices
+from repro.influential.expansion import ChildCandidate
+from repro.influential.expansion_csr import MemberArray
+from repro.utils.zobrist import ZobristHasher
 
 
 def test_construction_and_accessors():
@@ -65,3 +71,24 @@ def test_hashable_and_frozen():
     assert hash(c) is not None
     with pytest.raises(AttributeError):
         c.value = 2.0  # type: ignore[misc]
+
+
+def test_boundary_conversion_matches_frozenset_construction():
+    """``to_community`` hands a MemberArray's sorted ids straight to the
+    result object; it must be indistinguishable from the frozenset
+    construction (members, equality, hash, ordering, repr, pickling)."""
+    hasher = ZobristHasher(5000)
+    ids = np.random.default_rng(3).choice(5000, 1500, replace=False)
+    members = MemberArray.from_iterable(ids.tolist(), hasher)
+    fast = ChildCandidate(members, 12.5, members.key).to_community("sum", 4)
+    old = Community(frozenset(ids.tolist()), 12.5, "sum", 4)
+    assert fast.members() == old.members() == sorted(ids.tolist())
+    assert fast == old and hash(fast) == hash(old)
+    assert fast.sort_key() == old.sort_key()
+    assert repr(fast) == repr(old)
+    assert pickle.loads(pickle.dumps(fast)).members() == old.members()
+    # The reference engine's frozensets take the ordinary constructor.
+    plain = ChildCandidate(frozenset(ids.tolist()), 12.5, 0)
+    assert plain.to_community("sum", 4) == old
+    with pytest.raises(ValueError):
+        Community._from_sorted((), 0.0, "sum", 2)
