@@ -709,16 +709,15 @@ def _articulation_mask(local: CSRAdjacency, tree: SpanningTree) -> np.ndarray:
     if c <= 2:
         return np.zeros(c, dtype=bool)
     indptr, indices = local.indptr, local.indices
-    parent = tree.parent.astype(np.int64)
-    tin = tree.tin.astype(np.int64)
-    tout = tree.tout.astype(np.int64)
+    parent, tin, tout = tree
+    vertices = np.arange(c)
     # Per-vertex bounds (every vertex of a connected graph has a
     # neighbour, so no reduceat run is empty), then per-subtree bounds as
     # range reductions over the preorder.  Tree neighbours are harmless:
     # the parent of ``w`` sits at ``tin[p]``, inside both tests' bounds.
     reached = tin[indices]
     at = np.empty(c, dtype=np.int64)
-    at[tin] = np.arange(c)
+    at[tin] = vertices
     low = _subtree_reduce(
         np.minimum, np.minimum.reduceat(reached, indptr[:-1])[at], tin, tout
     )
@@ -730,10 +729,9 @@ def _articulation_mask(local: CSRAdjacency, tree: SpanningTree) -> np.ndarray:
     # lies inside its subtree.
     degree = np.diff(indptr)
     cross = (np.repeat(tin, degree) < reached) & (reached >= np.repeat(tout, degree))
-    u = np.repeat(np.arange(c, dtype=np.int64), degree)[cross]
-    w = indices[cross].astype(np.int64)
+    u = np.repeat(vertices, degree)[cross]
+    w = indices[cross]
     # Rule 2, over the children of non-root vertices.
-    vertices = np.arange(c, dtype=np.int64)
     is_root = parent == vertices
     child = np.flatnonzero(~is_root & ~is_root[parent])
     up = parent[child]
@@ -761,7 +759,7 @@ def _subtree_reduce(
     tree is.
     """
     c = values.size
-    table = np.empty((max(c.bit_length(), 1), c), dtype=values.dtype)
+    table = np.empty((c.bit_length(), c), dtype=values.dtype)
     table[0] = values
     span = 1
     for row in range(1, table.shape[0]):
