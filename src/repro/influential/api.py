@@ -304,13 +304,11 @@ def _auto_dispatch(
     if not spec.size_constrained:
         if aggregator.is_node_dominated:
             if aggregator.name == "min":
-                family = min_communities(graph, k)
                 if spec.non_overlapping:
-                    return greedy_disjoint(family, r)
+                    return greedy_disjoint(min_communities(graph, k), r)
                 return top_r_min(graph, k, r)
-            family = max_communities(graph, k)
             if spec.non_overlapping:
-                return greedy_disjoint(family, r)
+                return greedy_disjoint(max_communities(graph, k), r)
             return top_r_max(graph, k, r)
         if aggregator.decreases_under_removal:
             if spec.non_overlapping:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SolverError, SpecError
 from repro.hardness.certificates import certify_result_set
+from repro.influential import api
 from repro.influential.api import top_r_communities
 
 
@@ -16,6 +17,25 @@ def test_auto_min_max(figure1):
     assert top_r_communities(figure1, k=2, r=2, f="min").values() == [12.0, 8.0]
     top_max = top_r_communities(figure1, k=2, r=1, f="max")
     assert top_max.values() == [62.0]
+
+
+@pytest.mark.parametrize("f", ["min", "max"])
+@pytest.mark.parametrize("non_overlapping", [False, True])
+def test_min_max_build_the_family_once(figure1, monkeypatch, f, non_overlapping):
+    from repro.influential import minmax_solvers
+
+    builds = []
+    for name in ("min_communities", "max_communities"):
+        build = getattr(minmax_solvers, name)
+
+        def counted(*args, _build=build, **kwargs):
+            builds.append(args)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(minmax_solvers, name, counted)
+        monkeypatch.setattr(api, name, counted)
+    top_r_communities(figure1, k=2, r=2, f=f, non_overlapping=non_overlapping)
+    assert len(builds) == 1
 
 
 def test_auto_avg_uses_local_search(figure1):
