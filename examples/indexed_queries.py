@@ -1,12 +1,13 @@
-"""Extension tour: the min-community index and the k-truss model.
+"""Extension tour: the min-community forest and the k-truss model.
 
 Two capabilities beyond the paper's core algorithms:
 
-1. :class:`~repro.influential.min_index.MinCommunityIndex` — prior work
-   (Li et al. 2015, Bi et al. 2018) answers repeated min queries from an
-   index; we build the laminar community forest once and answer top-r,
-   non-contained, non-overlapping, and "which community is researcher X
-   in?" queries instantly.
+1. the laminar min-community forest — prior work (Li et al. 2015, Bi et
+   al. 2018) answers min queries from an index of the whole community
+   family; :func:`~repro.influential.minmax_solvers.community_forest`
+   builds that forest in near-linear time and answers top-r,
+   non-contained, non-overlapping, and "which communities is researcher
+   X in?" queries from it.
 2. k-truss influential communities — the stricter cohesiveness model the
    paper's introduction points to: every edge must close k-2 triangles.
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import time
 
 from repro import snap_like_graph
-from repro.influential.min_index import MinCommunityIndex
-from repro.influential.minmax_solvers import top_r_min
+from repro.influential.api import top_r_communities
+from repro.influential.minmax_solvers import community_forest, top_r_min
 from repro.influential.truss_search import truss_top_r_min, truss_top_r_sum
 
 
@@ -29,30 +30,25 @@ def main() -> None:
     print(f"dataset: dblp stand-in ({graph.n} vertices, {graph.m} edges), k={k}")
 
     # ------------------------------------------------------------------
-    print("\n-- 1. the laminar min-community index --")
+    print("\n-- 1. the laminar min-community forest --")
     t0 = time.perf_counter()
-    index = MinCommunityIndex(graph, k)
+    forest = community_forest(graph, k, "min")
     build = time.perf_counter() - t0
-    print(f"built index over {len(index)} communities in {build:.3f}s")
+    print(f"built the forest of {len(forest)} communities in {build:.3f}s")
 
-    t0 = time.perf_counter()
-    for __ in range(100):
-        index.top_r(5)
-    per_query = (time.perf_counter() - t0) / 100
-    print(f"top-5 from the index: {per_query * 1e6:.1f}us per query")
+    top5 = forest.communities(5)
+    assert top5 == list(top_r_min(graph, k, 5))
+    print(f"top-5 values: {[round(c.value, 6) for c in top5]}")
+    leaves = forest.leaves(3)
+    print(f"top-3 non-contained sizes: {[c.size for c in leaves]}")
 
-    t0 = time.perf_counter()
-    direct = top_r_min(graph, k, 5)
-    print(f"top-5 by re-peeling:  {time.perf_counter() - t0:.3f}s per query")
-    assert index.top_r(5).values() == direct.values()
-
-    anchor = index.top_r(1)[0].members()[0]
-    chain = index.chain_of(anchor)
+    anchor = top5[0].members()[0]
+    chain = [c for c in forest.communities() if anchor in c.vertices]
     print(
         f"vertex {anchor} sits in a chain of {len(chain)} nested communities "
         f"(innermost value {chain[0].value:.6f}, outermost {chain[-1].value:.6f})"
     )
-    disjoint = index.top_r_nonoverlapping(3)
+    disjoint = top_r_communities(graph, k, 3, "min", non_overlapping=True)
     print(f"non-overlapping top-3 values: {[round(v, 6) for v in disjoint.values()]}")
 
     # ------------------------------------------------------------------

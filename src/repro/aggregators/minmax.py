@@ -3,7 +3,8 @@
 These are the functions of prior work: Li et al. (VLDB 2015) and Bi et al.
 (VLDB 2018) study ``min``; the paper notes their algorithms "could simply
 be extended to the cases when f = max".  Both are polynomial-time solvable
-(Table I) and handled by :mod:`repro.influential.minmax_solvers`.
+(Table I) and handled by :mod:`repro.influential.minmax_solvers`, which
+builds one laminar community forest for either function.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ class Minimum(Aggregator):
 
     Not size-proportional (adding a light vertex lowers the value) and not
     decreasing under removal (deleting the lightest vertex *raises* it):
-    Algorithm 2's pruning is unsound for min, which is why the dedicated
-    peel solver exists.
+    Algorithm 2's pruning is unsound for min, which is why the community
+    forest answers it.
     """
 
     name = "min"
@@ -38,7 +39,7 @@ class Maximum(Aggregator):
     Size-proportional (supersets can only contain a heavier vertex) but not
     strictly decreasing under removal: deleting a non-maximal vertex keeps
     ``f`` unchanged, so maximality under Definition 3 is non-trivial — the
-    anchor-sweep solver handles it.
+    community forest, built on negated weights, handles it.
     """
 
     name = "max"

@@ -6,7 +6,7 @@ random weighted graphs and certifies, per instance,
 
 * Algorithm 1 and Algorithm 2 (eps=0) against brute force under sum;
 * the Theorem 6 bound for Approx at several eps;
-* min/max peel solvers against the Definition 3 oracle;
+* the min/max community forest against the Definition 3 oracle;
 * local-search outputs against the certifier (validity, size, disjointness);
 * the Theorem 4 clique gadget round trip.
 

@@ -4,7 +4,8 @@ The paper's community model is built entirely on the k-core (Definition 1):
 every solver needs (a) the maximal k-core of the graph, (b) connected
 k-core components of arbitrary vertex subsets after vertex removals, and
 (c) an efficient "remove vertex and cascade" primitive.  This package
-provides all three.
+provides the first two; the cascade is
+:meth:`repro.graphs.csr.CSRAdjacency.peel_to_kcore` over the kernel tier.
 """
 
 from repro.core.decomposition import core_decomposition, core_number_histogram, kmax
@@ -13,10 +14,8 @@ from repro.core.kcore import (
     kcore_of_subset,
     maximal_kcore,
 )
-from repro.core.peeler import PeelingWorkspace
 
 __all__ = [
-    "PeelingWorkspace",
     "connected_kcore_components",
     "core_decomposition",
     "core_number_histogram",

@@ -17,8 +17,8 @@ The class also hosts the vectorised primitives every kernel needs:
 * :meth:`subset_degrees` / :meth:`peel_to_kcore` /
   :meth:`components_of_mask` — induced degrees of a boolean vertex mask,
   the fixpoint "delete while min degree < k" peel, and the masked
-  component split shared by :func:`repro.core.kcore.kcore_of_subset` and
-  :class:`repro.core.peeler.PeelingWorkspace`.
+  component split; :func:`repro.core.kcore.kcore_of_subset` and
+  :func:`repro.influential.minmax_solvers.community_forest` peel here.
 
 The peel and component-split hot loops themselves live in
 :mod:`repro.kernels` (compiled when Numba is installed, pure numpy

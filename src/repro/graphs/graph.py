@@ -9,10 +9,9 @@ representations** over the same edge set:
 
 * **set adjacency** (``self.adjacency``) — a list of Python sets, the
   primary storage.  O(1) membership tests and per-vertex set intersections
-  make it the right substrate for the *incremental* paths: small cascades
-  in :class:`repro.core.peeler.PeelingWorkspace`, BFS/component queries
-  restricted to shrinking alive-sets, the small-subset branches of the
-  subset kernels, and the reference implementations in
+  make it the right substrate for the *incremental* paths: BFS/component
+  queries restricted to shrinking alive-sets, the small-subset branches
+  of the subset kernels, and the reference implementations in
   :mod:`repro.reference`.
 * **CSR arrays** (``self.csr``) — flat ``indptr``/``indices`` arrays
   (:class:`repro.graphs.csr.CSRAdjacency`; indices int32 on any graph an
@@ -21,9 +20,8 @@ representations** over the same edge set:
   :func:`repro.core.decomposition.core_decomposition` (frontier bucket
   peeling), :func:`repro.core.kcore.kcore_of_subset` (mask peeling),
   triangle/support counting in :mod:`repro.truss.decomposition`, the
-  initial degree computation of
-  :class:`~repro.core.peeler.PeelingWorkspace`, and the candidate
-  expansion of Algorithms 1/2
+  min/max community forest (:mod:`repro.influential.minmax_solvers`),
+  and the candidate expansion of Algorithms 1/2
   (:mod:`repro.influential.expansion_csr`).
 
 Derived graphs (:meth:`with_weights`, :meth:`with_labels`, and induced
@@ -31,9 +29,9 @@ subgraphs built by :func:`repro.graphs.views.induced_subgraph`) share or
 precompute the CSR cache so the flattening cost is paid once per topology.
 
 Instances are frozen after construction (builders and generators are the
-only producers); algorithms that need mutation take a
-:class:`repro.core.peeler.PeelingWorkspace` copy instead, so one immutable
-graph can serve many concurrent searches.
+only producers); algorithms that need mutation keep their own alive
+masks and degree arrays instead, so one immutable graph can serve many
+concurrent searches.
 """
 
 from __future__ import annotations

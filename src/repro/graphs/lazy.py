@@ -14,7 +14,7 @@ the dominant per-worker memory, dwarfing the arrays themselves.
 list-of-sets adjacency but materialises each vertex's neighbour set on
 first access, straight from the (possibly shared) CSR arrays.  A worker
 that only runs CSR kernels touches no set at all; the small-subset
-kernel branches and the incremental peelers materialise exactly the
+kernel branches and the set-based searches materialise exactly the
 vertices they visit.
 Sets are cached after first build, so amortised access cost matches the
 eager list.

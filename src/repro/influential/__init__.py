@@ -9,7 +9,7 @@ Solvers:
 * :func:`~repro.influential.local_search.local_search` — Algorithm 4 with
   the Sum/Avg strategies and greedy/random orders;
 * :mod:`~repro.influential.minmax_solvers` — the polynomial min/max
-  baselines of prior work;
+  baselines of prior work, read off one laminar community forest;
 * :mod:`~repro.influential.nonoverlap` — TONIC (Definition 5) wrappers;
 * :mod:`~repro.influential.bruteforce` — the exhaustive test oracle.
 

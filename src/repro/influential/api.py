@@ -6,7 +6,7 @@ the paper's Table I and Sections IV-V lay it out:
 ===================  ==================  =====================================
 problem              aggregation          algorithm
 ===================  ==================  =====================================
-unconstrained        min / max            dedicated peel / anchor sweep
+unconstrained        min / max            laminar community forest (top r)
 unconstrained        sum / sum-surplus    Algorithm 2 (exact at eps=0)
 unconstrained        avg / densities      Algorithm 4 with s = |V| (heuristic)
 size-constrained     any                  Algorithm 4 (greedy or random)
@@ -14,8 +14,8 @@ size-constrained     any (tiny graphs)    Algorithm 3 via ``method="exact"``
 ===================  ==================  =====================================
 
 Non-overlapping (TONIC) requests use the disjoint-component shortcut for
-size-proportional aggregators, greedy disjoint selection over the full
-family for min/max, and accept-and-remove local search otherwise.
+size-proportional aggregators, greedy disjoint selection over the whole
+forest for min/max, and accept-and-remove local search otherwise.
 
 Parameter names are the paper's symbols (see ``docs/API.md`` for the
 full mapping): ``k`` is the degree constraint of the connected-k-core

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SolverError, SpecError
 from repro.hardness.certificates import certify_result_set
-from repro.influential import api
+from repro.influential import minmax_solvers
 from repro.influential.api import top_r_communities
 
 
@@ -21,19 +21,15 @@ def test_auto_min_max(figure1):
 
 @pytest.mark.parametrize("f", ["min", "max"])
 @pytest.mark.parametrize("non_overlapping", [False, True])
-def test_min_max_build_the_family_once(figure1, monkeypatch, f, non_overlapping):
-    from repro.influential import minmax_solvers
-
+def test_min_max_build_the_forest_once(figure1, monkeypatch, f, non_overlapping):
     builds = []
-    for name in ("min_communities", "max_communities"):
-        build = getattr(minmax_solvers, name)
+    build = minmax_solvers.community_forest
 
-        def counted(*args, _build=build, **kwargs):
-            builds.append(args)
-            return _build(*args, **kwargs)
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
 
-        monkeypatch.setattr(minmax_solvers, name, counted)
-        monkeypatch.setattr(api, name, counted)
+    monkeypatch.setattr(minmax_solvers, "community_forest", counted)
     top_r_communities(figure1, k=2, r=2, f=f, non_overlapping=non_overlapping)
     assert len(builds) == 1
 

@@ -4,14 +4,18 @@ import pytest
 
 from repro.errors import SolverError
 from repro.hardness.certificates import certify_result_set
+from repro.influential.api import top_r_communities
 from repro.influential.bruteforce import bruteforce_communities
 from repro.influential.minmax_solvers import (
+    community_forest,
     max_communities,
     min_communities,
     top_r_max,
     top_r_min,
     top_r_min_noncontained,
 )
+from repro.influential.nonoverlap import greedy_disjoint
+from tests.conftest import random_weighted_graph
 
 
 def test_figure1_min_top2(figure1):
@@ -92,11 +96,6 @@ def test_ties_handled(two_triangles):
     assert all(c.value == 5.0 for c in mins + maxs)
 
 
-def test_limit_parameter(figure1):
-    assert len(min_communities(figure1, 2, limit=2)) == 2
-    assert len(max_communities(figure1, 2, limit=1)) == 1
-
-
 def test_parameter_validation(figure1):
     with pytest.raises(SolverError):
         top_r_min(figure1, 0, 1)
@@ -104,8 +103,47 @@ def test_parameter_validation(figure1):
         top_r_max(figure1, 2, 0)
     with pytest.raises(SolverError):
         min_communities(figure1, -1)
+    with pytest.raises(SolverError):
+        community_forest(figure1, 2, "sum")
 
 
 def test_empty_core(path_graph):
     assert min_communities(path_graph, 2) == []
     assert max_communities(path_graph, 2) == []
+
+
+@pytest.fixture(scope="module")
+def forest_graph():
+    return random_weighted_graph(40, 0.15, seed=21)
+
+
+def test_top_r_are_the_best_of_the_family(forest_graph):
+    for solve, family in ((top_r_min, min_communities), (top_r_max, max_communities)):
+        ranked = sorted(family(forest_graph, 2))
+        for r in (1, 2, 5, 10):
+            assert list(solve(forest_graph, 2, r)) == ranked[:r]
+
+
+def test_noncontained_are_the_best_leaves(forest_graph):
+    family = min_communities(forest_graph, 2)
+    leaves = sorted(
+        c for c in family if not any(o.vertices < c.vertices for o in family)
+    )
+    assert list(top_r_min_noncontained(forest_graph, 2, 3)) == leaves[:3]
+
+
+def test_nonoverlapping_is_greedy_over_the_family(forest_graph):
+    for f, family in (("min", min_communities), ("max", max_communities)):
+        result = top_r_communities(forest_graph, 2, 3, f, non_overlapping=True)
+        assert result == greedy_disjoint(family(forest_graph, 2), 3)
+
+
+def test_chains_are_nested_and_value_sorted(forest_graph):
+    family = min_communities(forest_graph, 2)
+    for vertex in range(forest_graph.n):
+        chain = sorted(
+            (c for c in family if vertex in c.vertices), key=lambda c: c.size
+        )
+        for deeper, shallower in zip(chain, chain[1:]):
+            assert deeper.vertices < shallower.vertices
+            assert deeper.value >= shallower.value

@@ -10,7 +10,6 @@ from repro.core.kcore import (
     kcore_of_subset,
     maximal_kcore,
 )
-from repro.core.peeler import PeelingWorkspace
 from repro.graphs.builder import graph_from_edges
 
 
@@ -76,19 +75,3 @@ def test_components_partition_the_core(graph, k):
         assert not (union & comp)  # disjoint
         union |= comp
     assert union == maximal_kcore(graph, k)
-
-
-@given(small_graphs(), st.integers(1, 4), st.data())
-@settings(max_examples=60, deadline=None)
-def test_peeler_matches_recompute(graph, k, data):
-    ws = PeelingWorkspace(graph, k)
-    reference = set(ws.alive)
-    assert reference == maximal_kcore(graph, k)
-    for __ in range(3):
-        if not ws.alive:
-            break
-        victim = data.draw(st.sampled_from(sorted(ws.alive)))
-        ws.remove(victim)
-        reference.discard(victim)
-        reference = kcore_of_subset(graph, reference, k)
-        assert ws.alive == reference

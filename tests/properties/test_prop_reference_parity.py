@@ -21,7 +21,6 @@ from repro.core.kcore import (
     kcore_worklist,
     maximal_kcore,
 )
-from repro.core.peeler import PeelingWorkspace
 from repro.graphs.builder import graph_from_edges
 from repro.graphs.components import components_bfs, connected_components_of
 from repro.influential.api import top_r_communities
@@ -201,22 +200,3 @@ def test_expansion_floor_parity(graph, k, rel_floor, r):
         for child in unfiltered:
             if child[1] >= floor:
                 assert child in floored, child
-
-
-@given(weighted_graphs(), st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_peeling_workspace_parity(graph, k):
-    """Every cascade of the workspace matches a worklist re-peel of the
-    survivors, with exact alive degrees and BFS components."""
-    ws = PeelingWorkspace(graph, k)
-    adj = graph.adjacency
-    assert ws.alive == kcore_worklist(graph, set(range(graph.n)), k)
-    while ws.alive:
-        v = min(ws.alive)
-        before = set(ws.alive)
-        assert ws.degree(v) == len(adj[v] & before)
-        assert ws.alive_neighbors(v) == adj[v] & before
-        removed = ws.remove(v)
-        assert ws.alive == kcore_worklist(graph, before - {v}, k)
-        assert set(removed) == before - ws.alive
-        assert ws.components() == components_bfs(graph, set(ws.alive))
