@@ -16,7 +16,8 @@ and eps=0 Improve configurations) on a G(50k, 400k) random graph, and
 vertex of every retained community, so the set engine needs hours at 50k;
 the scaled-down instance keeps the old/new comparison honest and
 affordable.  ``--ci`` shrinks everything for the gating CI regression
-diff.  The pytest-benchmark entries below cover the email stand-in.
+diff.  The pytest-benchmark entries below cover the email stand-in,
+including ``min``/``max`` queries answered from the community forest.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ import time
 
 from contextlib import nullcontext
 
+import pytest
+
+from repro import reference
+from repro.influential.api import top_r_communities
 from repro.influential.improved import tic_improved
 from repro.influential.naive_sum import sum_naive
 from repro.reference import set_engine
@@ -79,6 +84,15 @@ def test_solver_engines_agree_on_email(email):
     with set_engine():
         assert tic_improved(email, 4, DEFAULT_R, eps=0.1) == csr_improved
         assert sum_naive(email, 4, DEFAULT_R) == csr_naive
+
+
+@pytest.mark.parametrize("f", ["min", "max"])
+def test_bench_minmax_forest(benchmark, email, f):
+    benchmark.group = "minmax-forest"
+    email.csr
+    result = benchmark(top_r_communities, email, 4, 10, f)
+    family = reference.min_family if f == "min" else reference.max_family
+    assert list(result) == sorted(family(email, 4))[:10]
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,9 @@ oracle that tests and benches compare against:
   rescan of each member's adjacency, via :func:`is_kcore_subset`) and
   evaluate ``f`` through :class:`IncrementalStats` (exact running
   min/max over a :class:`SortedMultiset`);
+* :func:`min_family` / :func:`max_family` — the min and max community
+  families by a threshold sweep over every weight, the oracle for
+  :mod:`repro.influential.minmax_solvers`' forest;
 * :func:`set_engine` — run the solvers on these engines for one block.
 
 No production module imports this one (a test enforces it).
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.aggregators.base import Aggregator
-from repro.core.kcore import _check_k, kcore_worklist
+from repro.core.kcore import _check_k, connected_kcore_components, kcore_worklist
 from repro.graphs.components import components_bfs, is_connected_subset
 from repro.graphs.graph import Graph
 from repro.influential.community import Community, community_from_vertices
@@ -57,6 +60,8 @@ __all__ = [
     "edge_supports",
     "expansion_context",
     "is_kcore_subset",
+    "max_family",
+    "min_family",
     "seed_candidates",
     "set_engine",
     "strategy_for",
@@ -659,6 +664,34 @@ def strategy_for(
     if aggregator.is_size_proportional:
         return SumStrategy(graph, k, s, aggregator)
     return AvgStrategy(graph, k, s, aggregator, greedy)
+
+
+def min_family(graph: Graph, k: int) -> list[Community]:
+    """Every k-influential community under min, by threshold sweep.
+
+    For each weight t, the components of the k-core of ``G[w >= t]`` are
+    communities valued at their own minimum weight; the family is the set
+    of distinct ones, best first.
+    """
+    return _threshold_family(graph, k, "min")
+
+
+def max_family(graph: Graph, k: int) -> list[Community]:
+    """Every k-influential community under max: the mirror image of
+    :func:`min_family` over ``G[w <= t]``."""
+    return _threshold_family(graph, k, "max")
+
+
+def _threshold_family(graph: Graph, k: int, name: str) -> list[Community]:
+    weights = graph.weights.tolist()
+    extreme, sign = (min, 1) if name == "min" else (max, -1)
+    family = set()
+    for t in set(weights):
+        kept = [v for v, w in enumerate(weights) if sign * w >= sign * t]
+        for component in connected_kcore_components(graph, kept, k):
+            value = extreme(weights[v] for v in component)
+            family.add(Community(frozenset(component), value, name, k))
+    return sorted(family)
 
 
 @contextmanager
