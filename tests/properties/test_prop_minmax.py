@@ -65,9 +65,8 @@ def test_top_r_is_the_oracle_prefix(graph, k, r, f):
     family = oracle(graph, k)
     assert list(top_r(graph, k, r)) == family[:r]
     assert list(top_r_communities(graph, k, r, f)) == family[:r]
-    assert top_r_communities(
-        graph, k, r, f, non_overlapping=True
-    ) == greedy_disjoint(family, r)
+    disjoint = top_r_communities(graph, k, r, f, non_overlapping=True)
+    assert disjoint == greedy_disjoint(family, r)
 
 
 @given(tied_graphs(), st.integers(1, 3), st.integers(1, 5))
