@@ -11,14 +11,15 @@ The workload models production traffic: a fixed catalogue of distinct
 ``(k, r, aggregator, eps)`` combinations — the sum family Algorithms 1/2
 serve in milliseconds-to-seconds, plus above-``kmax`` probes — sampled
 200 times under a Zipf-like popularity skew (popular queries repeat, the
-long tail stays long).  min/max aggregators are excluded: their
-whole-family peels are 100x slower per query and would turn a serving
-benchmark into a solver benchmark.  The cold baseline keeps the graph's
-own CSR cache warm (that is a per-graph cost, not a per-query one), so
-the speedup isolates genuine serving-layer reuse.  Every pooled answer is
-checked for equality against its cold twin (``results_agree``) — the same
-guarantee the oracle layer under ``tests/serving`` enforces on small
-graphs.
+long tail stays long).  min/max aggregators are excluded: they were
+left out when whole-family peels made them 100x slower per query, and
+although one community forest now answers them in milliseconds, adding
+them would change the workload the committed baseline measures.  The
+cold baseline keeps the graph's own CSR cache warm (that is a per-graph
+cost, not a per-query one), so the speedup isolates genuine serving-layer
+reuse.  Every pooled answer is checked for equality against its cold
+twin (``results_agree``) — the same guarantee the oracle layer under
+``tests/serving`` enforces on small graphs.
 
 ``python benchmarks/bench_serving.py`` writes ``BENCH_serving.json``;
 ``--ci`` shrinks the graph for the gating CI smoke diff against the
