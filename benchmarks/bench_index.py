@@ -25,9 +25,11 @@ measures that lookup on the PR 1/2 reference graph G(50k, 400k):
   retained/invalidated counters).
 
 ``python benchmarks/bench_index.py`` writes ``BENCH_index.json``;
-``--ci`` shrinks the graph for the gating CI smoke diff against the
-committed ``BENCH_index_ci_baseline.json``.  The pytest-benchmark
-entries below cover the email stand-in.
+``--ci`` shrinks the graph for CI, which uploads the report.  The run
+exits 1 when any of the four correctness flags above is false.  The
+speedup is gated by the experiment grid's ``index`` tier
+(``repro bench grid``).  The pytest-benchmark entries below cover the
+email stand-in.
 """
 
 from __future__ import annotations
@@ -223,49 +225,18 @@ def measure_index(
     }
 
 
-def compare_to_baseline(
-    fresh: pathlib.Path, baseline: pathlib.Path, tolerance: float = 0.7
-) -> int:
-    """Gating diff of index lookup speedup against the committed CI
-    baseline (ratios only, shapes must match; any correctness flag going
-    false fails too); console + step-summary output comes from
-    :mod:`baseline_diff`."""
-    from baseline_diff import report_ratio_metrics
-
-    fresh_report = json.loads(fresh.read_text())
-    base_report = json.loads(baseline.read_text())
-    failures = []
-    for flag, message in (
-        ("results_agree", "indexed answers disagree with cold solves"),
-        ("roundtrip_agree", "snapshot round-trip changed indexed answers"),
-        ("update_locality_holds", "edge update re-captured unaffected levels"),
-        ("update_results_agree", "post-update answers disagree with cold"),
-    ):
-        if not fresh_report.get(flag, True):
-            failures.append(message)
-    if fresh_report.get("graph") != base_report.get("graph"):
-        return report_ratio_metrics(
-            "bench_index",
-            [],
-            tolerance=tolerance,
-            notes=[
-                "graph shapes differ from baseline — speedups are not "
-                "comparable, skipped"
-            ],
-            failures=failures,
+def correctness_failures(report: dict) -> list[str]:
+    """Every way ``report`` shows a fast path disagreeing with its oracle."""
+    return [
+        message
+        for flag, message in (
+            ("results_agree", "indexed answers disagree with cold solves"),
+            ("roundtrip_agree", "snapshot round-trip changed indexed answers"),
+            ("update_locality_holds", "edge update re-captured unaffected levels"),
+            ("update_results_agree", "post-update answers disagree with cold"),
         )
-    return report_ratio_metrics(
-        "bench_index",
-        [
-            (
-                "indexed lookup vs cold solve (p50)",
-                fresh_report["speedup"],
-                base_report["speedup"],
-            ),
-        ],
-        tolerance=tolerance,
-        failures=failures,
-    )
+        if report.get(flag) is not True
+    ]
 
 
 def main() -> None:
@@ -276,17 +247,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--ci", action="store_true",
-        help="shrunk graph for the gating CI smoke diff",
+        help="shrunk graph for the CI report and correctness check",
     )
     parser.add_argument(
         "--output", type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
         / "BENCH_index.json",
-    )
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="after measuring, diff speedups against this committed report "
-        "(gating; a regression past tolerance fails the run)",
     )
     args = parser.parse_args()
     if args.ci:
@@ -304,8 +270,11 @@ def main() -> None:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.output}")
-    if args.baseline is not None and args.baseline.exists():
-        raise SystemExit(compare_to_baseline(args.output, args.baseline))
+    failures = correctness_failures(report)
+    for failure in failures:
+        print(f"::error::bench_index: {failure}")
+    if failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ dispatch (whatever backend the process imported — ``numba`` with the
 fallback.  On a Numba machine the ratio is the compiled speedup the PR
 claims (>= 3x on the headline peel); on a fallback-only machine both
 legs are the same code and every ratio sits at ~1.0 — the JSON records
-``backend`` so the baseline diff knows which regime it is looking at.
+``backend`` so a reader knows which regime it is looking at.
 
 ``python benchmarks/bench_kernels.py`` writes ``BENCH_kernels.json``;
-``--ci`` shrinks the graph for the gating regression check.
+``--ci`` shrinks the graph for CI, which uploads the report.  The run
+exits 1 when a dispatched kernel disagrees with its numpy fallback.
 """
 
 from __future__ import annotations
@@ -186,6 +187,15 @@ def measure_kernel_speedups(
     return report
 
 
+def correctness_failures(report: dict) -> list[str]:
+    """Every way ``report`` shows a fast path disagreeing with its oracle."""
+    return [
+        f"{name}: dispatch/fallback results disagree"
+        for name, entry in report["kernels"].items()
+        if entry.get("results_agree") is not True
+    ]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=DEFAULT_N)
@@ -194,17 +204,12 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--ci", action="store_true",
-        help="shrunk graph for the gating CI regression check",
+        help="shrunk graph for the CI report and correctness check",
     )
     parser.add_argument(
         "--output", type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
         / "BENCH_kernels.json",
-    )
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="after measuring, diff speedups against this committed report "
-        "(gating; a regression past tolerance fails the run)",
     )
     args = parser.parse_args()
     if args.ci:
@@ -215,50 +220,11 @@ def main() -> None:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.output}")
-    if args.baseline is not None and args.baseline.exists():
-        raise SystemExit(compare_to_baseline(args.output, args.baseline))
-
-
-def compare_to_baseline(
-    fresh: pathlib.Path, baseline: pathlib.Path, tolerance: float = 0.7
-) -> int:
-    """Gating diff: nonzero when kernel speedups regress past ``tolerance``
-    times the committed baseline (or dispatch and fallback disagree).
-    Ratios are only comparable within one backend regime — a numba run
-    diffed against a numpy baseline (or vice versa) is skipped with a note
-    instead of a spurious failure.
-    """
-    from baseline_diff import report_ratio_metrics
-
-    fresh_report = json.loads(fresh.read_text())
-    baseline_report = json.loads(baseline.read_text())
-    metrics, notes, failures = [], [], []
-    fresh_backend = fresh_report.get("backend")
-    base_backend = baseline_report.get("backend")
-    if fresh_backend != base_backend:
-        notes.append(
-            f"backend regimes differ (fresh={fresh_backend}, "
-            f"baseline={base_backend}) — speedup ratios are not comparable, "
-            f"all kernels skipped"
-        )
-    else:
-        for name, entry in fresh_report.get("kernels", {}).items():
-            reference = baseline_report.get("kernels", {}).get(name)
-            if reference is None:
-                continue
-            if not entry.get("results_agree", False):
-                failures.append(f"{name}: dispatch/fallback results disagree")
-            metrics.append(
-                (
-                    f"{name} dispatch/numpy speedup",
-                    entry["speedup"],
-                    reference["speedup"],
-                )
-            )
-    return report_ratio_metrics(
-        "bench_kernels", metrics, tolerance=tolerance, notes=notes,
-        failures=failures,
-    )
+    failures = correctness_failures(report)
+    for failure in failures:
+        print(f"::error::bench_kernels: {failure}")
+    if failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

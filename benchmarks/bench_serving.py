@@ -14,7 +14,7 @@ serve in milliseconds-to-seconds, plus above-``kmax`` probes — sampled
 long tail stays long).  min/max aggregators are excluded: they were
 left out when whole-family peels made them 100x slower per query, and
 although one community forest now answers them in milliseconds, adding
-them would change the workload the committed baseline measures.  The
+them would change the workload the committed report measures.  The
 cold baseline keeps the graph's own CSR cache warm (that is a per-graph
 cost, not a per-query one), so the speedup isolates genuine serving-layer
 reuse.  Every pooled answer is checked for equality against its cold
@@ -22,8 +22,10 @@ twin (``results_agree``) — the same guarantee the oracle layer under
 ``tests/serving`` enforces on small graphs.
 
 ``python benchmarks/bench_serving.py`` writes ``BENCH_serving.json``;
-``--ci`` shrinks the graph for the gating CI smoke diff against the
-committed ``BENCH_serving_ci_baseline.json``.
+``--ci`` shrinks the graph for CI, which uploads the report.  The run
+exits 1 when a pooled answer disagrees with its cold twin.  The speedup
+is gated by the experiment grid's ``service`` tier
+(``repro bench grid``).
 """
 
 from __future__ import annotations
@@ -178,48 +180,11 @@ def measure_serving_throughput(
     return report
 
 
-def compare_to_baseline(
-    fresh: pathlib.Path, baseline: pathlib.Path, tolerance: float = 0.7
-) -> int:
-    """Gating diff: nonzero when the fresh pooled-vs-cold speedup regresses
-    past ``tolerance`` times the committed baseline, or pooled results
-    disagree with the cold run.  Only the speedup ratio is compared —
-    absolute times differ by runner — and only when the graph and workload
-    shapes match."""
-    from baseline_diff import report_ratio_metrics
-
-    fresh_report = json.loads(fresh.read_text())
-    base_report = json.loads(baseline.read_text())
-    failures = []
-    if not fresh_report.get("results_agree", False):
-        failures.append("pooled results disagree with cold run")
-    same_shape = (
-        fresh_report.get("graph") == base_report.get("graph")
-        and fresh_report.get("workload") == base_report.get("workload")
-    )
-    if not same_shape:
-        return report_ratio_metrics(
-            "bench_serving",
-            [],
-            tolerance=tolerance,
-            notes=[
-                "graph/workload shapes differ from baseline — speedups are "
-                "not comparable, skipped"
-            ],
-            failures=failures,
-        )
-    return report_ratio_metrics(
-        "bench_serving",
-        [
-            (
-                "pooled vs cold speedup",
-                fresh_report["speedup"],
-                base_report["speedup"],
-            )
-        ],
-        tolerance=tolerance,
-        failures=failures,
-    )
+def correctness_failures(report: dict) -> list[str]:
+    """Every way ``report`` shows a fast path disagreeing with its oracle."""
+    if report.get("results_agree") is not True:
+        return ["pooled results disagree with cold run"]
+    return []
 
 
 def main() -> None:
@@ -230,17 +195,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--ci", action="store_true",
-        help="shrunk graph for the gating CI smoke diff",
+        help="shrunk graph for the CI report and correctness check",
     )
     parser.add_argument(
         "--output", type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
         / "BENCH_serving.json",
-    )
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="after measuring, diff the speedup against this committed "
-        "report (gating; a regression past tolerance fails the run)",
     )
     args = parser.parse_args()
     if args.ci:
@@ -251,8 +211,11 @@ def main() -> None:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.output}")
-    if args.baseline is not None and args.baseline.exists():
-        raise SystemExit(compare_to_baseline(args.output, args.baseline))
+    failures = correctness_failures(report)
+    for failure in failures:
+        print(f"::error::bench_serving: {failure}")
+    if failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

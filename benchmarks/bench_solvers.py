@@ -15,9 +15,12 @@ and eps=0 Improve configurations) on a G(50k, 400k) random graph, and
 ``sum_naive`` on a smaller companion graph — Algorithm 1 expands *every*
 vertex of every retained community, so the set engine needs hours at 50k;
 the scaled-down instance keeps the old/new comparison honest and
-affordable.  ``--ci`` shrinks everything for the gating CI regression
-diff.  The pytest-benchmark entries below cover the email stand-in,
-including ``min``/``max`` queries answered from the community forest.
+affordable.  ``--ci`` shrinks everything for CI, which uploads the
+report; the run exits 1 when the two engines disagree.  The speedup is
+gated by the experiment grid's ``reference`` tier
+(``repro bench grid``).  The pytest-benchmark entries below cover the
+email stand-in, including ``min``/``max`` queries answered from the
+community forest.
 """
 
 from __future__ import annotations
@@ -165,6 +168,15 @@ def measure_solver_speedups(
     return report
 
 
+def correctness_failures(report: dict) -> list[str]:
+    """Every way ``report`` shows a fast path disagreeing with its oracle."""
+    return [
+        f"{name}: set/csr results disagree"
+        for name, entry in report["solvers"].items()
+        if entry.get("results_agree") is not True
+    ]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=50_000)
@@ -177,17 +189,12 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument(
         "--ci", action="store_true",
-        help="shrunk graphs for the gating CI regression check",
+        help="shrunk graphs for the CI report and correctness check",
     )
     parser.add_argument(
         "--output", type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
         / "BENCH_solver_expansion.json",
-    )
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="after measuring, diff speedups against this committed report "
-        "(gating; a regression past tolerance fails the run)",
     )
     args = parser.parse_args()
     if args.ci:
@@ -200,50 +207,11 @@ def main() -> None:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.output}")
-    if args.baseline is not None and args.baseline.exists():
-        raise SystemExit(compare_to_baseline(args.output, args.baseline))
-
-
-def compare_to_baseline(
-    fresh: pathlib.Path, baseline: pathlib.Path, tolerance: float = 0.7
-) -> int:
-    """Gating diff: nonzero when fresh speedups regress past ``tolerance``
-    times the committed baseline (or the engines disagree).  CI calls this
-    after a --ci run; graphs differ from the committed full-size run, so
-    only ratios are compared (and only per solver whose baseline graph
-    shape matches the fresh run's).  Console lines, the step-summary table
-    and the waiver file come from :mod:`baseline_diff`.
-    """
-    from baseline_diff import report_ratio_metrics
-
-    fresh_report = json.loads(fresh.read_text())
-    baseline_report = json.loads(baseline.read_text())
-    metrics, notes, failures = [], [], []
-    for name, entry in fresh_report.get("solvers", {}).items():
-        reference = baseline_report.get("solvers", {}).get(name)
-        if reference is None:
-            continue
-        if not entry.get("results_agree", False):
-            failures.append(f"{name}: set/csr results disagree in fresh run")
-        solver_key = name if name in fresh_report.get("graphs", {}) else (
-            "tic_improved" if name.startswith("tic_improved") else name
-        )
-        fresh_graph = fresh_report.get("graphs", {}).get(solver_key)
-        base_graph = baseline_report.get("graphs", {}).get(solver_key)
-        if fresh_graph != base_graph:
-            notes.append(
-                f"{name}: graph sizes differ from baseline "
-                f"({fresh_graph} vs {base_graph}) — speedup ratios are not "
-                f"comparable, skipped"
-            )
-            continue
-        metrics.append(
-            (f"{name} set/csr speedup", entry["speedup"], reference["speedup"])
-        )
-    return report_ratio_metrics(
-        "bench_solvers", metrics, tolerance=tolerance, notes=notes,
-        failures=failures,
-    )
+    failures = correctness_failures(report)
+    for failure in failures:
+        print(f"::error::bench_solvers: {failure}")
+    if failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

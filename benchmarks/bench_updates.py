@@ -17,9 +17,10 @@ reference re-decomposition
 (``results_agree`` in the report).
 
 ``python benchmarks/bench_updates.py`` writes ``BENCH_updates.json``;
-``--ci`` shrinks the graph for the gating CI smoke diff against the
-committed ``BENCH_updates_ci_baseline.json``.  The pytest-benchmark
-entries below cover the email stand-in.
+``--ci`` shrinks the graph for CI, which uploads the report.  The run
+exits 1 when ``results_agree`` is false.  The experiment grid's
+``update`` tier gates a write round trip (``repro bench grid``).  The
+pytest-benchmark entries below cover the email stand-in.
 """
 
 from __future__ import annotations
@@ -228,48 +229,11 @@ def measure_update_speedups(
     return report
 
 
-def compare_to_baseline(
-    fresh: pathlib.Path, baseline: pathlib.Path, tolerance: float = 0.7
-) -> int:
-    """Gating diff of the delta-vs-rebuild speedup against the committed
-    CI baseline (ratios only, shapes must match; a delta/cold answer
-    disagreement fails too); console + step-summary output comes from
-    :mod:`baseline_diff`."""
-    from baseline_diff import report_ratio_metrics
-
-    fresh_report = json.loads(fresh.read_text())
-    base_report = json.loads(baseline.read_text())
-    failures = []
-    if not fresh_report.get("results_agree", False):
-        failures.append("delta results disagree with cold rebuild")
-    if fresh_report.get("graph") != base_report.get("graph"):
-        return report_ratio_metrics(
-            "bench_updates",
-            [],
-            tolerance=tolerance,
-            notes=[
-                "graph shapes differ from baseline — speedups are not "
-                "comparable, skipped"
-            ],
-            failures=failures,
-        )
-    return report_ratio_metrics(
-        "bench_updates",
-        [
-            (
-                "single-edge insert vs rebuild",
-                fresh_report["single_edge"]["insert_speedup"],
-                base_report["single_edge"]["insert_speedup"],
-            ),
-            (
-                "single-edge delete vs rebuild",
-                fresh_report["single_edge"]["delete_speedup"],
-                base_report["single_edge"]["delete_speedup"],
-            ),
-        ],
-        tolerance=tolerance,
-        failures=failures,
-    )
+def correctness_failures(report: dict) -> list[str]:
+    """Every way ``report`` shows a fast path disagreeing with its oracle."""
+    if report.get("results_agree") is not True:
+        return ["delta results disagree with cold rebuild"]
+    return []
 
 
 def main() -> None:
@@ -280,17 +244,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--ci", action="store_true",
-        help="shrunk graph for the gating CI smoke diff",
+        help="shrunk graph for the CI report and correctness check",
     )
     parser.add_argument(
         "--output", type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
         / "BENCH_updates.json",
-    )
-    parser.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="after measuring, diff speedups against this committed report "
-        "(gating; a regression past tolerance fails the run)",
     )
     args = parser.parse_args()
     if args.ci:
@@ -301,8 +260,11 @@ def main() -> None:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"wrote {args.output}")
-    if args.baseline is not None and args.baseline.exists():
-        raise SystemExit(compare_to_baseline(args.output, args.baseline))
+    failures = correctness_failures(report)
+    for failure in failures:
+        print(f"::error::bench_updates: {failure}")
+    if failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

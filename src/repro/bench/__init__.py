@@ -20,7 +20,6 @@ from repro.bench.clock import ManualClock
 from repro.bench.compare import (
     ComparisonReport,
     compare_grid_runs,
-    compare_ratio_metrics,
     compare_value,
     load_waivers,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ManualClock",
     "SweepResult",
     "compare_grid_runs",
-    "compare_ratio_metrics",
     "compare_value",
     "dataset_statistics_table",
     "get_dataset",

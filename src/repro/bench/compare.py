@@ -1,15 +1,11 @@
 """The gating regression comparator.
 
-Everything CI gates on funnels through this module:
+Every performance gate in CI funnels through this module:
 
 * :func:`compare_value` — one metric against one baseline value, with a
   tolerance and a *noise band* derived from best-of-N spread.  Higher- and
   lower-is-better metrics share one rule; a fresh value at least as good
   as its baseline can never be flagged (improvement asymmetry).
-* :func:`compare_ratio_metrics` — the per-bench ``--baseline`` diff the
-  ``benchmarks/bench_*.py`` emitters run (ratios only, band zero), now
-  returning a hard PASS/FAIL :class:`ComparisonReport` instead of the old
-  warn-only exit 0.
 * :func:`compare_grid_runs` — two experiment-grid history databases
   (:mod:`repro.bench.history`): cell statuses, cross-tier answer
   digests, and tier-speedup ratios under the noise band.
@@ -26,7 +22,7 @@ import fnmatch
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.bench.history import CellRecord, HistoryDB, RunRecord
 
@@ -35,13 +31,16 @@ __all__ = [
     "MetricVerdict",
     "Waiver",
     "compare_grid_runs",
-    "compare_ratio_metrics",
     "compare_value",
     "load_waivers",
 ]
 
 #: Default regression tolerance: a ratio below 70% of baseline regresses.
 DEFAULT_TOLERANCE = 0.7
+#: The tier that times a fixed implementation instead of a faster one:
+#: its ratio is judged as yardstick / cold, so a slower cold path — which
+#: every other tier's cold / tier ratio reads as a gain — fails the gate.
+YARDSTICK_TIER = "reference"
 #: Noise bands wider than this are capped — a benchmark so noisy that the
 #: band would excuse any slowdown must be fixed, not auto-waived.
 MAX_NOISE_BAND = 0.5
@@ -201,35 +200,6 @@ def apply_waivers(
     return report
 
 
-def compare_ratio_metrics(
-    bench: str,
-    metrics: Iterable[Sequence[object]],
-    tolerance: float = DEFAULT_TOLERANCE,
-    notes: Iterable[str] = (),
-    failures: Iterable[str] = (),
-    waivers: Sequence[Waiver] = (),
-) -> ComparisonReport:
-    """The per-bench speedup diff: ``(label, fresh, baseline)`` triples.
-
-    Ratios carry no per-run spread information, so the band is zero and
-    ``tolerance`` alone absorbs runner noise (the historical 0.7).
-    ``failures`` are non-numeric hard failures — a fresh run whose fast
-    path *disagrees* with its oracle, for example — reported as regressed
-    metrics so they gate (and can be waived) exactly like a slowdown.
-    """
-    report = ComparisonReport(bench=bench, tolerance=tolerance)
-    for label, fresh, baseline in metrics:
-        report.metrics.append(
-            compare_value(str(label), float(fresh), float(baseline), tolerance)
-        )
-    for failure in failures:
-        report.metrics.append(
-            MetricVerdict(metric=str(failure), status=_REGRESSED)
-        )
-    report.notes.extend(str(note) for note in notes)
-    return apply_waivers(report, waivers)
-
-
 # ----------------------------------------------------------------------
 # Grid-history comparison
 # ----------------------------------------------------------------------
@@ -310,7 +280,8 @@ def compare_grid_runs(
       run (the grid's correctness parity);
     * each tier cell's speedup-over-cold falling below
       ``baseline * tolerance / (1 + band)``, where ``band`` is the
-      best-of-N spread of the cells involved.  With ``absolute=True``
+      best-of-N spread of the cells involved — for the
+      :data:`YARDSTICK_TIER`, cold's speedup over it instead.  With ``absolute=True``
       (same-machine nightly history) raw per-cell seconds are compared
       under the mirrored lower-is-better rule as well.
     """
@@ -469,13 +440,15 @@ def _ratio_metric(
         return
     fresh_ratio = fresh_ref.best_seconds / fresh_cell.best_seconds
     base_ratio = base_ref.best_seconds / base_cell.best_seconds
+    label = f"{fresh_cell.cell_id} speedup vs cold"
+    if dict(fresh_cell.axes).get("tier") == YARDSTICK_TIER:
+        # cold / yardstick *rises* when the cold path slows down; the
+        # inverse falls, so that is the ratio that must hold.
+        fresh_ratio, base_ratio = 1.0 / fresh_ratio, 1.0 / base_ratio
+        label = f"{fresh_cell.cell_id}: cold speedup vs {YARDSTICK_TIER}"
     band = _pair_band(fresh_ref, fresh_cell, base_ref, base_cell)
     report.metrics.append(
         compare_value(
-            f"{fresh_cell.cell_id} speedup vs cold",
-            fresh_ratio,
-            base_ratio,
-            tolerance=tolerance,
-            band=band,
+            label, fresh_ratio, base_ratio, tolerance=tolerance, band=band
         )
     )

@@ -1,10 +1,11 @@
 """The declarative experiment grid: Section VI's evaluation as data.
 
 The paper evaluates over a parameter grid (dataset × k × r × aggregator ×
-ε); this repo's performance claims add a *serving tier* axis (cold solver
-call, pooled :class:`~repro.serving.service.QueryService`, precomputed
-index) and a label-constraint axis.  A
-:class:`GridSpec` names one such grid declaratively; :func:`run_grid`
+ε); this repo's performance claims add a *serving tier* axis and a
+label-constraint axis.  Every tier is timed against the cold solver call
+(see :class:`CellExecutor` for the seven tiers); the ``reference`` tier
+runs the set engine, so a slowdown of the cold path itself shows too.
+A :class:`GridSpec` names one such grid declaratively; :func:`run_grid`
 executes every cell best-of-N and appends the outcome to a
 :class:`~repro.bench.history.HistoryDB`, keyed by
 ``(commit, config_hash, cell)`` with a done / error / skipped status per
@@ -20,8 +21,11 @@ do not.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import itertools
 import json
+import pathlib
+import tempfile
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping
 
@@ -38,6 +42,10 @@ __all__ = [
 ]
 
 
+#: Every serving tier the executor runs; see :class:`CellExecutor`.
+TIERS = ("cold", "service", "index", "reference", "http", "snapshot", "update")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """One declarative grid.  Frozen: its JSON is the config hash."""
@@ -47,7 +55,7 @@ class GridSpec:
     ks: tuple[int, ...]
     rs: tuple[int, ...]
     aggregators: tuple[str, ...]
-    tiers: tuple[str, ...]  # "cold" | "service" | "index"
+    tiers: tuple[str, ...]  # one of TIERS
     #: Label-constraint axis: ``"none"`` or compact predicate specs like
     #: ``"eq:deg:high"`` / ``"any:deg:mid,deg:high"`` / ``"prefix:deg:"``
     #: evaluated against the executor's degree-tercile labels.
@@ -124,14 +132,17 @@ class GridCell:
     def skip_reason(self) -> "str | None":
         """Why this cell is inapplicable (``None`` = runnable).
 
-        The precomputed index serves the sum aggregator, unconstrained —
-        other combinations are recorded as ``skipped`` so the grid's shape
-        stays visible in history.
+        The precomputed index serves the sum aggregator, unconstrained, and
+        the reference set engine differs from production only for ``sum``
+        — other combinations are recorded as ``skipped`` so the grid's
+        shape stays visible in history.
         """
         if self.tier == "index" and self.aggregator != "sum":
             return "index tier serves the sum aggregator only"
         if self.tier == "index" and self.constrained != "none":
             return "the precomputed index serves unconstrained queries only"
+        if self.tier == "reference" and self.aggregator != "sum":
+            return "set_engine() leaves the min/max community forest unchanged"
         return None
 
 
@@ -140,7 +151,9 @@ class GridCell:
 # ----------------------------------------------------------------------
 #: ``smoke`` exercises the machinery in seconds (CLI tests, local sanity);
 #: ``ci`` is the gating PR-sized grid (small graph; the cross-tier digest
-#: check rides on it); ``full`` is the nightly sweep.
+#: check rides on it) and the only one that runs every tier; ``full`` is
+#: the nightly sweep.  Editing a grid changes its config hash, and history
+#: recorded under the old hash stops comparing.
 #: The aggregator axis pairs ``sum`` (the headline expansion solvers +
 #: index) with ``min`` (the minmax solver family); ``avg`` is excluded
 #: from timed grids on purpose — unconstrained, its local-search solver
@@ -164,9 +177,10 @@ GRIDS: dict[str, GridSpec] = {
         ks=(4, 8),
         rs=(5,),
         aggregators=("sum", "min"),
-        tiers=("cold", "service", "index"),
+        tiers=TIERS,
         # The constrained leg gates the label-pushdown path per PR: same
-        # digest across tiers, timed like everything else.
+        # digest across tiers, timed like everything else; its reference
+        # cells time pushdown against the set engine.
         constrained=("none", "eq:deg:high"),
     ),
     "full": GridSpec(
@@ -206,16 +220,36 @@ class CellExecutor:
     """Default cell runner: real graphs, real solvers, real services.
 
     Graphs and services are cached across cells — one
-    :class:`~repro.serving.service.QueryService` per graph,
+    :class:`~repro.serving.service.QueryService` per graph and role,
     built outside any timed region, exactly like a warm deployment.
+    The comparator judges each tier by its speedup over cold:
+
+    * ``cold`` — :func:`~repro.influential.api.top_r_communities`;
+    * ``reference`` — the same call under
+      :func:`repro.reference.set_engine`, judged the other way round
+      (cold's speedup over it), so a slower cold path fails the gate
+      (``sum`` only: the min/max forest is one code path on either
+      engine);
+    * ``service`` / ``index`` — ``QueryService.submit`` on a pool-warm
+      service, without / with the precomputed index;
+    * ``http`` — ``POST /v1/query`` to that service hosted by
+      :func:`~repro.serving.http.run_server_in_thread`, digested from the
+      JSON payload;
+    * ``snapshot`` — :func:`~repro.serving.store.load_service` on a
+      snapshot saved before the timing, then the query: a restart;
+    * ``update`` — one fixed non-edge inserted and deleted again through
+      ``QueryService.update_edges``, then the query, so its digest also
+      checks that the delta round-trips.
+
+    Every tier but ``cold``, ``reference`` and ``snapshot`` empties the
+    result cache before each repeat, so no repeat is a dict hit.
     """
 
     def __init__(self, spec: GridSpec, clock: "Clock | None" = None) -> None:
         self._spec = spec
         self._clock = clock
         self._graphs: dict[tuple[int, int], object] = {}
-        self._services: dict[tuple[int, int], object] = {}
-        self._indexed: dict[tuple[int, int], object] = {}
+        self._services: dict[tuple[str, int, int], object] = {}
 
     def _graph(self, n: int, m: int):
         key = (n, m)
@@ -234,74 +268,137 @@ class CellExecutor:
             self._graphs[key] = graph
         return self._graphs[key]
 
-    def _service(self, n: int, m: int):
-        key = (n, m)
+    def _service(self, role: str, n: int, m: int):
+        """The cached service for ``role``: ``plain``, ``indexed`` or
+        ``updated`` (the update tier's writes stay off the others)."""
+        key = (role, n, m)
         if key not in self._services:
             from repro.serving.service import QueryService
 
-            self._services[key] = QueryService(self._graph(n, m))
-        return self._services[key]
-
-    def _indexed_service(self, n: int, m: int):
-        key = (n, m)
-        if key not in self._indexed:
-            from repro.serving.service import QueryService
-
             service = QueryService(self._graph(n, m))
-            service.enable_index(depth=self._spec.index_depth)
-            self._indexed[key] = service
-        return self._indexed[key]
+            if role == "indexed":
+                service.enable_index(depth=self._spec.index_depth)
+            self._services[key] = service
+        return self._services[key]
 
     def __call__(self, cell: GridCell) -> CellOutcome:
         if cell.tier == "cold":
             return self._run_cold(cell)
+        if cell.tier == "reference":
+            from repro.reference import set_engine
+
+            with set_engine():
+                return self._run_cold(cell)
         if cell.tier in ("service", "index"):
-            return self._run_served(cell)
+            role = "indexed" if cell.tier == "index" else "plain"
+            service = self._service(role, cell.n, cell.m)
+            query = _query(cell)
+            return self._run_served(service, lambda: service.submit(query))
+        if cell.tier == "http":
+            return self._run_http(cell)
+        if cell.tier == "snapshot":
+            return self._run_snapshot(cell)
+        if cell.tier == "update":
+            return self._run_update(cell)
         raise ValueError(f"unknown serving tier {cell.tier!r}")
+
+    def _repeat(self, answer, before=None, digest=None) -> CellOutcome:
+        """Time ``answer`` best-of-N; ``before`` runs untimed each repeat."""
+        times, result = [], None
+        for __ in range(self._spec.repeats):
+            if before is not None:
+                before()
+            seconds, result = time_call(answer, clock=self._clock)
+            times.append(seconds)
+        return CellOutcome(tuple(times), (digest or _digest)(result))
 
     def _run_cold(self, cell: GridCell) -> CellOutcome:
         from repro.influential.api import top_r_communities
 
         graph = self._graph(cell.n, cell.m)
         labels = _constraint_spec(cell.constrained)
-        times, result = [], None
-        for __ in range(self._spec.repeats):
-            seconds, result = time_call(
-                lambda: top_r_communities(
-                    graph, cell.k, cell.r, f=cell.aggregator,
-                    eps=cell.eps, labels=labels,
-                ),
-                clock=self._clock,
+        return self._repeat(
+            lambda: top_r_communities(
+                graph, cell.k, cell.r, f=cell.aggregator,
+                eps=cell.eps, labels=labels,
             )
-            times.append(seconds)
-        return CellOutcome(tuple(times), _digest(result))
-
-    def _run_served(self, cell: GridCell) -> CellOutcome:
-        from repro.serving.query import InfluentialQuery
-
-        if cell.tier == "index":
-            service = self._indexed_service(cell.n, cell.m)
-        else:
-            service = self._service(cell.n, cell.m)
-        predicate = _constraint_spec(cell.constrained)
-        constraints = None if predicate is None else {"labels": predicate}
-        query = InfluentialQuery(
-            k=cell.k, r=cell.r, f=cell.aggregator, eps=cell.eps,
-            constraints=constraints,
         )
 
-        def solve():
+    def _run_served(self, service, answer, digest=None) -> CellOutcome:
+        """Pool-warm serving: warm once, then time with the cache emptied
+        each repeat so the measurement is the serving path, not a dict hit.
+        """
+        answer()  # warm the engine pool / index outside every timed repeat
+        return self._repeat(answer, before=service.invalidate, digest=digest)
+
+    def _run_http(self, cell: GridCell) -> CellOutcome:
+        from repro.serving.http import query_envelope, run_server_in_thread
+
+        service = self._service("plain", cell.n, cell.m)
+        query = _query(cell)
+        body = json.dumps(query_envelope(query))
+        with run_server_in_thread(service) as base_url:
+            connection = http.client.HTTPConnection(
+                base_url.removeprefix("http://"), timeout=600
+            )
+
+            def answer() -> dict:
+                connection.request("POST", "/v1/query", body=body)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                if response.status != 200:
+                    raise RuntimeError(f"HTTP {response.status}: {payload}")
+                return payload
+
+            try:
+                return self._run_served(service, answer, _payload_digest)
+            finally:
+                connection.close()
+
+    def _run_snapshot(self, cell: GridCell) -> CellOutcome:
+        from repro.serving.store import load_service, save_snapshot
+
+        query = _query(cell)
+        with tempfile.TemporaryDirectory(prefix="repro-grid-") as scratch:
+            target = save_snapshot(
+                self._service("plain", cell.n, cell.m),
+                pathlib.Path(scratch) / "snapshot",
+            )
+            return self._repeat(lambda: load_service(target).submit(query))
+
+    def _run_update(self, cell: GridCell) -> CellOutcome:
+        service = self._service("updated", cell.n, cell.m)
+        edge = _first_non_edge(self._graph(cell.n, cell.m))
+        query = _query(cell)
+
+        def answer():
+            service.update_edges(insert=[edge])
+            service.update_edges(delete=[edge])
             return service.submit(query)
 
-        solve()  # warm the engine pool / index outside every timed repeat
-        times, result = [], None
-        for __ in range(self._spec.repeats):
-            # Invalidate the result cache each repeat so the measurement is
-            # the pool-warm serving path, not a dict hit.
-            service.invalidate()
-            seconds, result = time_call(solve, clock=self._clock)
-            times.append(seconds)
-        return CellOutcome(tuple(times), _digest(result))
+        return self._run_served(service, answer)
+
+
+def _query(cell: GridCell):
+    """The served form of a cell's query."""
+    from repro.serving.query import InfluentialQuery
+
+    predicate = _constraint_spec(cell.constrained)
+    return InfluentialQuery(
+        k=cell.k, r=cell.r, f=cell.aggregator, eps=cell.eps,
+        constraints=None if predicate is None else {"labels": predicate},
+    )
+
+
+def _first_non_edge(graph) -> tuple[int, int]:
+    """The lexicographically first vertex pair that is not an edge."""
+    csr = graph.csr
+    for u in range(graph.n):
+        taken = set(csr.indices[csr.indptr[u] : csr.indptr[u + 1]].tolist())
+        for v in range(u + 1, graph.n):
+            if v not in taken:
+                return (u, v)
+    raise ValueError("a complete graph has no non-edge to insert")
 
 
 def _constraint_spec(value: str) -> "dict | None":
@@ -331,11 +428,21 @@ def _digest(result) -> "str | None":
     """A canonical fingerprint of one answer (value + member sets)."""
     if result is None:
         return None
+    return _pairs_digest(result.values(), result.vertex_sets())
+
+
+def _payload_digest(payload: dict) -> str:
+    """:func:`_digest` of the answer a ``/v1/query`` payload carries."""
+    return _pairs_digest(payload["values"], payload["communities"])
+
+
+def _pairs_digest(values, vertex_sets) -> str:
     payload = [
         [round(float(value), 9), sorted(members)]
-        for value, members in zip(result.values(), result.vertex_sets())
+        for value, members in zip(values, vertex_sets)
     ]
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
 
 
 def run_grid(

@@ -1,11 +1,10 @@
 """Every committed benchmark report validates against the shared schema.
 
-The gating baseline diffs key on a small envelope — ``benchmark``,
+Readers of the reports key on a small envelope — ``benchmark``,
 ``graph``/``graphs`` shape, ``speedup``, ``results_agree`` — that
 ``benchmarks/bench_report.schema.json`` pins.  This test walks every
-committed ``BENCH_*.json`` (and asserts each CI baseline has a live twin),
-so an emitter drifting away from the envelope breaks here, not in a
-confusing diff-step failure.
+committed ``BENCH_*.json``, so an emitter drifting away from the
+envelope breaks here.
 """
 
 import json
@@ -30,7 +29,6 @@ def validator():
 
 def test_reports_exist():
     assert REPORTS, "no committed BENCH_*.json reports found"
-    assert any(p.name.endswith("_ci_baseline.json") for p in REPORTS)
 
 
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.name)
@@ -40,32 +38,6 @@ def test_report_validates(path, validator):
     assert not errors, "\n".join(
         f"{path.name}: {e.json_path}: {e.message}" for e in errors
     )
-
-
-@pytest.mark.parametrize(
-    "path",
-    [p for p in REPORTS if p.name.endswith("_ci_baseline.json")],
-    ids=lambda p: p.name,
-)
-def test_ci_baseline_has_live_twin(path):
-    twin = path.with_name(path.name.replace("_ci_baseline", ""))
-    assert twin.exists(), f"{path.name} has no matching {twin.name}"
-    base = json.loads(path.read_text())
-    live = json.loads(twin.read_text())
-    assert base["benchmark"] == live["benchmark"]
-
-
-@pytest.mark.parametrize(
-    "path",
-    [p for p in REPORTS if p.name.endswith("_ci_baseline.json")],
-    ids=lambda p: p.name,
-)
-def test_ci_baselines_assert_correctness(path):
-    # A committed baseline recorded with a correctness failure would make
-    # the gating diff compare against broken numbers.
-    report = json.loads(path.read_text())
-    if "results_agree" in report:
-        assert report["results_agree"] is True
 
 
 def test_waiver_file_parses():

@@ -10,10 +10,10 @@ import json
 import pytest
 
 from repro.bench.compare import (
+    ComparisonReport,
     Waiver,
     apply_waivers,
     compare_grid_runs,
-    compare_ratio_metrics,
     compare_value,
     load_waivers,
 )
@@ -80,6 +80,13 @@ def test_load_waivers_requires_reason(tmp_path):
         load_waivers(path)
 
 
+def _one_metric_report(fresh, baseline):
+    metric = "g100x400/k4/r5/f=sum/service speedup vs cold"
+    return ComparisonReport(
+        bench="grid:ci", metrics=[compare_value(metric, fresh, baseline)]
+    )
+
+
 def test_waiver_flips_regression_to_waived(tmp_path):
     path = tmp_path / "waivers.json"
     path.write_text(
@@ -87,19 +94,15 @@ def test_waiver_flips_regression_to_waived(tmp_path):
             {
                 "waivers": [
                     {
-                        "bench": "bench_*",
-                        "metric": "pooled*",
+                        "bench": "grid:*",
+                        "metric": "*service speedup*",
                         "reason": "known slow runner, remove after #42",
                     }
                 ]
             }
         )
     )
-    report = compare_ratio_metrics(
-        "bench_serving",
-        [("pooled vs cold speedup", 1.0, 10.0)],
-        waivers=load_waivers(path),
-    )
+    report = apply_waivers(_one_metric_report(1.0, 10.0), load_waivers(path))
     assert report.verdict == "PASS"
     assert report.exit_code == 0
     assert [m.status for m in report.metrics] == ["waived"]
@@ -107,36 +110,18 @@ def test_waiver_flips_regression_to_waived(tmp_path):
 
 
 def test_waiver_must_match_both_bench_and_metric():
-    report = compare_ratio_metrics(
-        "bench_serving",
-        [("pooled vs cold speedup", 1.0, 10.0)],
-        waivers=(Waiver(bench="bench_index", metric="*", reason="r"),),
+    waivers = (
+        Waiver(bench="grid:full", metric="*", reason="r"),
+        Waiver(bench="grid:ci", metric="*index*", reason="r"),
     )
+    report = apply_waivers(_one_metric_report(1.0, 10.0), waivers)
     assert report.verdict == "FAIL"
 
 
 def test_apply_waivers_leaves_ok_metrics_alone():
-    report = compare_ratio_metrics("b", [("m", 10.0, 10.0)])
+    report = _one_metric_report(10.0, 10.0)
     apply_waivers(report, (Waiver(bench="*", metric="*", reason="r"),))
     assert [m.status for m in report.metrics] == ["ok"]
-
-
-# ----------------------------------------------------------------------
-# compare_ratio_metrics: the per-bench gating diff
-# ----------------------------------------------------------------------
-def test_ratio_metrics_gate_on_regression():
-    report = compare_ratio_metrics("b", [("fast", 9.0, 10.0), ("slow", 2.0, 10.0)])
-    assert report.verdict == "FAIL"
-    assert report.exit_code == 1
-    assert [m.metric for m in report.regressions] == ["slow"]
-
-
-def test_hard_failures_gate_like_regressions():
-    report = compare_ratio_metrics(
-        "b", [], failures=["results disagree with oracle"]
-    )
-    assert report.verdict == "FAIL"
-    assert report.metrics[0].fresh is None
 
 
 # ----------------------------------------------------------------------

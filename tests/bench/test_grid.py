@@ -1,13 +1,16 @@
 """Unit tests for the declarative experiment grid and its runner."""
 
+import dataclasses
 import pathlib
 import shutil
 
 import pytest
 
 from repro.bench.clock import ManualClock
+from repro.bench.compare import compare_grid_runs
 from repro.bench.grid import (
     GRIDS,
+    TIERS,
     CellOutcome,
     GridSpec,
     grid_spec,
@@ -31,8 +34,6 @@ TINY = GridSpec(
 # ----------------------------------------------------------------------
 def test_config_hash_is_deterministic_and_shape_sensitive():
     assert TINY.config_hash() == TINY.config_hash()
-    import dataclasses
-
     widened = dataclasses.replace(TINY, ks=(2, 3))
     renamed = dataclasses.replace(TINY, name="tiny2")
     assert widened.config_hash() != TINY.config_hash()
@@ -52,6 +53,12 @@ def test_skip_reasons():
     assert by_id["g60x180/k2/r2/f=sum/index"].skip_reason() is None
     # The precomputed index serves sum only.
     assert by_id["g60x180/k2/r2/f=min/index"].skip_reason()
+    reference = dataclasses.replace(
+        by_id["g60x180/k2/r2/f=sum/cold"], tier="reference"
+    )
+    assert reference.skip_reason() is None
+    # set_engine() runs the same min/max forest as production.
+    assert dataclasses.replace(reference, aggregator="min").skip_reason()
 
 
 def test_named_grids_resolve():
@@ -80,6 +87,18 @@ def test_committed_ci_baseline_matches_the_ci_grid(tmp_path):
         cells = db.run_cells(run.run_id)
     assert list(cells) == [cell.cell_id for cell in spec.cells()]
     assert [c.axes for c in cells.values()] == [c.axes for c in spec.cells()]
+
+
+def test_nightly_grids_keep_their_config_hashes():
+    # The nightly full-grid history compares by config hash, and only the
+    # ci grid runs every tier: editing smoke or full restarts history.
+    assert GRIDS["smoke"].config_hash() == (
+        "8b70e4224c9f91432978c48eda1f99324820df478978a4800423e8c4d9e4a487"
+    )
+    assert GRIDS["full"].config_hash() == (
+        "0da06b85e0b81c8bfbb640b02cbbd8ae2df08ab44f48e62a6c73981d2f181f89"
+    )
+    assert GRIDS["ci"].tiers == TIERS
 
 
 def test_timed_grids_exclude_avg():
@@ -149,8 +168,6 @@ def test_run_grid_logs_runnable_cells_only(tmp_path):
 # The real executor, under a manual clock: no wall-time dependence
 # ----------------------------------------------------------------------
 def test_executor_smoke_with_manual_clock(tmp_path):
-    import dataclasses
-
     spec = dataclasses.replace(
         TINY,
         graphs=((40, 80),),
@@ -172,3 +189,69 @@ def test_executor_smoke_with_manual_clock(tmp_path):
     # Engine parity: cold and served answers digest identically.
     digests = {c.result_digest for c in done}
     assert len(digests) == 1 and None not in digests
+
+
+def test_every_tier_runs_and_agrees_with_cold(tmp_path):
+    spec = GridSpec(
+        name="tiers",
+        graphs=((200, 800),),
+        ks=(3,),
+        rs=(3,),
+        aggregators=("sum",),
+        tiers=TIERS,
+        constrained=("none", "eq:deg:high"),
+        repeats=2,
+    )
+    path = tmp_path / "h.sqlite"
+    with HistoryDB(path) as db:
+        run_id = run_grid(spec, db, commit="abc", started_at="t0")
+        cells = db.run_cells(run_id)
+    runnable = [c for c in spec.cells() if c.skip_reason() is None]
+    assert {c.tier for c in runnable} == set(TIERS)
+    for cell in runnable:
+        record = cells[cell.cell_id]
+        assert record.status == "done", (cell.cell_id, record.error)
+        assert record.result_digest is not None
+    report = compare_grid_runs(path)
+    assert not [m for m in report.metrics if "diverge" in m.metric]
+    assert report.verdict == "PASS"
+
+
+def _doctored_history(path, tiers, cold_factor):
+    """Two fake runs of one grid; the second slows only the cold cells."""
+    spec = dataclasses.replace(TINY, aggregators=("sum",), tiers=tiers)
+    seconds = {"cold": 1.0, "service": 0.2, "reference": 3.0}
+
+    def runner(factor):
+        def run(cell):
+            scale = factor if cell.tier == "cold" else 1.0
+            return CellOutcome((seconds[cell.tier] * scale,), "same-answer")
+
+        return run
+
+    with HistoryDB(path) as db:
+        run_grid(spec, db, commit="base", started_at="t0", runner=runner(1.0))
+        run_grid(
+            spec, db, commit="slow-cold", started_at="t1",
+            runner=runner(cold_factor),
+        )
+    return compare_grid_runs(path)
+
+
+def test_reference_tier_sees_a_cold_path_slowdown(tmp_path):
+    gated = _doctored_history(
+        tmp_path / "with.sqlite", ("cold", "service", "reference"), 2.0
+    )
+    assert gated.verdict == "FAIL"
+    (regression,) = gated.regressions
+    assert regression.metric == (
+        "g60x180/k2/r2/f=sum/reference: cold speedup vs reference"
+    )
+    assert regression.fresh == pytest.approx(1.5)
+    assert regression.baseline == pytest.approx(3.0)
+
+    # The same slowdown reads as a faster service tier without it.
+    blind = _doctored_history(
+        tmp_path / "without.sqlite", ("cold", "service"), 2.0
+    )
+    assert blind.verdict == "PASS"
