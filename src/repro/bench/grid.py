@@ -62,6 +62,8 @@ class GridSpec:
     constrained: tuple[str, ...] = ("none",)
     eps: float = 0.1
     seed: int = 7
+    #: Best-of-N: :func:`run_grid` makes this many passes over the grid,
+    #: each timing every cell once.
     repeats: int = 3
     index_depth: int = 32
 
@@ -182,6 +184,9 @@ GRIDS: dict[str, GridSpec] = {
         # digest across tiers, timed like everything else; its reference
         # cells time pushdown against the set engine.
         constrained=("none", "eq:deg:high"),
+        # Five passes: on a shared 2-vCPU box, three left a gate compare
+        # against a same-code run failing about one time in eight.
+        repeats=5,
     ),
     "full": GridSpec(
         name="full",
@@ -241,8 +246,10 @@ class CellExecutor:
       ``QueryService.update_edges``, then the query, so its digest also
       checks that the delta round-trips.
 
-    Every tier but ``cold``, ``reference`` and ``snapshot`` empties the
-    result cache before each repeat, so no repeat is a dict hit.
+    Each call times one repeat: :func:`run_grid` calls the executor once
+    per cell per pass.  Every tier but ``cold``, ``reference`` and
+    ``snapshot`` warms its service, then empties the result cache before
+    the timed call, so no repeat is a dict hit.
     """
 
     def __init__(self, spec: GridSpec, clock: "Clock | None" = None) -> None:
@@ -302,22 +309,19 @@ class CellExecutor:
             return self._run_update(cell)
         raise ValueError(f"unknown serving tier {cell.tier!r}")
 
-    def _repeat(self, answer, before=None, digest=None) -> CellOutcome:
-        """Time ``answer`` best-of-N; ``before`` runs untimed each repeat."""
-        times, result = [], None
-        for __ in range(self._spec.repeats):
-            if before is not None:
-                before()
-            seconds, result = time_call(answer, clock=self._clock)
-            times.append(seconds)
-        return CellOutcome(tuple(times), (digest or _digest)(result))
+    def _time(self, answer, before=None, digest=None) -> CellOutcome:
+        """One timed call of ``answer``; ``before`` runs untimed first."""
+        if before is not None:
+            before()
+        seconds, result = time_call(answer, clock=self._clock)
+        return CellOutcome((seconds,), (digest or _digest)(result))
 
     def _run_cold(self, cell: GridCell) -> CellOutcome:
         from repro.influential.api import top_r_communities
 
         graph = self._graph(cell.n, cell.m)
         labels = _constraint_spec(cell.constrained)
-        return self._repeat(
+        return self._time(
             lambda: top_r_communities(
                 graph, cell.k, cell.r, f=cell.aggregator,
                 eps=cell.eps, labels=labels,
@@ -325,11 +329,11 @@ class CellExecutor:
         )
 
     def _run_served(self, service, answer, digest=None) -> CellOutcome:
-        """Pool-warm serving: warm once, then time with the cache emptied
-        each repeat so the measurement is the serving path, not a dict hit.
+        """Pool-warm serving: warm, then time with the cache emptied so the
+        measurement is the serving path, not a dict hit.
         """
-        answer()  # warm the engine pool / index outside every timed repeat
-        return self._repeat(answer, before=service.invalidate, digest=digest)
+        answer()  # warm the engine pool / index outside the timed call
+        return self._time(answer, before=service.invalidate, digest=digest)
 
     def _run_http(self, cell: GridCell) -> CellOutcome:
         from repro.serving.http import query_envelope, run_server_in_thread
@@ -364,7 +368,7 @@ class CellExecutor:
                 self._service("plain", cell.n, cell.m),
                 pathlib.Path(scratch) / "snapshot",
             )
-            return self._repeat(lambda: load_service(target).submit(query))
+            return self._time(lambda: load_service(target).submit(query))
 
     def _run_update(self, cell: GridCell) -> CellOutcome:
         service = self._service("updated", cell.n, cell.m)
@@ -457,45 +461,62 @@ def run_grid(
 ) -> int:
     """Execute every cell of ``spec`` and append one run to ``db``.
 
-    ``runner`` is injectable (tests pin the timing bookkeeping with a
-    fake); the default :class:`CellExecutor` measures real solves with
-    ``clock`` threaded into every :func:`~repro.bench.runner.time_call`.
-    Returns the recorded run id.
+    ``runner(cell)`` is called once per runnable cell in each of
+    ``spec.repeats`` passes, and a cell's timings from all passes make
+    its best-of-N.  It is injectable (tests pin the timing bookkeeping
+    with a fake); the default :class:`CellExecutor` measures real solves
+    with ``clock`` threaded into every
+    :func:`~repro.bench.runner.time_call`.  A cell whose answer digest
+    differs between passes is recorded as an error.  Returns the
+    recorded run id.
     """
     owns = not isinstance(db, HistoryDB)
     history = db if isinstance(db, HistoryDB) else HistoryDB(db)
     execute = runner if runner is not None else CellExecutor(spec, clock)
+    runnable = [cell for cell in spec.cells() if cell.skip_reason() is None]
+    seconds: dict[str, list[float]] = {cell.cell_id: [] for cell in runnable}
+    digests: dict[str, set] = {cell.cell_id: set() for cell in runnable}
+    errors: dict[str, str] = {}
+    # Round robin: each pass times every cell once, so the repeats of a
+    # cell — and of the cold cell its ratio divides by — spread over the
+    # whole run instead of sharing one moment of a drifting machine.
+    for pass_index in range(spec.repeats):
+        for cell in runnable:
+            if cell.cell_id in errors:
+                continue
+            if log is not None and pass_index == 0:
+                log(f"grid[{spec.name}] {cell.cell_id} ...")
+            try:
+                outcome = execute(cell)
+            except Exception as exc:  # recorded, never raised: see module doc
+                errors[cell.cell_id] = f"{type(exc).__name__}: {exc}"
+                continue
+            seconds[cell.cell_id].extend(outcome.run_seconds)
+            digests[cell.cell_id].add(outcome.result_digest)
+            if len(digests[cell.cell_id]) > 1:
+                errors[cell.cell_id] = "answer changed between repeats"
     records = []
     for cell in spec.cells():
-        reason = cell.skip_reason()
+        reason = cell.skip_reason() or errors.get(cell.cell_id)
         if reason is not None:
             records.append(
                 CellRecord(
-                    cell_id=cell.cell_id, axes=cell.axes, status="skipped",
+                    cell_id=cell.cell_id,
+                    axes=cell.axes,
+                    status="error" if cell.cell_id in errors else "skipped",
                     error=reason,
                 )
             )
             continue
-        if log is not None:
-            log(f"grid[{spec.name}] {cell.cell_id} ...")
-        try:
-            outcome = execute(cell)
-        except Exception as exc:  # recorded, never raised: see module doc
-            records.append(
-                CellRecord(
-                    cell_id=cell.cell_id, axes=cell.axes, status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
+        (digest,) = digests[cell.cell_id]
         records.append(
             CellRecord(
                 cell_id=cell.cell_id,
                 axes=cell.axes,
                 status="done",
-                best_seconds=min(outcome.run_seconds),
-                run_seconds=outcome.run_seconds,
-                result_digest=outcome.result_digest,
+                best_seconds=min(seconds[cell.cell_id]),
+                run_seconds=tuple(seconds[cell.cell_id]),
+                result_digest=digest,
             )
         )
     try:

@@ -112,8 +112,12 @@ def test_timed_grids_exclude_avg():
 # run_grid with an injected fake runner: pure bookkeeping
 # ----------------------------------------------------------------------
 def test_run_grid_records_best_of_n_and_skips(tmp_path):
+    calls = {}
+
     def fake_runner(cell):
-        return CellOutcome((0.3, 0.1, 0.2), result_digest=f"d-{cell.k}")
+        calls[cell.cell_id] = calls.get(cell.cell_id, 0) + 1
+        seconds = (0.3, 0.1)[calls[cell.cell_id] - 1]
+        return CellOutcome((seconds,), result_digest=f"d-{cell.k}")
 
     with HistoryDB(tmp_path / "h.sqlite") as db:
         run_id = run_grid(
@@ -128,8 +132,43 @@ def test_run_grid_records_best_of_n_and_skips(tmp_path):
         1 for c in TINY.cells() if c.skip_reason() is None
     )
     assert all(c.best_seconds == 0.1 for c in done)
-    assert all(c.run_seconds == (0.3, 0.1, 0.2) for c in done)
+    assert all(c.run_seconds == (0.3, 0.1) for c in done)
     assert all(c.error for c in skipped)
+
+
+def test_run_grid_times_cells_round_robin(tmp_path):
+    # Each pass visits every cell once, so a cell's repeats (and its cold
+    # twin's) spread over the whole run rather than one moment of it.
+    order = []
+
+    def fake_runner(cell):
+        order.append(cell.cell_id)
+        return CellOutcome((0.1,), result_digest="d")
+
+    run_grid(
+        TINY, str(tmp_path / "h.sqlite"), commit="abc", started_at="t0",
+        runner=fake_runner,
+    )
+    runnable = [c.cell_id for c in TINY.cells() if c.skip_reason() is None]
+    assert order == runnable * TINY.repeats
+
+
+def test_an_answer_that_changes_between_passes_is_an_error(tmp_path):
+    calls = []
+
+    def flaky_runner(cell):
+        calls.append(cell.cell_id)
+        return CellOutcome((0.1,), result_digest=f"d-{len(calls)}")
+
+    with HistoryDB(tmp_path / "h.sqlite") as db:
+        run_id = run_grid(
+            TINY, db, commit="abc", started_at="t0", runner=flaky_runner
+        )
+        cells = db.run_cells(run_id)
+    runnable = [c for c in TINY.cells() if c.skip_reason() is None]
+    for cell in runnable:
+        assert cells[cell.cell_id].status == "error"
+        assert "changed between repeats" in cells[cell.cell_id].error
 
 
 def test_run_grid_records_errors_without_raising(tmp_path):
@@ -183,9 +222,12 @@ def test_executor_smoke_with_manual_clock(tmp_path):
         cells = db.run_cells(run_id)
     done = [c for c in cells.values() if c.status == "done"]
     assert len(done) == 2
-    for cell in done:
-        assert cell.run_seconds == (0.5, 0.25, 0.125)
-        assert cell.best_seconds == 0.125
+    # Round robin: the two cells take the scripted durations in turn.
+    assert [c.run_seconds for c in done] == [
+        (0.5, 0.125, 0.25),
+        (0.25, 0.5, 0.125),
+    ]
+    assert all(cell.best_seconds == 0.125 for cell in done)
     # Engine parity: cold and served answers digest identically.
     digests = {c.result_digest for c in done}
     assert len(digests) == 1 and None not in digests
