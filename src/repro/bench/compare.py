@@ -280,10 +280,11 @@ def compare_grid_runs(
       run (the grid's correctness parity);
     * each tier cell's speedup-over-cold falling below
       ``baseline * tolerance / (1 + band)``, where ``band`` is the
-      best-of-N spread of the cells involved — for the
-      :data:`YARDSTICK_TIER`, cold's speedup over it instead.  With ``absolute=True``
-      (same-machine nightly history) raw per-cell seconds are compared
-      under the mirrored lower-is-better rule as well.
+      best-of-N spread of the cells involved (for the
+      :data:`YARDSTICK_TIER`, cold's speedup over it instead).  With
+      ``absolute=True`` (same-machine nightly history) raw per-cell
+      seconds are compared under the mirrored lower-is-better rule as
+      well.
     """
     fresh_db = fresh if isinstance(fresh, HistoryDB) else HistoryDB(fresh)
     fresh_run = fresh_db.latest_run(grid_name=grid_name)

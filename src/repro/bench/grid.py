@@ -309,10 +309,8 @@ class CellExecutor:
             return self._run_update(cell)
         raise ValueError(f"unknown serving tier {cell.tier!r}")
 
-    def _time(self, answer, before=None, digest=None) -> CellOutcome:
-        """One timed call of ``answer``; ``before`` runs untimed first."""
-        if before is not None:
-            before()
+    def _time(self, answer, digest=None) -> CellOutcome:
+        """One timed call of ``answer``."""
         seconds, result = time_call(answer, clock=self._clock)
         return CellOutcome((seconds,), (digest or _digest)(result))
 
@@ -333,7 +331,8 @@ class CellExecutor:
         measurement is the serving path, not a dict hit.
         """
         answer()  # warm the engine pool / index outside the timed call
-        return self._time(answer, before=service.invalidate, digest=digest)
+        service.invalidate()
+        return self._time(answer, digest)
 
     def _run_http(self, cell: GridCell) -> CellOutcome:
         from repro.serving.http import query_envelope, run_server_in_thread
@@ -446,7 +445,6 @@ def _pairs_digest(values, vertex_sets) -> str:
         for value, members in zip(values, vertex_sets)
     ]
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
-
 
 
 def run_grid(
