@@ -8,7 +8,8 @@ Every performance gate in CI funnels through this module:
   as its baseline can never be flagged (improvement asymmetry).
 * :func:`compare_grid_runs` — two experiment-grid history databases
   (:mod:`repro.bench.history`): cell statuses, cross-tier answer
-  digests, and tier-speedup ratios under the noise band.
+  digests, and tier-speedup ratios (the median of per-pass ratios)
+  under the noise band.
 
 Intentional regressions are acknowledged in a *waiver file*
 (``benchmarks/waivers.json``): a matching waiver flips a ``regressed``
@@ -21,9 +22,11 @@ from __future__ import annotations
 import fnmatch
 import json
 import pathlib
+import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.bench.grid import YARDSTICK_TIERS
 from repro.bench.history import CellRecord, HistoryDB, RunRecord
 
 __all__ = [
@@ -37,10 +40,6 @@ __all__ = [
 
 #: Default regression tolerance: a ratio below 70% of baseline regresses.
 DEFAULT_TOLERANCE = 0.7
-#: The tier that times a fixed implementation instead of a faster one:
-#: its ratio is judged as yardstick / cold, so a slower cold path — which
-#: every other tier's cold / tier ratio reads as a gain — fails the gate.
-YARDSTICK_TIER = "reference"
 #: Noise bands wider than this are capped — a benchmark so noisy that the
 #: band would excuse any slowdown must be fixed, not auto-waived.
 MAX_NOISE_BAND = 0.5
@@ -203,16 +202,33 @@ def apply_waivers(
 # ----------------------------------------------------------------------
 # Grid-history comparison
 # ----------------------------------------------------------------------
-def _pair_band(
-    fresh_ref: CellRecord,
-    fresh_cell: CellRecord,
-    base_ref: CellRecord,
-    base_cell: CellRecord,
-) -> float:
-    """Noise band for a speedup ratio: the worse run's summed spreads."""
-    fresh_noise = fresh_ref.noise + fresh_cell.noise
-    base_noise = base_ref.noise + base_cell.noise
-    return min(MAX_NOISE_BAND, max(fresh_noise, base_noise))
+def _pass_speedups(
+    cold: CellRecord, cell: CellRecord, yardstick: bool
+) -> list[float]:
+    """The cell's speedup over cold, one ratio per grid pass.
+
+    :func:`~repro.bench.grid.run_grid` times every cell once per pass, so
+    the i-th samples of two cells were taken moments apart and dividing
+    them pairwise cancels the machine's drift between passes.  Without
+    per-pass samples it is one best-over-best ratio.  A yardstick tier's
+    ratios are cold's speedup over it instead: those *fall* when the cold
+    path slows down.
+    """
+    pairs = [
+        (c, t)
+        for c, t in zip(cold.run_seconds, cell.run_seconds)
+        if c > 0.0 and t > 0.0
+    ] or [(cold.best_seconds, cell.best_seconds)]
+    if yardstick:
+        return [t / c for c, t in pairs]
+    return [c / t for c, t in pairs]
+
+
+def _spread(speedups: Sequence[float]) -> float:
+    """Noise band of a median ratio: how far the lower quartile of the
+    per-pass ratios lies below their median, relative to it."""
+    ordered = sorted(speedups)
+    return statistics.median(ordered) / ordered[(len(ordered) - 1) // 4] - 1.0
 
 
 def _cold_key(cell: CellRecord) -> "tuple | None":
@@ -278,13 +294,15 @@ def compare_grid_runs(
     * every fresh cell that *errored* (and is not skipped by design);
     * answer digests diverging across tiers inside the fresh
       run (the grid's correctness parity);
-    * each tier cell's speedup-over-cold falling below
-      ``baseline * tolerance / (1 + band)``, where ``band`` is the
-      best-of-N spread of the cells involved (for the
-      :data:`YARDSTICK_TIER`, cold's speedup over it instead).  With
-      ``absolute=True`` (same-machine nightly history) raw per-cell
-      seconds are compared under the mirrored lower-is-better rule as
-      well.
+    * each tier cell's speedup over cold — the median of its per-pass
+      ratios — falling below ``baseline * tolerance / (1 + band)``.
+      ``band`` is the larger of the two runs' per-pass ratio spreads;
+      a :data:`~repro.bench.grid.YARDSTICK_TIERS` cell is judged as
+      cold's speedup over it, with no band, so its threshold is
+      ``tolerance`` itself.  With ``absolute=True`` (same-machine
+      nightly history) raw per-cell seconds are compared under the
+      mirrored lower-is-better rule as well, banded by the cells'
+      best-of-N spread.
     """
     fresh_db = fresh if isinstance(fresh, HistoryDB) else HistoryDB(fresh)
     fresh_run = fresh_db.latest_run(grid_name=grid_name)
@@ -439,17 +457,27 @@ def _ratio_metric(
     )
     if not usable:
         return
-    fresh_ratio = fresh_ref.best_seconds / fresh_cell.best_seconds
-    base_ratio = base_ref.best_seconds / base_cell.best_seconds
-    label = f"{fresh_cell.cell_id} speedup vs cold"
-    if dict(fresh_cell.axes).get("tier") == YARDSTICK_TIER:
-        # cold / yardstick *rises* when the cold path slows down; the
-        # inverse falls, so that is the ratio that must hold.
-        fresh_ratio, base_ratio = 1.0 / fresh_ratio, 1.0 / base_ratio
-        label = f"{fresh_cell.cell_id}: cold speedup vs {YARDSTICK_TIER}"
-    band = _pair_band(fresh_ref, fresh_cell, base_ref, base_cell)
+    tier = dict(fresh_cell.axes).get("tier")
+    yardstick = tier in YARDSTICK_TIERS
+    fresh_speedups = _pass_speedups(fresh_ref, fresh_cell, yardstick)
+    base_speedups = _pass_speedups(base_ref, base_cell, yardstick)
+    if yardstick:
+        # A yardstick's ratio moves only when the cold path does, and its
+        # per-pass ratios are steady: a band would only excuse a slowdown.
+        label = f"{fresh_cell.cell_id}: cold speedup vs {tier}"
+        band = 0.0
+    else:
+        label = f"{fresh_cell.cell_id} speedup vs cold"
+        band = min(
+            MAX_NOISE_BAND,
+            max(_spread(fresh_speedups), _spread(base_speedups)),
+        )
     report.metrics.append(
         compare_value(
-            label, fresh_ratio, base_ratio, tolerance=tolerance, band=band
+            label,
+            statistics.median(fresh_speedups),
+            statistics.median(base_speedups),
+            tolerance=tolerance,
+            band=band,
         )
     )

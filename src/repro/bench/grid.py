@@ -3,8 +3,9 @@
 The paper evaluates over a parameter grid (dataset × k × r × aggregator ×
 ε); this repo's performance claims add a *serving tier* axis and a
 label-constraint axis.  Every tier is timed against the cold solver call
-(see :class:`CellExecutor` for the seven tiers); the ``reference`` tier
-runs the set engine, so a slowdown of the cold path itself shows too.
+(see :class:`CellExecutor` for the eight tiers); the yardstick tiers
+(:data:`YARDSTICK_TIERS`) time a fixed other way of answering, so a
+slowdown of the cold path itself shows too.
 A :class:`GridSpec` names one such grid declaratively; :func:`run_grid`
 executes every cell best-of-N and appends the outcome to a
 :class:`~repro.bench.history.HistoryDB`, keyed by
@@ -43,7 +44,20 @@ __all__ = [
 
 
 #: Every serving tier the executor runs; see :class:`CellExecutor`.
-TIERS = ("cold", "service", "index", "reference", "http", "snapshot", "update")
+TIERS = (
+    "cold",
+    "service",
+    "index",
+    "reference",
+    "materialize",
+    "http",
+    "snapshot",
+    "update",
+)
+#: Tiers that time a fixed other way of answering the cell's query rather
+#: than a faster one.  The comparator judges them as cold's speedup over
+#: the tier, with no noise band, so a slower cold path fails the gate.
+YARDSTICK_TIERS = ("reference", "materialize")
 
 
 @dataclass(frozen=True)
@@ -135,8 +149,8 @@ class GridCell:
         """Why this cell is inapplicable (``None`` = runnable).
 
         The precomputed index serves the sum aggregator, unconstrained, and
-        the reference set engine differs from production only for ``sum``
-        — other combinations are recorded as ``skipped`` so the grid's
+        the reference set engine differs from production only for ``sum``,
+        and filter-then-query needs a predicate — other combinations are recorded as ``skipped`` so the grid's
         shape stays visible in history.
         """
         if self.tier == "index" and self.aggregator != "sum":
@@ -145,6 +159,8 @@ class GridCell:
             return "the precomputed index serves unconstrained queries only"
         if self.tier == "reference" and self.aggregator != "sum":
             return "set_engine() leaves the min/max community forest unchanged"
+        if self.tier == "materialize" and self.constrained == "none":
+            return "filter-then-query needs a label constraint"
         return None
 
 
@@ -181,12 +197,13 @@ GRIDS: dict[str, GridSpec] = {
         aggregators=("sum", "min"),
         tiers=TIERS,
         # The constrained leg gates the label-pushdown path per PR: same
-        # digest across tiers, timed like everything else; its reference
-        # cells time pushdown against the set engine.
+        # digest across tiers, timed like everything else; its
+        # materialize cells time pushdown against filter-then-query.
         constrained=("none", "eq:deg:high"),
-        # Five passes: on a shared 2-vCPU box, three left a gate compare
-        # against a same-code run failing about one time in eight.
-        repeats=5,
+        # Nine passes: on a shared 2-vCPU box, five left the served
+        # tiers' per-pass ratio spread too wide to gate them near the
+        # 0.7 tolerance without a same-code compare failing now and then.
+        repeats=9,
     ),
     "full": GridSpec(
         name="full",
@@ -227,14 +244,16 @@ class CellExecutor:
     Graphs and services are cached across cells — one
     :class:`~repro.serving.service.QueryService` per graph and role,
     built outside any timed region, exactly like a warm deployment.
-    The comparator judges each tier by its speedup over cold:
+    The comparator judges each tier by its speedup over cold, and each
+    yardstick by cold's speedup over it:
 
     * ``cold`` — :func:`~repro.influential.api.top_r_communities`;
     * ``reference`` — the same call under
-      :func:`repro.reference.set_engine`, judged the other way round
-      (cold's speedup over it), so a slower cold path fails the gate
-      (``sum`` only: the min/max forest is one code path on either
-      engine);
+      :func:`repro.reference.set_engine`, a yardstick (``sum`` only: the
+      min/max forest is one code path on either engine);
+    * ``materialize`` — filter-then-query: solve unconstrained on the
+      induced subgraph of the matching vertices and map the ids back, a
+      yardstick for label pushdown (constrained cells only);
     * ``service`` / ``index`` — ``QueryService.submit`` on a pool-warm
       service, without / with the precomputed index;
     * ``http`` — ``POST /v1/query`` to that service hosted by
@@ -247,8 +266,8 @@ class CellExecutor:
       checks that the delta round-trips.
 
     Each call times one repeat: :func:`run_grid` calls the executor once
-    per cell per pass.  Every tier but ``cold``, ``reference`` and
-    ``snapshot`` warms its service, then empties the result cache before
+    per cell per pass.  Every served tier but ``snapshot`` warms its
+    service, then empties the result cache before
     the timed call, so no repeat is a dict hit.
     """
 
@@ -301,6 +320,8 @@ class CellExecutor:
             service = self._service(role, cell.n, cell.m)
             query = _query(cell)
             return self._run_served(service, lambda: service.submit(query))
+        if cell.tier == "materialize":
+            return self._run_materialize(cell)
         if cell.tier == "http":
             return self._run_http(cell)
         if cell.tier == "snapshot":
@@ -325,6 +346,27 @@ class CellExecutor:
                 eps=cell.eps, labels=labels,
             )
         )
+
+    def _run_materialize(self, cell: GridCell) -> CellOutcome:
+        from repro.graphs.views import induced_subgraph
+        from repro.influential.api import top_r_communities
+        from repro.influential.constraints import LabelPredicate, matching_mask
+
+        graph = self._graph(cell.n, cell.m)
+        predicate = LabelPredicate.from_json(_constraint_spec(cell.constrained))
+        matching = matching_mask(graph, predicate).nonzero()[0].tolist()
+
+        def answer() -> tuple[list, list]:
+            sub, __ = induced_subgraph(graph, matching)
+            result = top_r_communities(
+                sub, cell.k, cell.r, f=cell.aggregator, eps=cell.eps
+            )
+            return result.values(), [
+                [matching[v] for v in members]
+                for members in result.vertex_sets()
+            ]
+
+        return self._time(answer, lambda pair: _pairs_digest(*pair))
 
     def _run_served(self, service, answer, digest=None) -> CellOutcome:
         """Pool-warm serving: warm, then time with the cache emptied so the

@@ -1,5 +1,6 @@
 """Unit tests for the declarative experiment grid and its runner."""
 
+import collections
 import dataclasses
 import pathlib
 import shutil
@@ -59,6 +60,12 @@ def test_skip_reasons():
     assert reference.skip_reason() is None
     # set_engine() runs the same min/max forest as production.
     assert dataclasses.replace(reference, aggregator="min").skip_reason()
+    materialize = dataclasses.replace(reference, tier="materialize")
+    # Filter-then-query has nothing to filter without a predicate.
+    assert materialize.skip_reason()
+    assert dataclasses.replace(
+        materialize, constrained="eq:deg:high"
+    ).skip_reason() is None
 
 
 def test_named_grids_resolve():
@@ -259,23 +266,38 @@ def test_every_tier_runs_and_agrees_with_cold(tmp_path):
     assert report.verdict == "PASS"
 
 
-def _doctored_history(path, tiers, cold_factor):
-    """Two fake runs of one grid; the second slows only the cold cells."""
-    spec = dataclasses.replace(TINY, aggregators=("sum",), tiers=tiers)
+def _doctored_history(path, tiers, cold_factor, base_load=(1.0, 1.0)):
+    """Two fake runs of one grid; the second slows only the cold cells.
+
+    ``base_load[i]`` scales every cell of the baseline's i-th pass, like
+    a machine that is busier in some passes than in others.
+    """
+    spec = dataclasses.replace(
+        TINY, aggregators=("sum",), tiers=tiers, repeats=len(base_load)
+    )
     seconds = {"cold": 1.0, "service": 0.2, "reference": 3.0}
 
-    def runner(factor):
+    def runner(factor, load):
+        passes = collections.Counter()
+
         def run(cell):
-            scale = factor if cell.tier == "cold" else 1.0
+            scale = load[passes[cell.cell_id]]
+            passes[cell.cell_id] += 1
+            if cell.tier == "cold":
+                scale *= factor
             return CellOutcome((seconds[cell.tier] * scale,), "same-answer")
 
         return run
 
+    quiet = (1.0,) * len(base_load)
     with HistoryDB(path) as db:
-        run_grid(spec, db, commit="base", started_at="t0", runner=runner(1.0))
+        run_grid(
+            spec, db, commit="base", started_at="t0",
+            runner=runner(1.0, base_load),
+        )
         run_grid(
             spec, db, commit="slow-cold", started_at="t1",
-            runner=runner(cold_factor),
+            runner=runner(cold_factor, quiet),
         )
     return compare_grid_runs(path)
 
@@ -297,3 +319,25 @@ def test_reference_tier_sees_a_cold_path_slowdown(tmp_path):
         tmp_path / "without.sqlite", ("cold", "service"), 2.0
     )
     assert blind.verdict == "PASS"
+
+
+def test_a_noisy_baseline_does_not_hide_a_cold_path_slowdown(tmp_path):
+    # Each baseline cell's best-of-N spread is 0.3, so two cells' spreads
+    # sum past the 0.5 band cap.  Banding on that put every threshold at
+    # 0.7/1.5 of baseline, where a 2x cold slowdown (0.5) passed.  The
+    # load is shared by each pass, so the per-pass ratios do not move:
+    # a yardstick has no band, and the service tier's band stays 0.
+    report = _doctored_history(
+        tmp_path / "noisy.sqlite",
+        ("cold", "service", "reference"),
+        2.0,
+        base_load=(1.0, 1.6, 1.3),
+    )
+    assert report.verdict == "FAIL"
+    verdicts = {m.metric.split("/")[-1]: m for m in report.metrics}
+    reference = verdicts["reference: cold speedup vs reference"]
+    assert reference.status == "regressed"
+    assert reference.fresh == pytest.approx(0.5 * reference.baseline)
+    assert reference.threshold == pytest.approx(0.7 * reference.baseline)
+    service = verdicts["service speedup vs cold"]
+    assert service.threshold == pytest.approx(0.7 * service.baseline)
