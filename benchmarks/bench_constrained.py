@@ -24,9 +24,9 @@ answer is exactly the planted teams:
 ``BENCH_constrained.json`` for the 50k/400k receipts; ``--ci`` shrinks
 the graph for CI, which uploads the report.  The run exits 1 when
 pushdown disagrees with filter-then-query or comes back empty.  The
-speedup is not gated here: the ``reference`` tier of the experiment
-grid's constrained cells times pushdown against the set engine
-(``repro bench grid``).
+speedup is not gated here: the ``materialize`` tier of the experiment
+grid's constrained cells times pushdown against filter-then-query
+(``repro bench grid``); query-then-filter has no grid cell.
 """
 
 from __future__ import annotations

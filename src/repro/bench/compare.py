@@ -214,21 +214,20 @@ def _pass_speedups(
     ratios are cold's speedup over it instead: those *fall* when the cold
     path slows down.
     """
-    pairs = [
-        (c, t)
-        for c, t in zip(cold.run_seconds, cell.run_seconds)
-        if c > 0.0 and t > 0.0
-    ] or [(cold.best_seconds, cell.best_seconds)]
+    pairs = list(zip(cold.run_seconds, cell.run_seconds)) or [
+        (cold.best_seconds, cell.best_seconds)
+    ]
     if yardstick:
         return [t / c for c, t in pairs]
     return [c / t for c, t in pairs]
 
 
 def _spread(speedups: Sequence[float]) -> float:
-    """Noise band of a median ratio: how far the lower quartile of the
-    per-pass ratios lies below their median, relative to it."""
+    """Noise band of a median ratio: how far the per-pass ratios' median
+    lies above their lower quartile, relative to the quartile."""
     ordered = sorted(speedups)
-    return statistics.median(ordered) / ordered[(len(ordered) - 1) // 4] - 1.0
+    lower_quartile = ordered[(len(ordered) - 1) // 4]
+    return statistics.median(ordered) / lower_quartile - 1.0
 
 
 def _cold_key(cell: CellRecord) -> "tuple | None":

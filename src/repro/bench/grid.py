@@ -148,10 +148,11 @@ class GridCell:
     def skip_reason(self) -> "str | None":
         """Why this cell is inapplicable (``None`` = runnable).
 
-        The precomputed index serves the sum aggregator, unconstrained, and
-        the reference set engine differs from production only for ``sum``,
-        and filter-then-query needs a predicate — other combinations are recorded as ``skipped`` so the grid's
-        shape stays visible in history.
+        The precomputed index serves the sum aggregator, unconstrained; the
+        reference set engine differs from production only for ``sum``; and
+        filter-then-query needs a predicate.  Other combinations are
+        recorded as ``skipped`` so the grid's shape stays visible in
+        history.
         """
         if self.tier == "index" and self.aggregator != "sum":
             return "index tier serves the sum aggregator only"
