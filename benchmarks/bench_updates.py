@@ -35,6 +35,7 @@ import numpy as np
 from repro import reference
 from repro.core.decomposition import core_decomposition
 from repro.graphs.builder import graph_from_edges
+from repro.graphs.csr import CSRAdjacency
 from repro.graphs.delta import GraphDelta
 from repro.graphs.graph import Graph
 from repro.influential.api import top_r_communities
@@ -119,7 +120,12 @@ def _rebuilt_with(graph, insert=(), delete=()):
     for u, v in insert:
         adjacency[u].add(v)
         adjacency[v].add(u)
-    return Graph(adjacency, graph.weights, labels=graph.labels, _trusted=True)
+    return Graph(
+        CSRAdjacency.from_adjacency(adjacency),
+        graph.weights,
+        labels=graph.labels,
+        _trusted=True,
+    )
 
 
 def _pick_edges(graph, count, seed):

@@ -7,8 +7,8 @@ follows a uniformly random incident edge with probability ``damping`` and
 teleports uniformly otherwise; dangling (isolated) vertices redistribute
 their mass uniformly.  The result sums to 1.
 
-Vectorised with numpy over a CSR-ish (indptr, indices) representation so
-the 6K-vertex benchmark stand-ins weight in milliseconds.
+Vectorised with numpy over the graph's CSR arrays so the 6K-vertex
+benchmark stand-ins weight in milliseconds.
 """
 
 from __future__ import annotations
@@ -17,22 +17,6 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-
-
-def _flat_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten adjacency into parallel (row, col) arrays, one entry per
-    directed half-edge, for vectorised scatter-adds."""
-    n = graph.n
-    degrees = graph.degrees()
-    total = int(degrees.sum())
-    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    cols = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for neighbours in graph.adjacency:
-        for v in neighbours:
-            cols[cursor] = v
-            cursor += 1
-    return rows, cols
 
 
 def pagerank(
@@ -52,7 +36,9 @@ def pagerank(
     n = graph.n
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    rows, cols = _flat_edges(graph)
+    # One entry per directed half-edge, for vectorised scatter-adds.
+    csr = graph.csr
+    rows, cols = csr.owners(), csr.indices
     degrees = graph.degrees().astype(np.float64)
     dangling = degrees == 0
     out_degree = np.where(dangling, 1.0, degrees)

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import GraphError, VertexError
+from repro.graphs.csr import CSRAdjacency, check_csr
 from repro.graphs.graph import Graph
 
 
@@ -113,26 +114,23 @@ class GraphBuilder:
         self._labels[v] = label
         return self
 
-    def build(self, warm_csr: bool = False) -> Graph:
+    def build(self) -> Graph:
         """Freeze into a :class:`Graph`.  The builder must not be reused.
 
-        ``warm_csr=True`` materialises the CSR arrays eagerly (it is
-        otherwise built lazily on first kernel use) — callers that will
-        immediately run bulk kernels, like the benchmark drivers, pay the
-        flattening cost up front instead of inside a timed region.
+        The staging sets are flattened into the graph's CSR arrays once
+        and dropped; the graph keeps no set of its own.
         """
         if self._built:
             raise GraphError("builder already consumed; create a new one")
         self._built = True
-        graph = Graph(
-            self._adj,
+        csr = CSRAdjacency.from_adjacency(self._adj)
+        self._adj = []
+        return Graph(
+            csr,
             np.asarray(self._weights, dtype=np.float64),
             labels=self._labels,
             _trusted=True,
         )
-        if warm_csr:
-            graph.csr  # noqa: B018 — touch to populate the cache
-        return graph
 
 
 def graph_from_csr_arrays(
@@ -141,76 +139,29 @@ def graph_from_csr_arrays(
     weights: Sequence[float] | None = None,
     labels: Sequence[str] | None = None,
     trusted: bool = False,
-    lazy_adjacency: bool = False,
 ) -> Graph:
     """Rebuild a :class:`Graph` from flat CSR arrays.
 
     The inverse of flattening: snapshot loads and fleet members attaching
     a shared substrate receive ``(indptr, indices, weights)`` arrays and
-    reconstruct the graph without re-parsing edge lists or re-sorting
-    anything.  Both representations come up warm — the set adjacency is
-    built from the neighbour runs and the CSR cache is seeded directly
-    from the (validated) arrays, so no flattening cost is paid either.
+    wrap them without re-parsing edge lists, re-sorting or copying
+    anything (arrays already in the graph's dtypes are used as they are).
 
-    ``trusted=True`` skips the per-edge symmetry/self-loop re-validation
-    (an O(m) Python loop that dominates reconstruction time).  The cheap
-    vectorised shape/sortedness checks still run.  Reserve it for arrays
-    this process produced or a manifest already vouches for — snapshot
-    loads (:func:`repro.serving.store.load_snapshot`) and shared
+    The arrays are checked with one vectorised pass
+    (:func:`repro.graphs.csr.check_csr`: shapes, id range, sorted
+    duplicate-free runs, and by default self-loops and symmetry) — CSR
+    payloads cross process boundaries, so they are not trusted input.
+    ``trusted=True`` skips the self-loop and symmetry part (its O(m log m)
+    sort); the O(m) checks every kernel relies on still run.  Reserve it
+    for arrays this process produced or a manifest already vouches for —
+    snapshot loads (:func:`repro.serving.store.load_snapshot`) and shared
     substrates (:mod:`repro.serving.substrate`) — never for arrays off
     the wire.
-
-    ``lazy_adjacency=True`` (requires ``trusted=True``) skips the eager
-    list-of-sets build entirely and installs a
-    :class:`repro.graphs.lazy.LazyAdjacency` view instead: neighbour sets
-    materialise per vertex on first access.  This is how fleet members
-    attach to a shared/mmapped substrate without paying the O(n + 2m)
-    private-heap copy of the set adjacency.
     """
-    from repro.graphs.csr import CSRAdjacency
-    from repro.graphs.lazy import LazyAdjacency
-
-    if lazy_adjacency and not trusted:
-        raise GraphError(
-            "lazy_adjacency requires trusted=True: per-edge validation "
-            "would materialise every neighbour set anyway"
-        )
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    if indptr.ndim != 1 or indptr.size < 1:
-        raise GraphError("indptr must be a 1-D array of length n + 1")
-    n = int(indptr.size - 1)
-    indices = np.ascontiguousarray(indices)
-    if indices.ndim != 1 or int(indptr[-1]) != indices.size:
-        raise GraphError(
-            f"indices length {indices.size} does not match indptr[-1]="
-            f"{int(indptr[-1])}"
-        )
-    if indices.size > 1:
-        # Every kernel assumes sorted neighbour runs; one vectorised pass
-        # checks ascending order everywhere except across run boundaries.
-        # Strict ascent within a run also rules out duplicate entries.
-        descending = np.diff(indices.astype(np.int64)) <= 0
-        boundary = np.zeros(indices.size - 1, dtype=bool)
-        starts = indptr[1:-1]
-        starts = starts[(starts > 0) & (starts < indices.size)]
-        boundary[starts - 1] = True
-        if np.any(descending & ~boundary):
-            raise GraphError("neighbour runs must be sorted ascending")
-    csr = CSRAdjacency(indptr, indices)
-    if lazy_adjacency:
-        adjacency = LazyAdjacency(csr.indptr, csr.indices)
-    else:
-        adjacency = [
-            set(indices[indptr[v] : indptr[v + 1]].tolist()) for v in range(n)
-        ]
-        if sum(len(neigh) for neigh in adjacency) != indices.size:
-            raise GraphError("indices contain duplicate entries within a run")
-    # The Graph constructor re-validates symmetry/self-loops/ranges — CSR
-    # payloads cross process boundaries, so by default they are not
-    # trusted input.
-    graph = Graph(adjacency, weights, labels=labels, _trusted=trusted)
-    graph._csr = csr
-    return graph
+    check_csr(indptr, indices, symmetric=not trusted)
+    return Graph(
+        CSRAdjacency(indptr, indices), weights, labels=labels, _trusted=True
+    )
 
 
 def graph_from_edges(

@@ -1,14 +1,17 @@
-"""Compressed-sparse-row adjacency: the array-speed graph representation.
+"""Compressed-sparse-row adjacency: the one topology store of a graph.
 
-A :class:`CSRAdjacency` stores the same topology as the list-of-sets
-adjacency of :class:`repro.graphs.graph.Graph`, flattened into two flat
-arrays — ``indptr`` (length ``n + 1``, int64) and ``indices`` (length
-``2m``, int32 when every vertex id fits, neighbours of vertex ``v`` at
-``indices[indptr[v]:indptr[v + 1]]``, sorted ascending).  The peeling kernels in :mod:`repro.core` and
-:mod:`repro.truss` run over these flat arrays with bincount/frontier
-operations instead of per-vertex Python set intersections, which is where
-the order-of-magnitude speedups come from (see
-``benchmarks/bench_substrates.py``).
+A :class:`CSRAdjacency` holds the edge set of a
+:class:`repro.graphs.graph.Graph` in two flat arrays — ``indptr``
+(length ``n + 1``, int64) and ``indices`` (length ``2m``, int32 when
+every vertex id fits, neighbours of vertex ``v`` at
+``indices[indptr[v]:indptr[v + 1]]``, sorted ascending).  The peeling
+kernels in :mod:`repro.core` and :mod:`repro.truss` run over these flat
+arrays with bincount/frontier operations instead of per-vertex Python
+set intersections, which is where the order-of-magnitude speedups come
+from (see ``benchmarks/bench_substrates.py``).
+
+:func:`check_csr` is the one structural validation of untrusted arrays
+(vertex range, self-loops, sorted duplicate-free runs, symmetry).
 
 The class also hosts the vectorised primitives every kernel needs:
 
@@ -28,13 +31,15 @@ dispatch point.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro import kernels
-from repro.errors import VertexError
+from repro.errors import GraphError, VertexError
 from repro.kernels import decrement_degrees
 
-__all__ = ["CSRAdjacency", "decrement_degrees", "membership_mask"]
+__all__ = ["CSRAdjacency", "check_csr", "decrement_degrees", "membership_mask"]
 
 
 def membership_mask(n: int, vertices) -> np.ndarray:
@@ -53,6 +58,59 @@ def membership_mask(n: int, vertices) -> np.ndarray:
             raise VertexError(hi, n)
         mask[members] = True
     return mask
+
+
+def check_csr(indptr, indices, symmetric: bool = True) -> None:
+    """Raise unless ``(indptr, indices)`` is a valid undirected CSR adjacency.
+
+    One vectorised pass over the raw arrays (before any dtype narrowing,
+    so an id past int32 cannot wrap into range): shapes, vertex id range,
+    strictly ascending neighbour runs (which also rules out duplicates),
+    and — unless ``symmetric=False`` — no self-loops and symmetry: the
+    sorted arc keys ``u * n + v`` must equal the sorted reversed keys
+    ``v * n + u``.  O(m log m) with the symmetry sort, O(m) without it;
+    arrays a trusted producer vouches for skip only the symmetry part,
+    because every kernel indexes by them.
+    """
+    indptr = np.asarray(indptr)
+    indices = np.asarray(indices)
+    if indptr.ndim != 1 or indptr.size < 1:
+        raise GraphError("indptr must be a 1-D array of length n + 1")
+    n = int(indptr.size - 1)
+    if indices.ndim != 1 or int(indptr[-1]) != indices.size:
+        raise GraphError(
+            f"indices length {indices.size} does not match indptr[-1]="
+            f"{int(indptr[-1])}"
+        )
+    counts = np.diff(indptr.astype(np.int64))
+    if int(indptr[0]) != 0 or np.any(counts < 0):
+        raise GraphError("indptr must start at 0 and never decrease")
+    if indices.size == 0:
+        return
+    if indices.dtype.kind not in "iu":
+        raise GraphError(f"indices must be integers, got {indices.dtype}")
+    lo, hi = int(indices.min()), int(indices.max())
+    if lo < 0:
+        raise VertexError(lo, n)
+    if hi >= n:
+        raise VertexError(hi, n)
+    # Owners never decrease and ids are < n, so the arc keys ascend
+    # strictly exactly when every neighbour run does.
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+    np.add(keys, indices, out=keys, casting="unsafe")
+    if np.any(keys[1:] <= keys[:-1]):
+        raise GraphError("neighbour runs must ascend strictly (sorted, no repeats)")
+    if not symmetric:
+        return
+    owners, cols = np.divmod(keys, n)
+    loops = np.flatnonzero(owners == cols)
+    if loops.size:
+        raise GraphError(f"self-loop at vertex {int(owners[loops[0]])}")
+    reverse = np.sort(cols * n + owners)
+    if not np.array_equal(keys, reverse):
+        lonely = keys[~np.isin(keys, reverse)][0]
+        u, v = divmod(int(lonely), n)
+        raise GraphError(f"edge ({u}, {v}) is not symmetric")
 
 
 class CSRAdjacency:
@@ -85,22 +143,15 @@ class CSRAdjacency:
     def from_adjacency(cls, adjacency: list[set[int]]) -> "CSRAdjacency":
         """Flatten a list-of-sets adjacency into sorted CSR arrays.
 
-        One pass collects every (owner, neighbour) pair; a single lexsort
-        then groups by owner and sorts each neighbour run ascending.
+        Each neighbour set is sorted in turn and streamed straight into
+        the final ``indices`` array, so the only temporary beyond the
+        result is one vertex's sorted run.
         """
         n = len(adjacency)
-        counts = np.fromiter(
-            (len(neigh) for neigh in adjacency), dtype=np.int64, count=n
-        )
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        flat = np.fromiter(
-            (v for neigh in adjacency for v in neigh), dtype=np.int64, count=total
-        )
-        owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-        order = np.lexsort((flat, owners))
-        return cls(indptr, flat[order])
+        np.cumsum(np.fromiter(map(len, adjacency), np.int64, n), out=indptr[1:])
+        runs = chain.from_iterable(map(sorted, adjacency))
+        return cls(indptr, np.fromiter(runs, cls._index_dtype(n), int(indptr[-1])))
 
     # ------------------------------------------------------------------
     # Shape
@@ -128,6 +179,11 @@ class CSRAdjacency:
     def degrees(self) -> np.ndarray:
         """Degree of every vertex (fresh writable array)."""
         return np.diff(self.indptr)
+
+    def owners(self) -> np.ndarray:
+        """The owning vertex of every entry of ``indices`` (int64), so
+        ``(owners(), indices)`` lists every arc as parallel arrays."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
 
     def gather(self, vertices: np.ndarray) -> np.ndarray:
         """Concatenated neighbour runs of ``vertices`` (duplicates kept)."""

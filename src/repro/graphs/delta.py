@@ -13,8 +13,8 @@ paying only for what actually changed:
   ``indices`` array; a batch is compacted into fresh arrays by one
   vectorised ``np.delete``/``np.insert`` memcpy per edge instead of the
   Python flattening.  ``indptr`` is repaired with two slice increments.
-  The set adjacency is patched copy-on-write: only the endpoints' sets
-  are duplicated, every other vertex shares its set with the old graph.
+  The CSR is the graph's only topology store, so there is nothing else
+  to patch: the new graph's neighbour-set view reads the patched arrays.
 * **Incremental core repair** — the classic locality bound for single
   edge updates (Li, Yu & Mao, TKDE 2014; Sariyüce et al., VLDB 2013):
   inserting or deleting ``{u, v}`` can only change core numbers of
@@ -49,7 +49,6 @@ from repro.core.decomposition import core_decomposition
 from repro.errors import GraphError, VertexError
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
-from repro.graphs.lazy import LazyAdjacency
 
 __all__ = ["DeltaReport", "GraphDelta", "normalize_edge_updates"]
 
@@ -212,12 +211,11 @@ class GraphDelta:
             raise GraphError(
                 f"edge {sorted(overlap)[0]} appears in both insert and delete"
             )
-        adjacency = graph.adjacency
         for u, v in inserts:
-            if v in adjacency[u]:
+            if graph.has_edge(u, v):
                 raise GraphError(f"insert edge ({u}, {v}) already exists")
         for u, v in deletes:
-            if v not in adjacency[u]:
+            if not graph.has_edge(u, v):
                 raise GraphError(f"delete edge ({u}, {v}) does not exist")
         return inserts, deletes
 
@@ -262,50 +260,29 @@ class GraphDelta:
         csr = graph.csr
         indptr = csr.indptr.copy()
         indices = csr.indices.copy()
-        # A lazy (substrate-attached) adjacency stays lazy: the new graph
-        # re-derives neighbour sets from the patched CSR on demand, so no
-        # set is ever materialised for vertices the update didn't touch.
-        lazy = isinstance(graph.adjacency, LazyAdjacency)
-        if lazy:
-            adjacency, copied = None, None
-        else:
-            adjacency, copied = list(graph.adjacency), set()
         cores = old_cores.copy()
         changed = np.zeros(graph.n, dtype=bool)
 
-        def own(vertex: int) -> set[int]:
-            if vertex not in copied:
-                adjacency[vertex] = set(adjacency[vertex])
-                copied.add(vertex)
-            return adjacency[vertex]
-
         # Deletions first, then insertions; each edge is one exact step
-        # (patch both substrates, then repair cores against the patched
-        # CSR), so the repair always sees the true intermediate graph.
+        # (patch the CSR, then repair cores against it), so the repair
+        # always sees the true intermediate graph.
         for u, v in deletes:
             indptr, indices = _delete_edge_csr(indptr, indices, u, v)
-            if not lazy:
-                own(u).discard(v)
-                own(v).discard(u)
             self._repair_delete(
                 CSRAdjacency(indptr, indices), cores, changed, u, v
             )
         for u, v in inserts:
             indptr, indices = _insert_edge_csr(indptr, indices, u, v)
-            if not lazy:
-                own(u).add(v)
-                own(v).add(u)
             self._repair_insert(
                 CSRAdjacency(indptr, indices), cores, changed, u, v
             )
 
-        new_csr = CSRAdjacency(indptr, indices)
-        if lazy:
-            adjacency = LazyAdjacency(new_csr.indptr, new_csr.indices)
         new_graph = Graph(
-            adjacency, graph.weights, labels=graph.labels, _trusted=True
+            CSRAdjacency(indptr, indices),
+            graph.weights,
+            labels=graph.labels,
+            _trusted=True,
         )
-        new_graph._csr = new_csr
         return self._report(
             new_graph, old_cores, cores, changed, inserts, deletes,
             strategy="incremental",
@@ -366,22 +343,11 @@ class GraphDelta:
         old_cores: np.ndarray,
     ) -> DeltaReport:
         graph = self._graph
-        adjacency, copied = list(graph.adjacency), set()
-
-        def own(vertex: int) -> set[int]:
-            if vertex not in copied:
-                adjacency[vertex] = set(adjacency[vertex])
-                copied.add(vertex)
-            return adjacency[vertex]
-
-        for u, v in deletes:
-            own(u).discard(v)
-            own(v).discard(u)
-        for u, v in inserts:
-            own(u).add(v)
-            own(v).add(u)
         new_graph = Graph(
-            adjacency, graph.weights, labels=graph.labels, _trusted=True
+            _patch_arcs(graph.csr, inserts, deletes),
+            graph.weights,
+            labels=graph.labels,
+            _trusted=True,
         )
         cores = core_decomposition(new_graph)
         changed = cores != old_cores
@@ -441,6 +407,33 @@ class GraphDelta:
 # ----------------------------------------------------------------------
 # CSR splicing (the tombstone/append compaction primitives)
 # ----------------------------------------------------------------------
+def _patch_arcs(
+    csr: CSRAdjacency,
+    inserts: list[tuple[int, int]],
+    deletes: list[tuple[int, int]],
+) -> CSRAdjacency:
+    """A new CSR with a whole validated batch applied in one sorted pass.
+
+    Every arc ``(u, v)`` is the key ``u * n + v``; the CSR lists them in
+    ascending key order, so deleting is a sorted set difference, inserting
+    a sorted union, and the new ``indptr`` is the owners' bincount.
+    """
+    n = csr.n
+
+    def arc_keys(edges: list[tuple[int, int]]) -> np.ndarray:
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        return np.concatenate([u * n + v, v * n + u])
+
+    keys = csr.owners() * n + csr.indices
+    keys = np.setdiff1d(keys, arc_keys(deletes), assume_unique=True)
+    keys = np.union1d(keys, arc_keys(inserts))
+    owners, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+    return CSRAdjacency(indptr, indices)
+
+
 def _run_position(
     indptr: np.ndarray, indices: np.ndarray, owner: int, value: int
 ) -> int:

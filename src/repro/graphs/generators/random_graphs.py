@@ -53,16 +53,13 @@ def gnm_random_graph(
         raise GraphError(f"cannot place {m} edges in a graph with {n} vertices")
     rng = make_rng(seed)
     builder = GraphBuilder(n)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
+    placed = 0
+    while placed < m:
         u = int(rng.integers(n))
         v = int(rng.integers(n))
-        if u == v:
-            continue
-        edge = (min(u, v), max(u, v))
-        if edge not in chosen:
-            chosen.add(edge)
-            builder.add_edge(*edge)
+        if u != v and not builder.has_edge(u, v):
+            builder.add_edge(u, v)
+            placed += 1
     return builder.build()
 
 

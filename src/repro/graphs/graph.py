@@ -4,29 +4,26 @@ Design notes
 ------------
 Vertices are dense integers ``0..n-1``; an optional ``labels`` list carries
 external names (used by the Aminer case study to show researcher names).
-Weights live in a numpy float64 array.  Topology is held in **two
-representations** over the same edge set:
+Weights live in a numpy float64 array.  Topology is stored **once**, as
+CSR arrays (``self.csr``: :class:`repro.graphs.csr.CSRAdjacency`, flat
+``indptr``/``indices`` with sorted neighbour runs, indices int32 on any
+graph an int32 can index).  Every bulk kernel runs there at numpy speed:
+:func:`repro.core.decomposition.core_decomposition` (frontier bucket
+peeling), :func:`repro.core.kcore.kcore_of_subset` (mask peeling),
+triangle/support counting in :mod:`repro.truss.decomposition`, the
+min/max community forest (:mod:`repro.influential.minmax_solvers`), and
+the candidate expansion of Algorithms 1/2
+(:mod:`repro.influential.expansion_csr`).
 
-* **set adjacency** (``self.adjacency``) — a list of Python sets, the
-  primary storage.  O(1) membership tests and per-vertex set intersections
-  make it the right substrate for the *incremental* paths: BFS/component
-  queries restricted to shrinking alive-sets, the small-subset branches
-  of the subset kernels, and the reference implementations in
-  :mod:`repro.reference`.
-* **CSR arrays** (``self.csr``) — flat ``indptr``/``indices`` arrays
-  (:class:`repro.graphs.csr.CSRAdjacency`; indices int32 on any graph an
-  int32 can index), built lazily on first access and cached for the
-  graph's lifetime.  The *bulk* kernels run here at numpy speed:
-  :func:`repro.core.decomposition.core_decomposition` (frontier bucket
-  peeling), :func:`repro.core.kcore.kcore_of_subset` (mask peeling),
-  triangle/support counting in :mod:`repro.truss.decomposition`, the
-  min/max community forest (:mod:`repro.influential.minmax_solvers`),
-  and the candidate expansion of Algorithms 1/2
-  (:mod:`repro.influential.expansion_csr`).
-
-Derived graphs (:meth:`with_weights`, :meth:`with_labels`, and induced
-subgraphs built by :func:`repro.graphs.views.induced_subgraph`) share or
-precompute the CSR cache so the flattening cost is paid once per topology.
+``self.adjacency`` is a read-only list-of-sets *view* of those arrays
+(:class:`repro.graphs.lazy.LazyAdjacency`): a vertex's neighbour set is
+built on first access and cached.  O(1) membership tests and per-vertex
+set intersections serve the incremental paths — BFS/component queries
+restricted to shrinking alive-sets, the small-subset branches of the
+subset kernels, and the reference implementations in
+:mod:`repro.reference` — and a graph that only runs CSR kernels builds
+no set at all.  Derived graphs (:meth:`with_weights`,
+:meth:`with_labels`) share both the arrays and the view.
 
 Instances are frozen after construction (builders and generators are the
 only producers); algorithms that need mutation keep their own alive
@@ -41,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GraphError, VertexError, WeightError
-from repro.graphs.csr import CSRAdjacency
+from repro.graphs.csr import CSRAdjacency, check_csr
 from repro.graphs.lazy import LazyAdjacency
 
 
@@ -49,20 +46,25 @@ class Graph:
     """Undirected vertex-weighted graph (paper Section II, Table II).
 
     Not meant to be constructed directly in user code — use
-    :class:`repro.graphs.GraphBuilder` or a generator.  The constructor
-    validates but does not copy ``adjacency`` (builders hand over ownership).
+    :class:`repro.graphs.GraphBuilder`, a generator, or
+    :func:`repro.graphs.builder.graph_from_csr_arrays`.  The constructor
+    validates ``csr`` (unless ``_trusted``) but does not copy it.
     """
 
-    __slots__ = ("_adj", "_weights", "_m", "_labels", "_csr")
+    __slots__ = ("_csr", "_adj", "_n", "_m", "_weights", "_labels")
 
     def __init__(
         self,
-        adjacency: list[set[int]],
+        csr: CSRAdjacency,
         weights: np.ndarray | Sequence[float] | None = None,
         labels: Sequence[str] | None = None,
         _trusted: bool = False,
     ) -> None:
-        n = len(adjacency)
+        if not isinstance(csr, CSRAdjacency):
+            raise TypeError(
+                f"Graph takes a CSRAdjacency, got {type(csr).__name__}"
+            )
+        n = csr.n
         if weights is None:
             weights = np.zeros(n, dtype=np.float64)
         else:
@@ -74,17 +76,13 @@ class Graph:
         if n and (not np.all(np.isfinite(weights)) or weights.min() < 0):
             raise WeightError("vertex weights must be finite and non-negative")
         if not _trusted:
-            self._validate_adjacency(adjacency)
-        self._adj = adjacency
+            check_csr(csr.indptr, csr.indices)
+        self._csr = csr
+        self._adj = LazyAdjacency(csr.indptr, csr.indices)
+        self._n = n
+        self._m = csr.m
         self._weights = weights
         weights.setflags(write=False)
-        if isinstance(adjacency, LazyAdjacency):
-            # Substrate-attached graph: the edge count comes from the CSR
-            # arrays directly, without materialising any neighbour set.
-            self._m = adjacency.edge_count
-        else:
-            self._m = sum(len(neigh) for neigh in adjacency) // 2
-        self._csr = None
         if labels is not None:
             if len(labels) != n:
                 raise GraphError(f"{len(labels)} labels for {n} vertices")
@@ -92,25 +90,13 @@ class Graph:
         else:
             self._labels = None
 
-    @staticmethod
-    def _validate_adjacency(adjacency: list[set[int]]) -> None:
-        n = len(adjacency)
-        for u, neigh in enumerate(adjacency):
-            for v in neigh:
-                if not 0 <= v < n:
-                    raise VertexError(v, n)
-                if v == u:
-                    raise GraphError(f"self-loop at vertex {u}")
-                if u not in adjacency[v]:
-                    raise GraphError(f"edge ({u}, {v}) is not symmetric")
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
         """Number of vertices."""
-        return len(self._adj)
+        return self._n
 
     @property
     def m(self) -> int:
@@ -156,7 +142,8 @@ class Graph:
     def degree(self, v: int) -> int:
         """``d(v, G)``: degree of ``v`` in the full graph."""
         self.check_vertex(v)
-        return len(self._adj[v])
+        indptr = self._csr.indptr
+        return int(indptr[v + 1] - indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if ``{u, v}`` is an edge."""
@@ -169,56 +156,39 @@ class Graph:
         return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate each undirected edge once, as (u, v) with u < v."""
-        for u, neigh in enumerate(self._adj):
-            for v in neigh:
-                if u < v:
-                    yield u, v
+        """Iterate each undirected edge once, as (u, v) with u < v, in
+        ascending ``(u, v)`` order."""
+        owners, indices = self._csr.owners(), self._csr.indices
+        upper = np.flatnonzero(owners < indices)
+        for start in range(0, upper.size, 4096):  # bounded Python lists
+            chunk = upper[start : start + 4096]
+            yield from zip(owners[chunk].tolist(), indices[chunk].tolist())
 
     @property
-    def adjacency(self) -> list[set[int]]:
-        """The raw adjacency list.
+    def adjacency(self) -> LazyAdjacency:
+        """Read-only list-of-sets view: ``adjacency[v]`` is ``N(v, G)``.
 
-        Exposed for performance-critical internal code (peelers, BFS); the
-        sets must be treated as read-only.
+        Exposed for the set-based internal code (peelers, BFS); each set
+        is built from the CSR on first access, cached, and must not be
+        mutated.
         """
         return self._adj
 
     @property
     def csr(self) -> CSRAdjacency:
-        """The CSR representation: flat ``indptr``/``indices`` arrays.
-
-        Built lazily on first access (one O(m log m) lexsort flattening)
-        and cached for the graph's lifetime; derived graphs share the
-        cache, so a topology pays the build exactly once.
-        """
-        if self._csr is None:
-            self._csr = CSRAdjacency.from_adjacency(self._adj)
+        """The CSR arrays: the graph's topology, flat ``indptr``/``indices``."""
         return self._csr
-
-    @property
-    def has_csr(self) -> bool:
-        """True if the CSR arrays have already been materialised."""
-        return self._csr is not None
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array."""
-        if self._csr is not None:
-            return self._csr.degrees()
-        return np.fromiter(
-            (len(neigh) for neigh in self._adj), dtype=np.int64, count=self.n
-        )
+        return self._csr.degrees()
 
     @property
     def max_degree(self) -> int:
         """``dmax`` as reported in the paper's Table III."""
         if self.n == 0:
             return 0
-        if self._csr is not None:
-            # Also the lazy-adjacency path: substrate-attached graphs always
-            # carry a seeded CSR, so no neighbour set is materialised here.
-            return int(self._csr.degrees().max())
-        return max(len(neigh) for neigh in self._adj)
+        return int(self._csr.degrees().max())
 
     @property
     def avg_degree(self) -> float:
@@ -250,12 +220,13 @@ class Graph:
     # ------------------------------------------------------------------
     def with_weights(self, weights: np.ndarray | Sequence[float]) -> "Graph":
         """A graph with identical topology but new vertex weights."""
-        derived = Graph(self._adj, weights, labels=self._labels, _trusted=True)
-        derived._csr = self._csr  # same topology: share the CSR cache
-        return derived
+        return self._derive(weights, self._labels)
 
     def with_labels(self, labels: Sequence[str]) -> "Graph":
         """A graph with identical topology/weights but new labels."""
-        derived = Graph(self._adj, self._weights, labels=labels, _trusted=True)
-        derived._csr = self._csr
+        return self._derive(self._weights, labels)
+
+    def _derive(self, weights, labels) -> "Graph":
+        derived = Graph(self._csr, weights, labels=labels, _trusted=True)
+        derived._adj = self._adj  # same topology: share the neighbour sets
         return derived

@@ -1,28 +1,28 @@
-"""Lazy list-of-sets adjacency view over CSR arrays.
+"""Lazy list-of-sets view over a graph's CSR arrays.
 
-A graph stores the same topology twice: flat CSR arrays
-(the bulk-kernel substrate) and a list of Python sets (the incremental /
-reference substrate).  For a graph *built* edge-by-edge the sets come
-first and the CSR is derived; for a graph *attached* from a snapshot or
-a shared-memory substrate it is the other way around — the CSR arrays
-already exist (and are shared, read-only, with every other process on
-the machine), while the Python sets would cost O(n + 2m) private heap
-per process to materialise eagerly.  On the serving graphs that heap is
-the dominant per-worker memory, dwarfing the arrays themselves.
+A :class:`repro.graphs.graph.Graph` stores its topology once, as flat CSR
+arrays — possibly shared read-only with every other process on the
+machine (a snapshot mmap or a shared-memory substrate).  Some code still
+wants Python sets: O(1) membership tests and per-vertex intersections
+for the set-based searches, BFS over shrinking alive-sets, and the
+reference implementations.  Materialising every set eagerly would cost
+O(n + 2m) private heap per graph — on G(50k, 400k) some 80 MB against
+the arrays' 3.4 MB.
 
-:class:`LazyAdjacency` is the fix: a sequence that *looks like* the
-list-of-sets adjacency but materialises each vertex's neighbour set on
-first access, straight from the (possibly shared) CSR arrays.  A worker
-that only runs CSR kernels touches no set at all; the small-subset
-kernel branches and the set-based searches materialise exactly the
-vertices they visit.
-Sets are cached after first build, so amortised access cost matches the
-eager list.
+:class:`LazyAdjacency` is the bridge: a sequence that *looks like* a
+list-of-sets adjacency but builds each vertex's neighbour set on first
+access, straight from the CSR arrays, and caches it.  A graph that only
+runs CSR kernels touches no set at all; the set-based code materialises
+exactly the vertices it visits.  Every graph owns one view
+(``Graph.adjacency``), built by the graph itself and shared by the
+graphs derived from it with the same topology.
 
-The view is read-only by contract, like ``Graph.adjacency`` itself.
+The view and its sets are read-only by contract.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -32,10 +32,10 @@ __all__ = ["LazyAdjacency"]
 class LazyAdjacency:
     """List-of-sets facade over sorted CSR ``indptr``/``indices`` arrays.
 
-    Supports exactly the access patterns :class:`repro.graphs.graph.Graph`
-    and the set-adjacency kernels use: ``len()``, indexing, iteration.  The
-    arrays must satisfy the CSR invariants (``graph_from_csr_arrays``
-    validates them before building one of these).
+    Supports exactly the access patterns the set-adjacency code uses:
+    ``len()``, indexing (negative indices and slices included) and
+    iteration.  The arrays must satisfy the CSR invariants
+    (:func:`repro.graphs.csr.check_csr`).
     """
 
     __slots__ = ("_indptr", "_indices", "_sets")
@@ -43,43 +43,43 @@ class LazyAdjacency:
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self._indptr = indptr
         self._indices = indices
-        # Sparse cache: most workers touch a tiny fraction of vertices.
+        # Sparse cache: most graphs touch a small fraction of vertices.
         self._sets: dict[int, set[int]] = {}
 
     @property
-    def edge_count(self) -> int:
-        """Number of undirected edges (``len(indices) // 2``)."""
-        return int(self._indices.size) // 2
+    def materialized(self) -> int:
+        """How many neighbour sets have been built so far."""
+        return len(self._sets)
 
     def __len__(self) -> int:
         return int(self._indptr.size) - 1
 
     def __getitem__(self, vertex: int) -> set[int]:
+        try:
+            return self._sets[vertex]
+        except (KeyError, TypeError):  # TypeError: a slice (unhashable)
+            return self._materialize(vertex)
+
+    def _materialize(self, vertex) -> set[int]:
         if isinstance(vertex, slice):
             return [self[v] for v in range(*vertex.indices(len(self)))]
         v = int(vertex)
         if v < 0:
             v += len(self)
-        cached = self._sets.get(v)
-        if cached is not None:
-            return cached
         if not 0 <= v < len(self):
             raise IndexError(vertex)
-        run = self._indices[self._indptr[v] : self._indptr[v + 1]]
-        materialized = set(run.tolist())
-        self._sets[v] = materialized
-        return materialized
+        cached = self._sets.get(v)
+        if cached is None:
+            run = self._indices[self._indptr[v] : self._indptr[v + 1]]
+            cached = self._sets[v] = set(run.tolist())
+        return cached
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[set[int]]:
         for v in range(len(self)):
             yield self[v]
 
-    def to_sets(self) -> list[set[int]]:
-        """Materialise the full eager list (used by bulk rewrite paths)."""
-        return [self[v] for v in range(len(self))]
-
     def __repr__(self) -> str:
         return (
-            f"LazyAdjacency(n={len(self)}, m={self.edge_count}, "
-            f"materialized={len(self._sets)})"
+            f"LazyAdjacency(n={len(self)}, m={int(self._indices.size) // 2}, "
+            f"materialized={self.materialized})"
         )

@@ -11,31 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError, WeightError
+from repro.graphs.csr import check_csr
 from repro.graphs.graph import Graph
 
 
 def validate_graph(graph: Graph) -> None:
     """Raise if any structural invariant of ``graph`` is violated.
 
-    Checks: adjacency symmetry, no self-loops, endpoint ranges, edge count
-    bookkeeping, weight domain, and label arity.  O(n + m).
+    Checks: the CSR invariants (endpoint ranges, no self-loops, sorted
+    duplicate-free runs, symmetry — :func:`repro.graphs.csr.check_csr`),
+    weight domain, and label arity.  O(n + m log m), vectorised.
     """
-    adj = graph.adjacency
     n = graph.n
-    half_edges = 0
-    for u, neighbours in enumerate(adj):
-        for v in neighbours:
-            if not 0 <= v < n:
-                raise GraphError(f"edge endpoint {v} out of range at vertex {u}")
-            if v == u:
-                raise GraphError(f"self-loop at vertex {u}")
-            if u not in adj[v]:
-                raise GraphError(f"asymmetric edge ({u}, {v})")
-        half_edges += len(neighbours)
-    if half_edges != 2 * graph.m:
-        raise GraphError(
-            f"edge count mismatch: adjacency holds {half_edges // 2}, graph says {graph.m}"
-        )
+    check_csr(graph.csr.indptr, graph.csr.indices)
     weights = graph.weights
     if weights.shape != (n,):
         raise WeightError(f"weights shape {weights.shape} for {n} vertices")
@@ -49,6 +37,8 @@ def assert_same_topology(a: Graph, b: Graph) -> None:
     """Raise unless the two graphs have identical vertex/edge sets."""
     if a.n != b.n:
         raise GraphError(f"vertex counts differ: {a.n} vs {b.n}")
-    for u in range(a.n):
-        if a.adjacency[u] != b.adjacency[u]:
-            raise GraphError(f"neighbourhoods of vertex {u} differ")
+    if not (
+        np.array_equal(a.csr.indptr, b.csr.indptr)
+        and np.array_equal(a.csr.indices, b.csr.indices)
+    ):
+        raise GraphError("edge sets differ")

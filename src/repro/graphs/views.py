@@ -6,10 +6,9 @@ work on the base graph restricted by a set), but tests, the certifier and
 the exact solver want a real :class:`Graph`, which
 :func:`induced_subgraph` provides together with the id remapping.
 
-When the parent graph has already materialised its CSR arrays, the child
-graph's CSR arrays are derived from the parent's with one vectorised
-gather-filter-remap pass and attached to the returned graph, so induced
-subgraphs never pay the set-flattening cost again.  The subset statistics
+The child graph's CSR arrays are derived from the parent's with one
+vectorised gather-filter-remap pass; no neighbour set is touched.  The
+subset statistics
 (:func:`induced_degrees`, :func:`induced_edge_count`,
 :func:`min_induced_degree`) likewise run over flat arrays, except for
 subsets tiny relative to the graph, which stay on set intersections.
@@ -34,28 +33,22 @@ def induced_subgraph(
     New ids follow sorted original order, so the mapping is deterministic.
     """
     ordered = sorted(set(vertices))
-    for v in ordered:
-        graph.check_vertex(v)
+    if ordered:
+        graph.check_vertex(ordered[0])
+        graph.check_vertex(ordered[-1])
     mapping = {v: i for i, v in enumerate(ordered)}
-    member = set(ordered)
-    adj: list[set[int]] = [set() for __ in ordered]
-    base = graph.adjacency
-    for v in ordered:
-        nv = mapping[v]
-        for u in base[v] & member:
-            adj[nv].add(mapping[u])
-    weights = np.asarray([graph.weight(v) for v in ordered], dtype=np.float64)
+    weights = graph.weights[np.asarray(ordered, dtype=np.int64)]
     labels = None
     if graph.labels is not None:
         labels = [graph.labels[v] for v in ordered]
-    sub = Graph(adj, weights, labels=labels, _trusted=True)
-    if graph.has_csr:
-        sub._csr = _induced_csr(graph.csr, ordered)
+    sub = Graph(
+        _induced_csr(graph.csr, ordered), weights, labels=labels, _trusted=True
+    )
     return sub, mapping
 
 
 def _induced_csr(csr: CSRAdjacency, ordered: list[int]) -> CSRAdjacency:
-    """Child CSR arrays from the parent's, without touching Python sets.
+    """Child CSR arrays from the parent's.
 
     Gather the members' neighbour runs, drop non-members, remap ids via a
     lookup array.  Remapping is monotone (members are sorted), so the

@@ -109,7 +109,7 @@ class Snapshot:
         return int(value) if isinstance(value, int) else 0
 
     def graph(self) -> Graph:
-        """Materialise the :class:`Graph` (CSR cache pre-seeded)."""
+        """The :class:`Graph` over the snapshot's CSR arrays."""
         graph = graph_from_csr_arrays(
             self.indptr,
             self.indices,
@@ -453,11 +453,11 @@ def load_service(
 ) -> "QueryService":
     """A ready :class:`~repro.serving.service.QueryService` from a snapshot.
 
-    The graph is rebuilt with its CSR cache pre-seeded from the mapped
-    arrays (no flattening), and the service's core — and, when saved,
-    truss — decomposition caches are injected from the snapshot, so the
-    cold-start cost is file mapping plus adjacency reconstruction: no
-    peel runs before the first query.
+    The graph wraps the mapped CSR arrays (no flattening), and
+    the service's core — and, when saved, truss — decomposition caches
+    are injected from the snapshot, so the cold-start cost is file
+    mapping plus an O(m) array check: no peel runs before the first
+    query.
     """
     from repro.index import InfluentialIndex
     from repro.serving.service import QueryService

@@ -18,11 +18,12 @@ places:
   zero additional copies, not even the owner's.
 
 Either way, attachers build their :class:`~repro.serving.service
-.QueryService` over a **lazy** set adjacency
-(:class:`repro.graphs.lazy.LazyAdjacency`), so the private per-process
-heap is bounded by what the process actually touches instead of
-O(n + 2m) up front.  ``benchmarks/bench_fleet.py`` measures that
-per-member footprint against a control process.
+.QueryService` over a graph that wraps the shared CSR arrays themselves;
+its neighbour-set view (:class:`repro.graphs.lazy.LazyAdjacency`) builds
+sets only for the vertices a process touches, so the private
+per-process heap is bounded by that instead of O(n + 2m) up front.
+``benchmarks/bench_fleet.py`` measures that per-member footprint against
+a control process.
 
 Ownership and unlinking
 -----------------------
@@ -406,7 +407,7 @@ class SharedSubstrate:
     def build_service(self, cache_size: int = 1024) -> "QueryService":
         """Stand up a :class:`QueryService` over the shared arrays.
 
-        The graph's set adjacency materialises per vertex on demand; the
+        The graph's neighbour sets materialise per vertex on demand; the
         CSR arrays, weights, and decompositions are the shared views
         themselves — no copy.
         """
@@ -420,7 +421,6 @@ class SharedSubstrate:
             self._arrays["weights"],
             labels=self._labels,
             trusted=True,
-            lazy_adjacency=True,
         )
         payload = self.index_payload()
         return QueryService(

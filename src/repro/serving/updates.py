@@ -146,16 +146,19 @@ def refresh_truss_numbers(
 
     ``pending`` is a vertex mask closed under connectivity (a union of
     whole components of ``graph``).  The recomputation runs on a same-n
-    graph whose adjacency keeps only the pending components — vertex ids
+    graph whose CSR keeps only the pending components — vertex ids
     are unchanged, so the freshly peeled edge keys merge straight into
     the surviving dict.
     """
     from repro.truss.decomposition import truss_decomposition
 
-    adjacency = [
-        graph.adjacency[v] if pending[v] else set() for v in range(graph.n)
-    ]
-    induced = Graph(adjacency, graph.weights, _trusted=True)
+    # Masking whole components keeps every surviving arc's both ends.
+    csr = graph.csr
+    degrees = np.where(pending, csr.degrees(), 0)
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    kept = CSRAdjacency(indptr, csr.indices[pending[csr.owners()]])
+    induced = Graph(kept, graph.weights, _trusted=True)
     merged = dict(truss_numbers)
     merged.update(truss_decomposition(induced))
     return merged

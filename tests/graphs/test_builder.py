@@ -116,13 +116,15 @@ def test_graph_from_csr_arrays_round_trip():
         csr.indptr, csr.indices, original.weights, labels=["a", "b", "c", "d"]
     )
     assert rebuilt.n == original.n and rebuilt.m == original.m
-    assert rebuilt.adjacency == original.adjacency
+    assert list(rebuilt.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+    assert [rebuilt.neighbors(v) for v in range(4)] == [
+        {1, 2}, {0, 2}, {0, 1, 3}, {2},
+    ]
     assert rebuilt.weights.tolist() == original.weights.tolist()
     assert rebuilt.label_of(3) == "d"
-    # The CSR cache is seeded directly — no re-flattening.
-    assert rebuilt.has_csr
-    assert np.array_equal(rebuilt.csr.indptr, csr.indptr)
-    assert np.array_equal(rebuilt.csr.indices, csr.indices)
+    # The arrays become the graph's topology as they are: no copy.
+    assert np.shares_memory(rebuilt.csr.indptr, csr.indptr)
+    assert np.shares_memory(rebuilt.csr.indices, csr.indices)
 
 
 def test_graph_from_csr_arrays_empty_graph():
@@ -149,3 +151,19 @@ def test_graph_from_csr_arrays_rejects_malformed_payloads():
         )
     with pytest.raises(GraphError):  # asymmetric adjacency
         graph_from_csr_arrays(np.array([0, 1, 1]), np.array([1]))
+    with pytest.raises(GraphError):  # self-loop
+        graph_from_csr_arrays(np.array([0, 1]), np.array([0]))
+    with pytest.raises(VertexError):  # neighbour id past n
+        graph_from_csr_arrays(np.array([0, 1, 2]), np.array([2, 0]))
+    with pytest.raises(VertexError):  # an id that would wrap into int32
+        graph_from_csr_arrays(
+            np.array([0, 1, 2]), np.array([2**32 + 1, 0], dtype=np.int64)
+        )
+    with pytest.raises(VertexError):  # negative neighbour id
+        graph_from_csr_arrays(np.array([0, 1, 2]), np.array([-1, 0]))
+    with pytest.raises(GraphError):  # indptr does not start at 0
+        graph_from_csr_arrays(np.array([1, 1, 2]), np.array([1, 0]))
+    with pytest.raises(GraphError):  # trusted arrays still need sorted runs
+        graph_from_csr_arrays(
+            np.array([0, 2, 3, 5]), np.array([2, 1, 2, 0, 1]), trusted=True
+        )

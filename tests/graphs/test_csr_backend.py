@@ -6,6 +6,7 @@ import pytest
 from repro.graphs.builder import GraphBuilder, graph_from_edges
 from repro.graphs.csr import CSRAdjacency, decrement_degrees
 from repro.graphs.generators.examples import figure1_graph, tiny_kcore_graph
+from repro.graphs.graph import Graph
 from repro.graphs.generators.random_graphs import (
     barabasi_albert,
     chung_lu,
@@ -62,15 +63,20 @@ def test_csr_matches_degrees():
 
 def test_csr_is_cached_and_shared():
     graph = gnp_random_graph(20, 0.2, seed=8)
-    assert not graph.has_csr
+    # The CSR is the one topology store: present from construction, and
+    # no slot holds a list of neighbour sets.
     first = graph.csr
-    assert graph.has_csr
     assert graph.csr is first
-    # Derived graphs with the same topology share the cache.
+    for slot in Graph.__slots__:
+        value = getattr(graph, slot)
+        assert not (isinstance(value, list) and value and isinstance(value[0], set))
+    # Derived graphs with the same topology share the arrays and the view.
     reweighted = graph.with_weights(np.ones(graph.n))
-    assert reweighted.has_csr and reweighted.csr is first
+    assert reweighted.csr is first
+    assert reweighted.adjacency is graph.adjacency
     relabeled = graph.with_labels([f"x{v}" for v in range(graph.n)])
     assert relabeled.csr is first
+    assert relabeled.adjacency is graph.adjacency
 
 
 def test_csr_arrays_are_read_only():
@@ -82,24 +88,27 @@ def test_csr_arrays_are_read_only():
 
 
 def test_builder_warm_csr():
-    cold = GraphBuilder(3).add_edge(0, 1).build()
-    assert not cold.has_csr
-    warm = GraphBuilder(3).add_edge(0, 1).build(warm_csr=True)
-    assert warm.has_csr
+    # Every build flattens the staging sets once and drops them.
+    builder = GraphBuilder(3).add_edge(0, 1)
+    graph = builder.build()
+    assert graph.csr.indptr.tolist() == [0, 1, 2, 2]
+    assert graph.csr.indices.tolist() == [1, 0]
+    assert builder._adj == []
+    assert graph.adjacency.materialized == 0
 
 
 def test_induced_subgraph_propagates_csr():
     graph = gnm_random_graph(40, 90, seed=12)
-    graph.csr  # materialise the parent cache
-    sub, mapping = induced_subgraph(graph, range(5, 30))
-    assert sub.has_csr
-    rebuilt = CSRAdjacency.from_adjacency(sub.adjacency)
+    members = set(range(5, 30))
+    sub, mapping = induced_subgraph(graph, members)
+    expected = [
+        {mapping[u] for u in graph.adjacency[v] & members} for v in sorted(members)
+    ]
+    rebuilt = CSRAdjacency.from_adjacency(expected)
     assert np.array_equal(sub.csr.indptr, rebuilt.indptr)
     assert np.array_equal(sub.csr.indices, rebuilt.indices)
-    # Without a warm parent cache the child stays lazy.
-    cold = gnm_random_graph(40, 90, seed=12)
-    sub2, __ = induced_subgraph(cold, range(5, 30))
-    assert not sub2.has_csr
+    # The child's arrays come from the parent's: the child builds no set.
+    assert sub.adjacency.materialized == 0
 
 
 def test_gather_concatenates_runs():

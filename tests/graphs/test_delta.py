@@ -1,9 +1,10 @@
 """Unit tests for :mod:`repro.graphs.delta` (incremental edge updates).
 
 The contract under test: ``GraphDelta.apply`` returns a graph whose CSR
-arrays are byte-identical to a from-scratch flattening, core numbers
-identical to a full re-decomposition, leaves the base graph untouched,
-and rejects malformed batches before mutating anything.
+arrays are byte-identical to a from-scratch build of the expected edge
+set (base - deletes + inserts), core numbers identical to a full
+re-decomposition of that build, leaves the base graph untouched, and
+rejects malformed batches before mutating anything.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import pytest
 from repro import reference
 from repro.core.decomposition import core_decomposition
 from repro.errors import GraphError, VertexError
-from repro.graphs.builder import graph_from_edges
-from repro.graphs.csr import CSRAdjacency
+from repro.graphs.builder import GraphBuilder, graph_from_edges
 from repro.graphs.delta import DeltaReport, GraphDelta, normalize_edge_updates
 from repro.graphs.generators.random_graphs import gnm_random_graph
 from repro.utils.rng import make_rng
@@ -26,16 +26,21 @@ def weighted_gnm(n, m, seed):
     return graph.with_weights(make_rng(seed + 1).uniform(0.1, 9.0, graph.n))
 
 
-def assert_matches_rebuild(report: DeltaReport):
-    """Patched CSR == fresh flatten; repaired cores == fresh peel."""
+def assert_matches_rebuild(report: DeltaReport, base_edges) -> set:
+    """Patched CSR == a GraphBuilder build of the expected edge set
+    (``base_edges`` - deletes + inserts); repaired cores == a reference
+    peel of that build.  Returns the expected edge set, so multi-round
+    callers can track it without reading the patched graph."""
+    edges = (set(base_edges) - set(report.deleted)) | set(report.inserted)
     graph = report.graph
-    rebuilt = CSRAdjacency.from_adjacency(graph.adjacency)
-    assert np.array_equal(graph.csr.indptr, rebuilt.indptr)
-    assert np.array_equal(graph.csr.indices, rebuilt.indices)
-    assert graph.csr.indices.dtype == rebuilt.indices.dtype
+    rebuilt = GraphBuilder(graph.n).add_edges(edges).build()
+    assert np.array_equal(graph.csr.indptr, rebuilt.csr.indptr)
+    assert np.array_equal(graph.csr.indices, rebuilt.csr.indices)
+    assert graph.csr.indices.dtype == rebuilt.csr.indices.dtype
     assert np.array_equal(
-        report.core_numbers, reference.core_decomposition(graph)
+        report.core_numbers, reference.core_decomposition(rebuilt)
     )
+    return edges
 
 
 def present_edges(graph):
@@ -56,7 +61,7 @@ def absent_edges(graph):
 # ----------------------------------------------------------------------
 def test_single_insert_matches_rebuild(figure1):
     report = GraphDelta(figure1).apply(insert=[(0, 9)])
-    assert_matches_rebuild(report)
+    assert_matches_rebuild(report, present_edges(figure1))
     assert report.graph.m == figure1.m + 1
     assert report.inserted == ((0, 9),)
     assert report.strategy == "incremental"
@@ -65,7 +70,7 @@ def test_single_insert_matches_rebuild(figure1):
 def test_single_delete_matches_rebuild(figure1):
     edge = present_edges(figure1)[0]
     report = GraphDelta(figure1).apply(delete=[edge])
-    assert_matches_rebuild(report)
+    assert_matches_rebuild(report, present_edges(figure1))
     assert report.graph.m == figure1.m - 1
     assert report.deleted == (edge,)
 
@@ -90,26 +95,25 @@ def test_weights_and_labels_survive():
 def test_insert_to_isolated_vertex():
     graph = graph_from_edges([(0, 1)], n=4)
     report = GraphDelta(graph).apply(insert=[(2, 3)])
-    assert_matches_rebuild(report)
+    assert_matches_rebuild(report, [(0, 1)])
     assert report.core_numbers.tolist() == [1, 1, 1, 1]
 
 
 def test_delete_last_edge_of_vertex():
     graph = graph_from_edges([(0, 1), (1, 2)])
     report = GraphDelta(graph).apply(delete=[(0, 1)])
-    assert_matches_rebuild(report)
+    assert_matches_rebuild(report, [(0, 1), (1, 2)])
     assert report.core_numbers[0] == 0
 
 
 def test_clique_edge_cycle_returns_to_start():
-    graph = graph_from_edges(
-        [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    )
+    clique = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    graph = graph_from_edges(clique)
     delta = GraphDelta(graph)
     down = delta.apply(delete=[(0, 1)])
     assert down.core_numbers.max() == 3
     up = delta.apply(insert=[(0, 1)])
-    assert_matches_rebuild(up)
+    assert assert_matches_rebuild(up, set(clique) - {(0, 1)}) == set(clique)
     assert np.array_equal(up.core_numbers, core_decomposition(graph))
     assert up.graph.m == graph.m
 
@@ -148,6 +152,7 @@ def test_randomized_batches_match_full_recompute(seed):
     rng = make_rng(seed)
     graph = weighted_gnm(40, int(rng.integers(20, 140)), seed=seed + 50)
     delta = GraphDelta(graph)
+    expected = present_edges(graph)
     for round_index in range(3):
         gone = present_edges(delta.graph)
         free = absent_edges(delta.graph)
@@ -158,7 +163,7 @@ def test_randomized_batches_match_full_recompute(seed):
         if not deletes and not inserts:
             continue
         report = delta.apply(insert=inserts, delete=deletes)
-        assert_matches_rebuild(report)
+        expected = assert_matches_rebuild(report, expected)
 
 
 def test_large_batches_fall_back_to_recompute():
@@ -166,7 +171,7 @@ def test_large_batches_fall_back_to_recompute():
     inserts = absent_edges(graph)[:10]
     report = GraphDelta(graph, batch_threshold=4).apply(insert=inserts)
     assert report.strategy == "recompute"
-    assert_matches_rebuild(report)
+    assert_matches_rebuild(report, present_edges(graph))
 
 
 def test_set_backend_is_the_slow_oracle():
@@ -185,9 +190,9 @@ def test_set_backend_is_the_slow_oracle():
     assert np.array_equal(
         slow.core_numbers, reference.core_decomposition(slow.graph)
     )
-    assert [sorted(neigh) for neigh in fast.graph.adjacency] == (
-        [sorted(neigh) for neigh in slow.graph.adjacency]
-    )
+    assert np.array_equal(fast.graph.csr.indptr, slow.graph.csr.indptr)
+    assert np.array_equal(fast.graph.csr.indices, slow.graph.csr.indices)
+    assert fast.graph.csr.indices.dtype == slow.graph.csr.indices.dtype
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 
 from repro.errors import GraphError, VertexError, WeightError
 from repro.graphs.builder import graph_from_edges
+from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
+
+
+def csr_of(adjacency):
+    """Unvalidated CSR arrays of a list-of-sets adjacency."""
+    return CSRAdjacency.from_adjacency(adjacency)
 
 
 def test_basic_accessors(triangle):
@@ -18,8 +24,7 @@ def test_basic_accessors(triangle):
 
 
 def test_edges_yields_each_once(triangle):
-    edges = sorted(triangle.edges())
-    assert edges == [(0, 1), (0, 2), (1, 2)]
+    assert list(triangle.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_weights(triangle):
@@ -69,28 +74,35 @@ def test_labels():
 
 def test_invalid_weights_rejected():
     with pytest.raises(WeightError):
-        Graph([set(), set()], weights=[-1.0, 2.0])
+        Graph(csr_of([set(), set()]), weights=[-1.0, 2.0])
     with pytest.raises(WeightError):
-        Graph([set(), set()], weights=[float("nan"), 2.0])
+        Graph(csr_of([set(), set()]), weights=[float("nan"), 2.0])
     with pytest.raises(WeightError):
-        Graph([set()], weights=[1.0, 2.0])
+        Graph(csr_of([set()]), weights=[1.0, 2.0])
 
 
 def test_asymmetric_adjacency_rejected():
     with pytest.raises(GraphError):
-        Graph([{1}, set()])
+        Graph(csr_of([{1}, set()]))
 
 
 def test_self_loop_rejected():
     with pytest.raises(GraphError):
-        Graph([{0}])
+        Graph(csr_of([{0}]))
 
 
 def test_out_of_range_neighbor_rejected():
     with pytest.raises(VertexError):
-        Graph([{5}])
+        Graph(csr_of([{5}]))
 
 
 def test_label_arity_checked():
     with pytest.raises(GraphError):
-        Graph([set(), set()], labels=["only-one"])
+        Graph(csr_of([set(), set()]), labels=["only-one"])
+
+
+def test_graph_takes_only_csr():
+    # The CSR arrays are the one topology store; a list of sets is not
+    # accepted (builders flatten theirs first).
+    with pytest.raises(TypeError):
+        Graph([{1}, {0}])

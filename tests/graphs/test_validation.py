@@ -1,9 +1,11 @@
 """Unit tests for graph validation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.graphs.builder import graph_from_edges
+from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
 from repro.graphs.validation import assert_same_topology, validate_graph
 
@@ -13,24 +15,21 @@ def test_valid_graph_passes(figure1):
 
 
 def test_asymmetry_detected():
-    graph = Graph([{1}, {0}], _trusted=True)
-    graph.adjacency[0].add(1)  # fine
-    graph.adjacency[1].discard(0)
+    graph = Graph(CSRAdjacency.from_adjacency([{1}, set()]), _trusted=True)
     with pytest.raises(GraphError):
         validate_graph(graph)
 
 
 def test_self_loop_detected():
-    graph = Graph([set()], _trusted=True)
-    graph.adjacency[0].add(0)
+    graph = Graph(CSRAdjacency.from_adjacency([{0}]), _trusted=True)
     with pytest.raises(GraphError):
         validate_graph(graph)
 
 
 def test_edge_count_mismatch_detected():
-    graph = graph_from_edges([(0, 1), (1, 2)])
-    graph.adjacency[0].add(2)
-    graph.adjacency[2].add(0)
+    # indptr promises two half-edges, indices holds three.
+    csr = CSRAdjacency(np.array([0, 1, 2, 2]), np.array([1, 0, 0]))
+    graph = Graph(csr, _trusted=True)
     with pytest.raises(GraphError):
         validate_graph(graph)
 
