@@ -23,7 +23,7 @@ import fnmatch
 import json
 import pathlib
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.bench.grid import YARDSTICK_TIERS
@@ -230,6 +230,15 @@ def _spread(speedups: Sequence[float]) -> float:
     return statistics.median(ordered) / lower_quartile - 1.0
 
 
+def _timed(cell: "CellRecord | None") -> bool:
+    """A finished cell with a positive best time."""
+    return (
+        cell is not None
+        and cell.status == "done"
+        and (cell.best_seconds or 0.0) > 0.0
+    )
+
+
 def _cold_key(cell: CellRecord) -> "tuple | None":
     """The reference (tier="cold") coordinates for a cell."""
     axes = dict(cell.axes)
@@ -298,7 +307,10 @@ def compare_grid_runs(
       ``band`` is the larger of the two runs' per-pass ratio spreads;
       a :data:`~repro.bench.grid.YARDSTICK_TIERS` cell is judged as
       cold's speedup over it, with no band, so its threshold is
-      ``tolerance`` itself.  With ``absolute=True`` (same-machine
+      ``tolerance`` itself.  On a constrained row a fallen ratio
+      regresses only if the cell it guards (cold for a yardstick, else
+      the tier) also slowed against the row's unconstrained cold cell
+      (:func:`_unless_guarded_cell_held`).  With ``absolute=True`` (same-machine
       nightly history) raw per-cell seconds are compared under the
       mirrored lower-is-better rule as well, banded by the cells'
       best-of-N spread.
@@ -444,25 +456,15 @@ def _ratio_metric(
         return
     fresh_ref = fresh_by_axes.get(cold_key)
     base_ref = base_by_axes.get(cold_key)
-    usable = (
-        fresh_ref is not None
-        and base_ref is not None
-        and fresh_ref.status == "done"
-        and base_ref.status == "done"
-        and (fresh_ref.best_seconds or 0.0) > 0.0
-        and (base_ref.best_seconds or 0.0) > 0.0
-        and (fresh_cell.best_seconds or 0.0) > 0.0
-        and (base_cell.best_seconds or 0.0) > 0.0
-    )
-    if not usable:
+    if not all(map(_timed, (fresh_ref, base_ref, fresh_cell, base_cell))):
         return
     tier = dict(fresh_cell.axes).get("tier")
     yardstick = tier in YARDSTICK_TIERS
     fresh_speedups = _pass_speedups(fresh_ref, fresh_cell, yardstick)
     base_speedups = _pass_speedups(base_ref, base_cell, yardstick)
     if yardstick:
-        # A yardstick's ratio moves only when the cold path does, and its
-        # per-pass ratios are steady: a band would only excuse a slowdown.
+        # A yardstick's per-pass ratios are steady: a band would only
+        # excuse a slowdown.
         label = f"{fresh_cell.cell_id}: cold speedup vs {tier}"
         band = 0.0
     else:
@@ -471,12 +473,64 @@ def _ratio_metric(
             MAX_NOISE_BAND,
             max(_spread(fresh_speedups), _spread(base_speedups)),
         )
-    report.metrics.append(
-        compare_value(
-            label,
-            statistics.median(fresh_speedups),
-            statistics.median(base_speedups),
-            tolerance=tolerance,
-            band=band,
+    verdict = compare_value(
+        label,
+        statistics.median(fresh_speedups),
+        statistics.median(base_speedups),
+        tolerance=tolerance,
+        band=band,
+    )
+    if verdict.status == _REGRESSED:
+        # The cell the ratio guards: cold for a yardstick, else the tier.
+        guarded = (fresh_ref, base_ref) if yardstick else (fresh_cell, base_cell)
+        verdict = _unless_guarded_cell_held(
+            verdict, *guarded, fresh_by_axes, base_by_axes, tolerance
         )
+    report.metrics.append(verdict)
+
+
+def _unless_guarded_cell_held(
+    verdict: MetricVerdict,
+    fresh_guarded: CellRecord,
+    base_guarded: CellRecord,
+    fresh_by_axes: Mapping[tuple, CellRecord],
+    base_by_axes: Mapping[tuple, CellRecord],
+    tolerance: float,
+) -> MetricVerdict:
+    """Clear a fallen ratio on a constrained row if the cell it guards held.
+
+    A ratio also falls when its other cell gets faster (a cheaper
+    yardstick, or a faster constrained cold call under a served tier).
+    Seconds cannot tell which cell moved across machines; the guarded
+    cell's per-pass ratio to the row's unconstrained cold cell can, and
+    it rises when the guarded cell slows.  Within ``1 / tolerance`` of
+    its baseline, the verdict is ``ok``.  Unconstrained rows have no such
+    reference and gate a slowdown shared by both cold cells.
+    """
+    axes = dict(fresh_guarded.axes)
+    tier = axes.get("tier")
+    if axes.get("constrained", "none") == "none":
+        return verdict
+    axes.update(tier="cold", constrained="none")
+    key = tuple(sorted((k, str(v)) for k, v in axes.items()))
+    fresh_free, base_free = fresh_by_axes.get(key), base_by_axes.get(key)
+    if not (_timed(fresh_free) and _timed(base_free)):
+        return verdict
+    cost = compare_value(
+        "guarded cell over unconstrained cold",
+        statistics.median(_pass_speedups(fresh_free, fresh_guarded, True)),
+        statistics.median(_pass_speedups(base_free, base_guarded, True)),
+        tolerance=tolerance,
+        higher_is_better=False,
+    )
+    held = cost.status == _OK
+    guarded = "constrained cold" if tier == "cold" else f"the {tier} tier"
+    return replace(
+        verdict,
+        status=_OK if held else _REGRESSED,
+        detail=(
+            f"{'the other cell moved: ' if held else ''}{guarded} "
+            f"took {cost.fresh:.3g}x the unconstrained cold cell "
+            f"(baseline {cost.baseline:.3g}x, limit {cost.threshold:.3g}x)"
+        ),
     )

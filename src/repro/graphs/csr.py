@@ -60,6 +60,15 @@ def membership_mask(n: int, vertices) -> np.ndarray:
     return mask
 
 
+def arc_keys(owners, targets, n: int) -> np.ndarray:
+    """The int64 key ``u * n + v`` of each arc ``(owners[i], targets[i])``:
+    a valid CSR's keys ascend strictly, and ``np.divmod(keys, n)`` inverts
+    them.  ``targets`` may be any integer dtype, checked to lie in [0, n)."""
+    keys = np.asarray(owners, dtype=np.int64) * n
+    np.add(keys, targets, out=keys, casting="unsafe")
+    return keys
+
+
 def check_csr(indptr, indices, symmetric: bool = True) -> None:
     """Raise unless ``(indptr, indices)`` is a valid undirected CSR adjacency.
 
@@ -96,8 +105,7 @@ def check_csr(indptr, indices, symmetric: bool = True) -> None:
         raise VertexError(hi, n)
     # Owners never decrease and ids are < n, so the arc keys ascend
     # strictly exactly when every neighbour run does.
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
-    np.add(keys, indices, out=keys, casting="unsafe")
+    keys = arc_keys(np.repeat(np.arange(n, dtype=np.int64), counts), indices, n)
     if np.any(keys[1:] <= keys[:-1]):
         raise GraphError("neighbour runs must ascend strictly (sorted, no repeats)")
     if not symmetric:
@@ -106,7 +114,7 @@ def check_csr(indptr, indices, symmetric: bool = True) -> None:
     loops = np.flatnonzero(owners == cols)
     if loops.size:
         raise GraphError(f"self-loop at vertex {int(owners[loops[0]])}")
-    reverse = np.sort(cols * n + owners)
+    reverse = np.sort(arc_keys(cols, owners, n))
     if not np.array_equal(keys, reverse):
         lonely = keys[~np.isin(keys, reverse)][0]
         u, v = divmod(int(lonely), n)

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.decomposition import core_decomposition
 from repro.errors import GraphError, VertexError
-from repro.graphs.csr import CSRAdjacency
+from repro.graphs.csr import CSRAdjacency, arc_keys
 from repro.graphs.graph import Graph
 
 __all__ = ["DeltaReport", "GraphDelta", "normalize_edge_updates"]
@@ -414,20 +414,21 @@ def _patch_arcs(
 ) -> CSRAdjacency:
     """A new CSR with a whole validated batch applied in one sorted pass.
 
-    Every arc ``(u, v)`` is the key ``u * n + v``; the CSR lists them in
-    ascending key order, so deleting is a sorted set difference, inserting
-    a sorted union, and the new ``indptr`` is the owners' bincount.
+    Every arc is its :func:`~repro.graphs.csr.arc_keys` key, which the CSR
+    lists in ascending order, so deleting is a sorted set difference,
+    inserting a sorted union, and the new ``indptr`` is the owners'
+    bincount.
     """
     n = csr.n
 
-    def arc_keys(edges: list[tuple[int, int]]) -> np.ndarray:
+    def both_arcs(edges: list[tuple[int, int]]) -> np.ndarray:
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         u, v = pairs[:, 0], pairs[:, 1]
-        return np.concatenate([u * n + v, v * n + u])
+        return arc_keys(np.concatenate([u, v]), np.concatenate([v, u]), n)
 
-    keys = csr.owners() * n + csr.indices
-    keys = np.setdiff1d(keys, arc_keys(deletes), assume_unique=True)
-    keys = np.union1d(keys, arc_keys(inserts))
+    keys = arc_keys(csr.owners(), csr.indices, n)
+    keys = np.setdiff1d(keys, both_arcs(deletes), assume_unique=True)
+    keys = np.union1d(keys, both_arcs(inserts))
     owners, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])

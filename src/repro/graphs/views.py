@@ -6,8 +6,9 @@ work on the base graph restricted by a set), but tests, the certifier and
 the exact solver want a real :class:`Graph`, which
 :func:`induced_subgraph` provides together with the id remapping.
 
-The child graph's CSR arrays are derived from the parent's with one
-vectorised gather-filter-remap pass; no neighbour set is touched.  The
+The child graph's CSR arrays come from the parent's through
+:meth:`~repro.graphs.csr.CSRAdjacency.induced_local`; no neighbour set is
+touched.  The
 subset statistics
 (:func:`induced_degrees`, :func:`induced_edge_count`,
 :func:`min_induced_degree`) likewise run over flat arrays, except for
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.graphs.csr import CSRAdjacency, membership_mask
+from repro.graphs.csr import membership_mask
 from repro.graphs.graph import Graph
 
 
@@ -37,34 +38,17 @@ def induced_subgraph(
         graph.check_vertex(ordered[0])
         graph.check_vertex(ordered[-1])
     mapping = {v: i for i, v in enumerate(ordered)}
-    weights = graph.weights[np.asarray(ordered, dtype=np.int64)]
+    members = np.asarray(ordered, dtype=np.int64)
     labels = None
     if graph.labels is not None:
         labels = [graph.labels[v] for v in ordered]
     sub = Graph(
-        _induced_csr(graph.csr, ordered), weights, labels=labels, _trusted=True
+        graph.csr.induced_local(members),
+        graph.weights[members],
+        labels=labels,
+        _trusted=True,
     )
     return sub, mapping
-
-
-def _induced_csr(csr: CSRAdjacency, ordered: list[int]) -> CSRAdjacency:
-    """Child CSR arrays from the parent's.
-
-    Gather the members' neighbour runs, drop non-members, remap ids via a
-    lookup array.  Remapping is monotone (members are sorted), so the
-    child's neighbour runs stay sorted.
-    """
-    members = np.asarray(ordered, dtype=np.int64)
-    remap = np.full(csr.n, -1, dtype=np.int64)
-    remap[members] = np.arange(len(members), dtype=np.int64)
-    mask = np.zeros(csr.n, dtype=bool)
-    mask[members] = True
-    neigh, owners, __ = csr.gather_full(members)
-    inside = mask[neigh]
-    counts = np.bincount(remap[owners[inside]], minlength=len(members))
-    indptr = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CSRAdjacency(indptr, remap[neigh[inside]])
 
 
 def induced_degrees(graph: Graph, vertices: Iterable[int]) -> dict[int, int]:

@@ -341,3 +341,98 @@ def test_a_noisy_baseline_does_not_hide_a_cold_path_slowdown(tmp_path):
     assert reference.threshold == pytest.approx(0.7 * reference.baseline)
     service = verdicts["service speedup vs cold"]
     assert service.threshold == pytest.approx(0.7 * service.baseline)
+
+
+def _constrained_history(path, fresh_scale):
+    """Two fake runs of a constrained grid with cold, service and
+    materialize tiers; the second scales the seconds of the
+    ``(tier, constrained)`` cells named in ``fresh_scale``.  Returns the
+    report and the constrained row's verdicts by tier."""
+    spec = dataclasses.replace(
+        TINY,
+        aggregators=("sum",),
+        tiers=("cold", "service", "materialize"),
+        constrained=("none", "eq:deg:high"),
+        repeats=3,
+    )
+    seconds = {
+        ("cold", "none"): 4.0,
+        ("service", "none"): 2.0,
+        ("cold", "eq:deg:high"): 1.0,
+        ("service", "eq:deg:high"): 0.5,
+        ("materialize", "eq:deg:high"): 3.0,
+    }
+
+    def runner(scale):
+        def run(cell):
+            key = (cell.tier, cell.constrained)
+            return CellOutcome(
+                (seconds[key] * scale.get(key, 1.0),), "same-answer"
+            )
+
+        return run
+
+    with HistoryDB(path) as db:
+        run_grid(spec, db, commit="base", started_at="t0", runner=runner({}))
+        run_grid(
+            spec, db, commit="fresh", started_at="t1",
+            runner=runner(fresh_scale),
+        )
+    report = compare_grid_runs(path)
+    row = {
+        m.metric.split("/")[-1].split(" ")[0].rstrip(":"): m
+        for m in report.metrics
+        if "c=eq:deg:high" in m.metric
+    }
+    return report, row
+
+
+def test_a_faster_yardstick_is_not_a_cold_path_regression(tmp_path):
+    # Filter-then-query got 2.5x faster; neither cold cell moved.
+    report, row = _constrained_history(
+        tmp_path / "yardstick.sqlite", {("materialize", "eq:deg:high"): 0.4}
+    )
+    verdict = row["materialize"]
+    assert verdict.fresh == pytest.approx(0.4 * verdict.baseline)
+    assert verdict.fresh < verdict.threshold
+    assert verdict.status == "ok"
+    assert verdict.detail.startswith("the other cell moved")
+    assert report.verdict == "PASS"
+
+
+def test_a_faster_constrained_cold_path_is_not_a_tier_regression(tmp_path):
+    # Constrained cold got 3x faster, so the service tier's speedup over
+    # it fell to a third; the service cell itself did not move.
+    report, row = _constrained_history(
+        tmp_path / "cold.sqlite", {("cold", "eq:deg:high"): 1 / 3}
+    )
+    verdict = row["service"]
+    assert verdict.fresh < verdict.threshold
+    assert verdict.status == "ok"
+    assert "the service tier took 0.125x the unconstrained cold cell" in (
+        verdict.detail
+    )
+    assert report.verdict == "PASS"
+
+
+def test_a_pushdown_slowdown_fails_through_the_yardstick(tmp_path):
+    # Constrained cold slowed 2x against the unconstrained cold cell.
+    report, row = _constrained_history(
+        tmp_path / "pushdown.sqlite", {("cold", "eq:deg:high"): 2.0}
+    )
+    verdict = row["materialize"]
+    assert verdict.status == "regressed"
+    assert "0.5x the unconstrained cold cell (baseline 0.25x" in verdict.detail
+    assert report.verdict == "FAIL"
+    # With the yardstick sped up as well, the cold cell still fails;
+    # so does a constrained service tier that slowed on its own.
+    __, row = _constrained_history(
+        tmp_path / "both.sqlite",
+        {
+            ("cold", "eq:deg:high"): 2.0,
+            ("materialize", "eq:deg:high"): 0.5,
+            ("service", "eq:deg:high"): 6.0,
+        },
+    )
+    assert row["materialize"].status == "regressed"
+    assert row["service"].status == "regressed"
