@@ -18,21 +18,6 @@ def email():
     return get_dataset("email")
 
 
-@pytest.fixture(scope="session")
-def dblp():
-    return get_dataset("dblp")
-
-
-@pytest.fixture(scope="session")
-def youtube():
-    return get_dataset("youtube")
-
-
-@pytest.fixture(scope="session")
-def orkut():
-    return get_dataset("orkut")
-
-
 def once(benchmark, fn, *args, **kwargs):
     """Measure ``fn`` with a single round (solver benches are seconds-long;
     pytest-benchmark's default multi-round calibration would multiply the

@@ -4,7 +4,10 @@ The paper plots running time against one swept parameter per figure, with
 one curve per algorithm.  :class:`SweepResult` is that figure in data
 form: a swept axis, a set of named series, and (optionally) a quality
 metric per point (the Exp-VII figures plot the r-th influence value
-instead of time).
+instead of time).  Beside each point it keeps the work counts the solvers
+recorded during that call (:mod:`repro.utils.counters`), which is what
+``benchmarks/bench_section6.py`` judges each figure's shape on; the
+seconds are for the rendered report only.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.bench.clock import Clock, perf_clock
+from repro.utils.counters import counting
 from repro.utils.charts import ascii_chart
 from repro.utils.tables import format_markdown_table, format_table
 
@@ -40,6 +44,8 @@ class SweepResult:
     ``axis_values[i]`` — seconds for timing figures, an influence value
     for effectiveness figures.  ``None`` marks a skipped point (the
     paper's "missing point indicates the algorithm cannot terminate").
+    ``counts[name][i]`` holds the work counts recorded by that call, by
+    counter name, and is ``None`` at a skipped point.
     """
 
     title: str
@@ -48,10 +54,18 @@ class SweepResult:
     series: dict[str, list[float | None]] = field(default_factory=dict)
     unit: str = "seconds"
     notes: list[str] = field(default_factory=list)
+    counts: dict[str, list[dict[str, int] | None]] = field(default_factory=dict)
 
-    def add_point(self, series_name: str, value: float | None) -> None:
-        """Append a measurement to a series (created on first use)."""
+    def add_point(
+        self,
+        series_name: str,
+        value: float | None,
+        counts: dict[str, int] | None = None,
+    ) -> None:
+        """Append a measurement and its work counts to a series (created
+        on first use)."""
         self.series.setdefault(series_name, []).append(value)
+        self.counts.setdefault(series_name, []).append(counts)
 
     def _rows(self) -> list[list[object]]:
         rows = []
@@ -109,6 +123,8 @@ def run_sweep(
     ``measure="value"`` the callable's float return value is recorded (the
     Exp-VII quality metric).  ``skip(name, x)`` marks points to omit.
     ``clock`` threads through to :func:`time_call` for deterministic tests.
+    Each call runs inside its own :func:`~repro.utils.counters.counting`,
+    and the counts it recorded are kept on the point.
     """
     result = SweepResult(title, axis_name, list(axis_values), unit=unit)
     for x in axis_values:
@@ -116,11 +132,11 @@ def run_sweep(
             if skip is not None and skip(name, x):
                 result.add_point(name, None)
                 continue
-            seconds, returned = time_call(lambda: fn(x), clock=clock)
+            with counting() as tally:
+                seconds, returned = time_call(lambda: fn(x), clock=clock)
             if measure == "time":
-                result.add_point(name, round(seconds, 6))
+                value = round(seconds, 6)
             else:
-                result.add_point(
-                    name, float(returned) if returned is not None else None
-                )
+                value = float(returned) if returned is not None else None
+            result.add_point(name, value, dict(tally))
     return result

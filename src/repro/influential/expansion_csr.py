@@ -74,6 +74,7 @@ from repro.influential.expansion import (
     removal_loss,
     sum_alpha_of,
 )
+from repro.utils.counters import count
 from repro.utils.parallel import expansion_executor
 from repro.utils.zobrist import ZobristHasher
 
@@ -439,6 +440,10 @@ class CSRExpansionContext:
         time — the emitted sequence is byte-identical to the sequential
         path; a floor that tightens mid-batch merely turns some
         already-computed children into discarded speculation.
+
+        The children yielded are counted here, on the consuming thread,
+        as ``candidates`` (:mod:`repro.utils.counters`), one flush per
+        call: both paths count exactly what they yield.
         """
         ids = self.members.ids
         c = ids.size
@@ -467,31 +472,40 @@ class CSRExpansionContext:
         has_weak = structure.has_weak
         small = c - 1 <= self.k
         loss_list = losses[eligible].tolist() if losses is not None else None
-        executor, window = expansion_executor()
-        if executor is not None:
-            cascades = int(
-                np.count_nonzero(has_weak[eligible] | articulation[eligible])
-            )
-            if cascades >= 2:
-                yield from self._expand_threaded(
-                    eligible.tolist(),
-                    loss_list,
-                    floor_now,
-                    small,
-                    executor,
-                    window,
+        yielded = 0
+        try:
+            executor, window = expansion_executor()
+            if executor is not None:
+                cascades = int(
+                    np.count_nonzero(has_weak[eligible] | articulation[eligible])
                 )
-                return
-        for pos, i in enumerate(eligible.tolist()):
-            if loss_list is not None:
-                if parent_value - loss_list[pos] < floor_now():
-                    continue
-            elif parent_value < floor_now():
-                return
-            if has_weak[i] or articulation[i]:
-                yield from self._cascade_children(i)
-            elif not small:
-                yield self._fast_child(i)
+                if cascades >= 2:
+                    for child in self._expand_threaded(
+                        eligible.tolist(),
+                        loss_list,
+                        floor_now,
+                        small,
+                        executor,
+                        window,
+                    ):
+                        yielded += 1
+                        yield child
+                    return
+            for pos, i in enumerate(eligible.tolist()):
+                if loss_list is not None:
+                    if parent_value - loss_list[pos] < floor_now():
+                        continue
+                elif parent_value < floor_now():
+                    return
+                if has_weak[i] or articulation[i]:
+                    for child in self._cascade_children(i):
+                        yielded += 1
+                        yield child
+                elif not small:
+                    yielded += 1
+                    yield self._fast_child(i)
+        finally:
+            count("candidates", yielded)
 
     def _children_of_removal(self, i: int, small: bool) -> list[ChildCandidate]:
         """Children of removing local id ``i`` — the unit of threaded work.

@@ -44,6 +44,7 @@ from typing import Sequence
 from repro.aggregators.base import Aggregator
 from repro.graphs.graph import Graph
 from repro.influential.community import Community, community_from_vertices
+from repro.utils.counters import count
 from repro.utils.stats import SubsetStats
 from repro.utils.topr import TopR
 
@@ -186,14 +187,17 @@ class SumStrategy(Strategy):
         # offered before the loop ends, so the threshold holds still.
         threshold = top.threshold()
         size = len(block)
+        tested = 0
         while size > self.k and self._value(
             size, total, lows[size - 1], highs[size - 1]
         ) > threshold:
+            tested += 1
             if sweep.is_candidate(size):
                 top.offer(self._make(block[:size]))
                 break
             size -= 1  # C.last leaves
             total -= weights[size]
+        count("prefixes_tested", tested)
 
 
 class AvgStrategy(Strategy):
@@ -223,6 +227,7 @@ class AvgStrategy(Strategy):
         threshold = top.threshold()  # nothing is offered before the loop ends
         total, low, high = 0.0, float("inf"), float("-inf")
         best: tuple[float, int] | None = None
+        tested = 0
         for size, v in enumerate(block, 1):  # Lines 3-10
             weight = weights[v]
             total += weight
@@ -233,12 +238,15 @@ class AvgStrategy(Strategy):
             if size <= self.k:
                 continue
             value = self._value(size, total, low, high)
-            if value > threshold and sweep.is_candidate(size):
-                if self.greedy:
-                    top.offer(self._make(block[:size]))  # Lines 6-8
-                    return
+            if not value > threshold:
+                continue
+            tested += 1
+            if sweep.is_candidate(size):
                 if best is None or value > best[0]:  # Line 10 collects; 12 argmax
                     best = (value, size)
+                if self.greedy:
+                    break  # Lines 6-8: the first qualifying prefix wins
+        count("prefixes_tested", tested)
         if best is not None:
             top.offer(self._make(block[: best[1]]))  # Line 13
 

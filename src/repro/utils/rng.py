@@ -2,8 +2,7 @@
 
 Everything stochastic in the library (graph generators, random local-search
 order, benchmark workloads) flows through :func:`make_rng` so that a single
-integer seed reproduces an entire experiment, and :func:`spawn_seeds`
-derives independent child seeds for sub-tasks without seed reuse.
+integer seed reproduces an entire experiment.
 """
 
 from __future__ import annotations
@@ -27,10 +26,3 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
 
-
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent 32-bit child seeds from ``seed``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seq = np.random.SeedSequence(seed)
-    return [int(s) for s in seq.generate_state(count)]

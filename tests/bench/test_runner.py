@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.clock import ManualClock, perf_clock
 from repro.bench.runner import SweepResult, run_sweep, time_call
+from repro.utils.counters import count
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +97,19 @@ def test_run_sweep_skip_consumes_no_clock_reads():
     assert result.series["alg"] == [1.0, None, 3.0]
     # Two timed calls ran; the skipped point never touched the clock.
     assert clock.now == 1.0
+
+
+def test_run_sweep_keeps_counts_per_point():
+    def work(x):
+        count("steps", x)
+
+    result = run_sweep(
+        "demo", "x", [1, 2, 3],
+        algorithms={"work": work, "idle": lambda x: None},
+        skip=lambda name, x: x == 2,
+    )
+    assert result.counts["work"] == [{"steps": 1}, None, {"steps": 3}]
+    assert result.counts["idle"] == [{}, None, {}]
 
 
 def test_render_text_and_markdown():

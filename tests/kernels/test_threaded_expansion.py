@@ -23,8 +23,10 @@ from repro.influential import expansion_csr
 from repro.influential.api import top_r_communities
 from repro.influential.expansion import expansion_context, members_frozenset
 from repro.influential.expansion_csr import CSRExpansionContext
+from repro.influential.improved import tic_improved
 from repro.serving.engine_pool import ExpansionEnginePool
 from repro.utils import parallel
+from repro.utils.counters import counting
 from repro.utils.rng import make_rng
 from repro.utils.zobrist import ZobristHasher
 
@@ -204,3 +206,30 @@ def test_threaded_expand_builds_each_tree_once_on_caller(monkeypatch):
     assert builds and all(ident == caller for __, ident in builds)
     # ``builds`` keeps every local CSR alive, so ids cannot be recycled.
     assert len({id(local) for local, __ in builds}) == len(builds)
+
+
+def test_threaded_expand_counts_what_it_yields(monkeypatch):
+    """``candidates`` is counted on the consuming thread, so one
+    ``tic_improved`` call records the same count with and without
+    expansion threads: speculative children are not counted."""
+    base = gnm_random_graph(200, 1600, seed=5)
+    graph = base.with_weights(make_rng(6).uniform(0.1, 30.0, base.n))
+
+    def candidates():
+        with counting() as tally:
+            tic_improved(graph, 8, 32)
+        return tally["candidates"]
+
+    monkeypatch.delenv(parallel.EXPANSION_THREADS_ENV_VAR, raising=False)
+    sequential = candidates()
+    threaded = []
+    original_threaded = CSRExpansionContext._expand_threaded
+
+    def spy_threaded(self, *args):
+        threaded.append(len(self.members))
+        yield from original_threaded(self, *args)
+
+    monkeypatch.setenv(parallel.EXPANSION_THREADS_ENV_VAR, "2")
+    monkeypatch.setattr(CSRExpansionContext, "_expand_threaded", spy_threaded)
+    assert candidates() == sequential > 0
+    assert threaded, "fixture must exercise the threaded replay"

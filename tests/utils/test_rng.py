@@ -1,9 +1,8 @@
 """Unit tests for seeded randomness helpers."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import DEFAULT_SEED, make_rng, spawn_seeds
+from repro.utils.rng import DEFAULT_SEED, make_rng
 
 
 def test_same_seed_same_stream():
@@ -20,18 +19,3 @@ def test_generator_passthrough():
     rng = np.random.default_rng(7)
     assert make_rng(rng) is rng
 
-
-def test_spawn_seeds_deterministic_and_distinct():
-    seeds1 = spawn_seeds(5, 8)
-    seeds2 = spawn_seeds(5, 8)
-    assert seeds1 == seeds2
-    assert len(set(seeds1)) == 8
-
-
-def test_spawn_seeds_differ_by_parent():
-    assert spawn_seeds(1, 4) != spawn_seeds(2, 4)
-
-
-def test_spawn_negative_count_rejected():
-    with pytest.raises(ValueError):
-        spawn_seeds(1, -1)
