@@ -1,9 +1,9 @@
 """Shared fixtures for the pytest-benchmark suite.
 
-Each bench file covers one paper table/figure on *representative* datasets
-(the exhaustive grid lives in ``python -m repro bench``): the small/fast
-representative is email or dblp, the large representative orkut.  Dataset
-construction is session-scoped so the suite pays it once.
+Most bench files run on the email stand-in, the small and fast
+representative; its construction is session-scoped so the suite pays it
+once.  The paper's figures run from their ``EXPERIMENTS`` definitions in
+``bench_section6.py``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.bench.clock import Clock, perf_clock
-from repro.utils.counters import counting
 from repro.utils.charts import ascii_chart
+from repro.utils.counters import counting
 from repro.utils.tables import format_markdown_table, format_table
 
 

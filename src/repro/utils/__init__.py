@@ -6,7 +6,6 @@ statistics, top-r accumulators, work counters, seeded randomness and ASCII
 tables.
 """
 
-from repro.utils.counters import count, counting
 from repro.utils.heaps import IndexedMaxHeap, LazyMaxHeap
 from repro.utils.rng import make_rng
 from repro.utils.stats import SubsetStats
@@ -20,8 +19,6 @@ __all__ = [
     "SubsetStats",
     "TopR",
     "ZobristHasher",
-    "count",
-    "counting",
     "format_markdown_table",
     "format_table",
     "make_rng",

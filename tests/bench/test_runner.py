@@ -104,7 +104,9 @@ def test_run_sweep_keeps_counts_per_point():
         count("steps", x)
 
     result = run_sweep(
-        "demo", "x", [1, 2, 3],
+        "demo",
+        "x",
+        [1, 2, 3],
         algorithms={"work": work, "idle": lambda x: None},
         skip=lambda name, x: x == 2,
     )
