@@ -80,9 +80,13 @@ def _figure_datasets(quick: bool) -> tuple[str, ...]:
     return ("email", "dblp") if quick else ds.FIGURE_DATASETS
 
 
+def _axis(sweep: tuple, quick: bool) -> tuple:
+    """The swept values; quick mode keeps only the first and the last."""
+    return (sweep[0], sweep[-1]) if quick else sweep
+
+
 def _k_axis(name: str, quick: bool) -> tuple[int, ...]:
-    sweep = ds.k_sweep(name)
-    return sweep[:2] if quick else sweep
+    return _axis(ds.k_sweep(name), quick)
 
 
 def _skip_naive(name: str, k: int) -> bool:
@@ -153,7 +157,7 @@ def exp_fig3(quick: bool = False) -> ExperimentReport:
             "output); relative ordering Naive >> Improve >= Approx unchanged"
         ),
     )
-    r_values = R_SWEEP[:2] if quick else R_SWEEP
+    r_values = _axis(R_SWEEP, quick)
     for name in _figure_datasets(quick):
         graph = ds.get_dataset(name)
         k = ds.default_k(name)
@@ -188,7 +192,7 @@ def exp_fig4(quick: bool = False) -> ExperimentReport:
             "are confirmed within the first r expansions"
         ),
     )
-    eps_values = EPS_SWEEP[:2] if quick else EPS_SWEEP
+    eps_values = _axis(EPS_SWEEP, quick)
     for name in _figure_datasets(quick):
         graph = ds.get_dataset(name)
         panel = run_sweep(
@@ -213,8 +217,8 @@ def exp_fig5(quick: bool = False) -> ExperimentReport:
         title="Running time vs r for eps in {0.01..0.5} (sum)",
         paper_shape="flat in eps, mildly increasing in r",
     )
-    eps_values = EPS_SWEEP[:2] if quick else EPS_SWEEP
-    r_values = R_SWEEP[:2] if quick else R_SWEEP
+    eps_values = _axis(EPS_SWEEP, quick)
+    r_values = _axis(R_SWEEP, quick)
     for name in _figure_datasets(quick):
         graph = ds.get_dataset(name)
         k = ds.default_k(name)
@@ -309,7 +313,7 @@ def _fig_constrained_vs_r(f: str, key: str, quick: bool) -> ExperimentReport:
             "r candidates, so the output size does not drive the cost"
         ),
     )
-    r_values = list(R_SWEEP[:2] if quick else R_SWEEP)
+    r_values = list(_axis(R_SWEEP, quick))
     for name in _figure_datasets(quick):
         graph = ds.get_dataset(name)
         k = ds.default_k(name)
@@ -345,7 +349,7 @@ def _fig_constrained_vs_s(f: str, key: str, quick: bool) -> ExperimentReport:
             "neighbourhood); infeasible cells (s < k + 1) are skipped"
         ),
     )
-    s_values = list(S_SWEEP[:2] if quick else S_SWEEP)
+    s_values = list(_axis(S_SWEEP, quick))
     for name in _figure_datasets(quick):
         graph = ds.get_dataset(name)
         # The s sweep goes down to 5, so use k = 4 on every dataset (the

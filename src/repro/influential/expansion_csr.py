@@ -473,6 +473,7 @@ class CSRExpansionContext:
         small = c - 1 <= self.k
         loss_list = losses[eligible].tolist() if losses is not None else None
         yielded = 0
+        threaded = None
         try:
             executor, window = expansion_executor()
             if executor is not None:
@@ -480,14 +481,15 @@ class CSRExpansionContext:
                     np.count_nonzero(has_weak[eligible] | articulation[eligible])
                 )
                 if cascades >= 2:
-                    for child in self._expand_threaded(
+                    threaded = self._expand_threaded(
                         eligible.tolist(),
                         loss_list,
                         floor_now,
                         small,
                         executor,
                         window,
-                    ):
+                    )
+                    for child in threaded:
                         yielded += 1
                         yield child
                     return
@@ -505,6 +507,10 @@ class CSRExpansionContext:
                     yielded += 1
                     yield self._fast_child(i)
         finally:
+            if threaded is not None:
+                # Closing early cancels its queued speculation now, not
+                # whenever the inner generator happens to be freed.
+                threaded.close()
             count("candidates", yielded)
 
     def _children_of_removal(self, i: int, small: bool) -> list[ChildCandidate]:

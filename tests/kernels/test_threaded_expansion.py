@@ -233,3 +233,39 @@ def test_threaded_expand_counts_what_it_yields(monkeypatch):
     monkeypatch.setattr(CSRExpansionContext, "_expand_threaded", spy_threaded)
     assert candidates() == sequential > 0
     assert threaded, "fixture must exercise the threaded replay"
+
+
+def test_closing_expand_closes_its_threaded_replay_first(monkeypatch):
+    """Closing ``expand`` early closes its threaded replay, whose
+    ``finally`` cancels queued speculation, before ``expand`` itself
+    finishes: not whenever the replay happens to be freed."""
+    base = gnm_random_graph(200, 1600, seed=5)
+    graph = base.with_weights(make_rng(6).uniform(0.1, 30.0, base.n))
+    aggregator = get_aggregator("sum")
+    hasher = ZobristHasher(graph.n)
+    events = []
+    replays = []
+    original_threaded = CSRExpansionContext._expand_threaded
+
+    def replay(self, *args):
+        try:
+            yield from original_threaded(self, *args)
+        finally:
+            events.append("replay closed")
+
+    def spy_threaded(self, *args):
+        # Holding the replay here means freeing it cannot be what closes it.
+        replays.append(replay(self, *args))
+        return replays[-1]
+
+    monkeypatch.setenv(parallel.EXPANSION_THREADS_ENV_VAR, "2")
+    monkeypatch.setattr(CSRExpansionContext, "_expand_threaded", spy_threaded)
+    monkeypatch.setattr(expansion_csr, "count", lambda name, n: events.append(name))
+    (component,) = connected_kcore_components(graph, range(graph.n), 8)
+    value = aggregator.value(graph, frozenset(component))
+    iterator = expansion_context(
+        graph, frozenset(component), 8, aggregator, value, hasher
+    ).expand()
+    next(iterator)
+    iterator.close()
+    assert events == ["replay closed", "candidates"]
