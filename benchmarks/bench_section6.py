@@ -89,6 +89,8 @@ def checked(solve):
 
 @pytest.fixture(autouse=True)
 def checked_solvers(monkeypatch):
+    """Reports built in a test check their sweeps' answers, and the
+    Figure 14 report renders :func:`case_panels`."""
     for name in ("sum_naive", "tic_improved", "local_search"):
         monkeypatch.setattr(experiments, name, checked(getattr(experiments, name)))
     monkeypatch.setattr(case_study, "run_case_study", case_panels)
