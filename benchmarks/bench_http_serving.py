@@ -101,19 +101,23 @@ def test_bench_http_cached_query_email(benchmark, email):
 
 def test_http_workload_matches_cold_on_email(email):
     workload = _build_workload(email, seed=5, size=30)
-    service = QueryService(email)
-    with run_server_in_thread(service) as base_url:
+    app = ServingApp(QueryService(email))
+    with run_server_in_thread(app) as base_url:
         host = base_url.removeprefix("http://")
         connection = http.client.HTTPConnection(host, timeout=120)
         for query in workload:
-            connection.request(
-                "POST", "/v1/query", body=json.dumps(query_envelope(query))
-            )
-            response = connection.getresponse()
-            payload = json.loads(response.read())
             cold = top_r_communities(email, **query.solver_kwargs())
-            assert payload == result_payload_v1(query, cold)
+            expected = json.dumps(result_payload_v1(query, cold)).encode("utf-8")
+            # A key's second read stores its body; the workload's repeats
+            # are then answered from the stored bytes.
+            for __read in range(2):
+                connection.request(
+                    "POST", "/v1/query", body=json.dumps(query_envelope(query))
+                )
+                response = connection.getresponse()
+                assert response.read() == expected
         connection.close()
+    assert app.body_hits > 0
 
 
 # ----------------------------------------------------------------------

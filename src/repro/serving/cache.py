@@ -1,7 +1,7 @@
 """Keyed LRU caching for the serving layer.
 
 One implementation backs both caches of :class:`repro.serving.service
-.QueryService` — the query→:class:`~repro.influential.results.ResultSet`
+.QueryService` — the query→:class:`~repro.serving.service.CachedAnswer`
 result cache and the expansion-engine pool's structure cache.  It is a
 plain ``OrderedDict`` LRU with the three things a serving cache needs
 beyond ``functools.lru_cache``: explicit invalidation (single key,
@@ -73,6 +73,11 @@ class LRUCache:
         self._data.move_to_end(key)
         self.hits += 1
         return value  # type: ignore[return-value]
+
+    def lookup(self, key: Hashable, default: V = None) -> V:  # type: ignore[assignment]
+        """The cached value, or ``default``, touching neither recency nor
+        the counters (a read that only inspects an entry is no hit)."""
+        return self._data.get(key, default)  # type: ignore[return-value]
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert or refresh ``key``, evicting LRU entries past capacity."""

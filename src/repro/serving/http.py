@@ -63,7 +63,9 @@ Concurrency model
 The event loop never runs a solver.  Each request is validated into an
 :class:`~repro.serving.query.InfluentialQuery` on the loop; its canonical
 :meth:`~repro.serving.query.InfluentialQuery.cache_key` is probed against
-the service's result cache (a hit answers inline), and misses are
+the service's result cache (a hit answers inline; from an entry's second
+read on, ``/v1/query`` writes the response bytes stored in the entry
+instead of re-encoding them), and misses are
 dispatched to a dedicated single solver thread.  One thread, because
 :class:`~repro.serving.service.QueryService`'s engine pool is
 deliberately lock-free; the loop thread touches only the result cache,
@@ -156,6 +158,15 @@ _STATUS_CODES = {
 #: API version tag stamped into every v1 response body.
 API_VERSION = "v1"
 
+#: An endpoint handler: parsed JSON body → JSON-ready dict, or a body
+#: already encoded.
+_Handler = Callable[[object], Awaitable["dict | bytes"]]
+
+
+def _encode(payload: dict) -> bytes:
+    """The wire bytes of a JSON response body."""
+    return json.dumps(payload).encode("utf-8")
+
 
 def _error_body(code: str, detail: str) -> dict:
     """The uniform error envelope every endpoint serves."""
@@ -216,7 +227,7 @@ def result_payload_v1(query: InfluentialQuery, result: ResultSet) -> dict:
         "query": query_envelope(query),
         "count": len(result),
         "values": result.values(),
-        "communities": [sorted(c.vertices) for c in result],
+        "communities": [c.members() for c in result],
     }
 
 
@@ -293,7 +304,9 @@ class ServingApp:
         self.coalesced = 0
         self.http_errors = 0
         self.shed = 0
-        self._routes: dict[tuple[str, str], Callable[[object], Awaitable[dict]]] = {
+        # /v1/query cache hits answered from their entry's stored body.
+        self.body_hits = 0
+        self._routes: dict[tuple[str, str], _Handler] = {
             ("GET", "/"): self._get_index,
             ("GET", "/v1/healthz"): self._get_healthz,
             ("GET", "/v1/stats"): self._get_stats,
@@ -412,7 +425,8 @@ class ServingApp:
         return result
 
     # ------------------------------------------------------------------
-    # Endpoint handlers (body → JSON-ready dict, or _HTTPError)
+    # Endpoint handlers (body → JSON-ready dict or encoded bytes, or
+    # _HTTPError)
     # ------------------------------------------------------------------
     async def _get_index(self, body: object) -> dict:
         graph = self.service.graph
@@ -456,6 +470,7 @@ class ServingApp:
         # service.stats() walks the engine pool, which the solver thread
         # may be mutating — read it from that thread so the two serialize.
         stats = await self._run_off_loop(self.service.stats)
+        stats["result_cache"]["body_hits"] = self.body_hits
         replication = self._replication_status()
         stats["http"] = {
             "requests": self.requests,
@@ -538,10 +553,22 @@ class ServingApp:
         merged.update(options)
         return InfluentialQuery.create(merged)
 
-    async def _post_query_v1(self, body: object) -> dict:
+    async def _post_query_v1(self, body: object) -> bytes:
         query = self._parse_v1_query(body)
+        # An entry present now makes this read a hit: answer() peeks before
+        # its first await.  From the entry's first hit on, its body slot
+        # holds the encoded response — query_envelope reads only cache-key
+        # fields, so the bytes are a function of (key, result).  A miss
+        # encodes without storing: most are invalidated unread.
+        entry = self.service.cached_entry(query)
         result = await self.answer(query)
-        return result_payload_v1(query, result)
+        if entry is None or entry.result is not result:
+            return _encode(result_payload_v1(query, result))
+        if entry.body is None:
+            entry.body = _encode(result_payload_v1(query, result))
+        else:
+            self.body_hits += 1
+        return entry.body  # type: ignore[return-value]
 
     async def _post_batch_v1(self, body: object) -> dict:
         if isinstance(body, Mapping) and "queries" in body:
@@ -943,7 +970,7 @@ class ServingApp:
 
     async def _dispatch(
         self, method: str, path: str, raw: bytes
-    ) -> tuple[int, dict, dict]:
+    ) -> "tuple[int, dict | bytes, dict]":
         handler = self._routes.get((method, path))
         if handler is None:
             if any(p == path for _m, p in self._routes):
@@ -979,7 +1006,7 @@ class ServingApp:
                 )
         try:
             payload = await handler(body)
-            if "api_version" not in payload:
+            if isinstance(payload, dict) and "api_version" not in payload:
                 # Handlers that are not query-shaped (healthz, stats,
                 # mutations) leave the version stamp to this one place.
                 payload = {"api_version": API_VERSION, **payload}
@@ -1002,11 +1029,13 @@ class ServingApp:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict,
+        payload: "dict | bytes",
         keep_alive: bool,
         extra_headers: "Mapping[str, str] | None" = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Write one response; ``payload`` is a JSON-ready dict, or a body
+        already encoded (a ``/v1/query`` answer)."""
+        body = payload if isinstance(payload, bytes) else _encode(payload)
         extra = "".join(
             f"{name}: {value}\r\n"
             for name, value in (extra_headers or {}).items()

@@ -12,7 +12,9 @@ graph** instead of once per query:
   query it serves;
 * a keyed LRU **result cache** over canonical
   :meth:`~repro.serving.query.InfluentialQuery.cache_key` identities,
-  with explicit invalidation (per key, per k, or on weight updates).
+  with explicit invalidation (per key, per k, or on weight updates);
+  each entry is a :class:`CachedAnswer`, whose opaque ``body`` slot lets
+  the HTTP front end keep the answer's encoded response beside it.
 
 ``submit`` answers one query; ``submit_many`` answers a batch in
 submission order, solving each distinct query once (duplicates are
@@ -47,9 +49,23 @@ from repro.serving.updates import (
     refresh_truss_numbers,
 )
 
-__all__ = ["QueryService"]
+__all__ = ["CachedAnswer", "QueryService"]
 
-_MISS = object()
+
+class CachedAnswer:
+    """One result-cache entry: an answer plus one opaque ``body`` slot.
+
+    The service never reads ``body``; the HTTP front end keeps the
+    answer's encoded ``POST /v1/query`` response there.  The slot lives
+    and dies with its entry, so every invalidation and eviction that
+    drops the answer drops the body with it.
+    """
+
+    __slots__ = ("result", "body")
+
+    def __init__(self, result: ResultSet) -> None:
+        self.result = result
+        self.body: object = None
 
 
 class QueryService:
@@ -211,12 +227,12 @@ class QueryService:
         """
         query = InfluentialQuery.create(query, **overrides)
         key = query.cache_key()
-        cached = self._results.get(key, _MISS)
-        if cached is not _MISS:
+        cached = self._results.get(key)
+        if cached is not None:
             self.queries_served += 1
-            return cached  # type: ignore[return-value]
+            return cached.result
         result = self._solve(query)
-        self._results.put(key, result)
+        self._results.put(key, CachedAnswer(result))
         self.queries_served += 1
         return result
 
@@ -230,8 +246,14 @@ class QueryService:
         dispatched to an executor and later recorded via :meth:`store`.
         """
         query = InfluentialQuery.create(query)
-        cached = self._results.get(query.cache_key(), _MISS)
-        return None if cached is _MISS else cached  # type: ignore[return-value]
+        cached = self._results.get(query.cache_key())
+        return None if cached is None else cached.result
+
+    def cached_entry(self, query: InfluentialQuery) -> "CachedAnswer | None":
+        """``query``'s live result-cache entry, or ``None`` — never solves,
+        and touches neither recency nor the hit/miss counters (the read
+        that follows, through :meth:`peek`, counts)."""
+        return self._results.lookup(query.cache_key())
 
     def store(
         self, query: "InfluentialQuery | Mapping[str, object]", result: ResultSet
@@ -244,7 +266,7 @@ class QueryService:
         cache-free :meth:`_solve`, keeping the cache loop-owned.
         """
         query = InfluentialQuery.create(query)
-        self._results.put(query.cache_key(), result)
+        self._results.put(query.cache_key(), CachedAnswer(result))
 
     def submit_many(
         self, queries: Iterable["InfluentialQuery | Mapping[str, object]"]

@@ -641,3 +641,159 @@ def test_stats_expose_queue_and_fleet_fields(served):
     assert health["rss_bytes"] > 0
     assert health["replication_lag"] is None
     assert "member" not in health
+
+
+# ----------------------------------------------------------------------
+# Stored response bodies: a cache entry keeps its /v1/query bytes from
+# its first hit on; every route that drops the entry drops the bytes
+# ----------------------------------------------------------------------
+def post_raw(base_url: str, path: str, payload) -> tuple[int, bytes]:
+    """One POST, answering the status and the body bytes as served."""
+    host = base_url.removeprefix("http://")
+    connection = http.client.HTTPConnection(host, timeout=60)
+    try:
+        connection.request("POST", path, body=json.dumps(payload))
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def cold_bytes(graph, raw: dict) -> bytes:
+    """The bytes today's encode path serves for ``raw`` on ``graph``."""
+    query = as_query(raw)
+    cold = top_r_communities(graph, **query.solver_kwargs())
+    return json.dumps(result_payload_v1(query, cold)).encode("utf-8")
+
+
+def body_hits(base_url: str) -> int:
+    status, stats = get(base_url, "/v1/stats")
+    assert status == 200
+    return stats["result_cache"]["body_hits"]
+
+
+SUM_K2 = {"k": 2, "r": 2, "f": "sum"}
+
+
+def test_repeat_reads_are_answered_from_the_stored_body(served, figure1):
+    service, __, base_url = served
+    expected = cold_bytes(figure1, SUM_K2)
+    seen = []
+    for __read in range(4):
+        status, body = post_raw(base_url, "/v1/query", SUM_K2)
+        assert status == 200
+        assert body == expected
+        seen.append(body_hits(base_url))
+    # miss, first hit (stores the body), then two reads of the stored body
+    assert seen == [0, 0, 1, 2]
+    assert service.cached_entry(as_query(SUM_K2)).body == expected
+
+
+def test_no_body_hits_when_the_cache_is_emptied_before_each_read(served, figure1):
+    service, __, base_url = served
+    for __read in range(3):
+        assert post(base_url, "/v1/invalidate", {})[0] == 200
+        status, body = post_raw(base_url, "/v1/query", SUM_K2)
+        assert status == 200
+        assert body == cold_bytes(figure1, SUM_K2)
+    assert body_hits(base_url) == 0
+    assert service.stats()["result_cache"]["hits"] == 0
+
+
+def _reweight(base_url, service, figure1, two_triangles):
+    weights = [float(w) for w in reversed(figure1.weights)]
+    assert post(base_url, "/v1/update-weights", {"weights": weights})[0] == 200
+    return figure1.with_weights(weights)
+
+
+def _delete_edge(base_url, service, figure1, two_triangles):
+    from repro.graphs.delta import GraphDelta
+
+    assert post(base_url, "/v1/update-edges", {"delete": [[0, 1]]})[0] == 200
+    return GraphDelta(figure1).apply(delete=[(0, 1)]).graph
+
+
+def _replace_graph(base_url, service, figure1, two_triangles):
+    # The loop thread owns the result cache; it is idle between requests.
+    service.replace_graph(two_triangles)
+    return two_triangles
+
+
+def _invalidate_k(base_url, service, figure1, two_triangles):
+    assert post(base_url, "/v1/invalidate", {"k": 2})[0] == 200
+    return figure1
+
+
+def _invalidate_all(base_url, service, figure1, two_triangles):
+    assert post(base_url, "/v1/invalidate", {})[0] == 200
+    return figure1
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [_invalidate_k, _invalidate_all, _delete_edge, _reweight, _replace_graph],
+    ids=[
+        "invalidate-k",
+        "invalidate-all",
+        "update-edges",
+        "update-weights",
+        "replace-graph",
+    ],
+)
+def test_dropping_an_entry_drops_its_stored_body(served, figure1, two_triangles, drop):
+    service, __, base_url = served
+    for __read in range(2):
+        post_raw(base_url, "/v1/query", SUM_K2)
+    assert service.cached_entry(as_query(SUM_K2)).body is not None
+    graph = drop(base_url, service, figure1, two_triangles)
+    assert service.cached_entry(as_query(SUM_K2)) is None
+    if graph is not figure1:
+        assert cold_bytes(graph, SUM_K2) != cold_bytes(figure1, SUM_K2)
+    for __read in range(2):
+        status, body = post_raw(base_url, "/v1/query", SUM_K2)
+        assert status == 200
+        assert body == cold_bytes(graph, SUM_K2)
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        (
+            {"k": 2, "r": 2, "f": "sum-surplus(2)"},
+            {"k": 2, "r": 2, "f": "sum-surplus(alpha=2)"},
+        ),
+        (
+            {"k": 2, "r": 2, "constraints": {"labels": {"any": ["b", "a", "a"]}}},
+            {"k": 2, "r": 2, "constraints": {"labels": ["a", "b"]}},
+        ),
+    ],
+    ids=["aggregator", "labels"],
+)
+def test_spellings_of_one_key_get_identical_hit_bodies(figure1, spellings):
+    graph = figure1.with_labels(["abc"[v % 3] for v in range(figure1.n)])
+    first, second = spellings
+    assert as_query(first).cache_key() == as_query(second).cache_key()
+    with run_server_in_thread(QueryService(graph)) as base_url:
+        bodies = [post_raw(base_url, "/v1/query", first)[1] for __ in range(2)]
+        bodies += [post_raw(base_url, "/v1/query", second)[1] for __ in range(2)]
+        assert body_hits(base_url) == 2
+    assert bodies == [cold_bytes(graph, first)] * 4
+    assert json.loads(bodies[0])["count"] > 0
+    assert cold_bytes(graph, second) == cold_bytes(graph, first)
+
+
+def test_evicted_entry_takes_its_body_with_it(figure1):
+    service = QueryService(figure1, cache_size=1)
+    other = {"k": 3, "r": 1, "f": "sum"}
+    with run_server_in_thread(service) as base_url:
+        for __read in range(3):
+            post_raw(base_url, "/v1/query", SUM_K2)
+        assert body_hits(base_url) == 1
+        calls = service.solver_calls
+        assert post_raw(base_url, "/v1/query", other)[1] == cold_bytes(figure1, other)
+        assert service.cached_entry(as_query(SUM_K2)) is None
+        reads = [post_raw(base_url, "/v1/query", SUM_K2)[1] for __ in range(3)]
+        assert service.solver_calls == calls + 2  # ``other``, then SUM_K2 again
+        # the re-solved entry is a fresh one: its first hit stores anew
+        assert body_hits(base_url) == 2
+    assert reads == [cold_bytes(figure1, SUM_K2)] * 3
