@@ -416,7 +416,9 @@ class CSRExpansionContext:
             return [self._fast_child(i)]
         return self._cascade_children(i)
 
-    def expand(self, floor=float("-inf")) -> Iterator[ChildCandidate]:
+    def expand(
+        self, floor=float("-inf"), rank: int | None = None
+    ) -> Iterator[ChildCandidate]:
         """All children of the component in one batched pass.
 
         Vertex order and per-child output order match the set engine's
@@ -431,6 +433,21 @@ class CSRExpansionContext:
         member weights from the graph, so the component's structure is
         only resolved once some removal survives it.
 
+        ``rank`` (sum family only; ignored otherwise) certifies a floor
+        from the batch itself: the removals that neither cascade nor split
+        each yield exactly one child, ``C - {v}``, whose value
+        ``(parent - w[v]) - alpha`` is known before it is built.  Those are
+        distinct communities, so a child below the ``rank``-th largest of
+        those values can never place among the top ``rank``, and neither
+        can its descendants.  Every removal whose own fast value — an upper
+        bound on all its children's values — falls below that certified
+        value is dropped before it peels.  The comparison uses the child
+        value expression and is non-strict, so the certifying removals and
+        ties at the ``rank``-th value always survive.  The output is an
+        in-order subsequence of the ``rank=None`` output; a caller passing
+        ``rank`` must not need children that cannot reach its top ``rank``
+        (Algorithm 2 at ``eps = 0``).
+
         When the process-wide expansion pool is active (compiled kernels
         installed, or ``REPRO_EXPANSION_THREADS`` set — see
         :func:`repro.utils.parallel.expansion_executor`) and the batch
@@ -442,8 +459,10 @@ class CSRExpansionContext:
         already-computed children into discarded speculation.
 
         The children yielded are counted here, on the consuming thread,
-        as ``candidates`` (:mod:`repro.utils.counters`), one flush per
-        call: both paths count exactly what they yield.
+        as ``candidates`` (:mod:`repro.utils.counters`), and the removals
+        any value floor skipped — the prefilter, the certified floor and
+        the live floor — as ``pruned``, one flush per call: both paths
+        count exactly what they yield and skip.
         """
         ids = self.members.ids
         c = ids.size
@@ -451,67 +470,81 @@ class CSRExpansionContext:
             return
         floor_now = floor if callable(floor) else (lambda: floor)
         parent_value = self.parent_value
-        start_floor = floor_now()
-        if self._sum_alpha is not None:
-            # Vectorised twin of the per-vertex min_removal_loss prefilter,
-            # over the same float64 weights the structure would gather.
-            losses = self.graph.weights[ids] + self._sum_alpha
-            eligible = np.flatnonzero(parent_value - losses >= start_floor)
-        elif parent_value - 0.0 < start_floor:
-            return
-        else:
-            losses = None
-            eligible = np.arange(c, dtype=np.int64)
-        if eligible.size == 0:
-            return
-        # Resolve the structure and its lazy articulation mask (which
-        # builds the spanning tree cascades read) here, on the calling
-        # thread, before any work is dispatched to threads.
-        structure = self.structure
-        articulation = structure.articulation
-        has_weak = structure.has_weak
-        small = c - 1 <= self.k
-        loss_list = losses[eligible].tolist() if losses is not None else None
         yielded = 0
+        pruned = 0
         threaded = None
         try:
+            if self._sum_alpha is not None:
+                # Vectorised twin of the per-vertex min_removal_loss
+                # prefilter, over the same float64 weights the structure
+                # would gather.
+                losses = self.graph.weights[ids] + self._sum_alpha
+            else:
+                # No cheap bound: any removal may keep the parent's value.
+                losses = np.zeros(c)
+            eligible = np.flatnonzero(parent_value - losses >= floor_now())
+            pruned = c - eligible.size
+            if eligible.size == 0:
+                return
+            # Resolve the structure and its lazy articulation mask (which
+            # builds the spanning tree cascades read) here, on the calling
+            # thread, before any work is dispatched to threads.
+            structure = self.structure
+            cascades = structure.has_weak | structure.articulation
+            small = c - 1 <= self.k
+            if rank is not None and self._sum_alpha is not None and not small:
+                kept = self._certified(eligible, rank, cascades)
+                pruned += eligible.size - kept.size
+                eligible = kept
+            loss_list = losses[eligible].tolist()
             executor, window = expansion_executor()
-            if executor is not None:
-                cascades = int(
-                    np.count_nonzero(has_weak[eligible] | articulation[eligible])
+            if executor is not None and np.count_nonzero(cascades[eligible]) >= 2:
+                threaded = self._expand_threaded(
+                    eligible.tolist(), small, executor, window
                 )
-                if cascades >= 2:
-                    threaded = self._expand_threaded(
-                        eligible.tolist(),
-                        loss_list,
-                        floor_now,
-                        small,
-                        executor,
-                        window,
-                    )
-                    for child in threaded:
-                        yielded += 1
-                        yield child
-                    return
             for pos, i in enumerate(eligible.tolist()):
-                if loss_list is not None:
-                    if parent_value - loss_list[pos] < floor_now():
-                        continue
-                elif parent_value < floor_now():
-                    return
-                if has_weak[i] or articulation[i]:
-                    for child in self._cascade_children(i):
-                        yielded += 1
-                        yield child
-                elif not small:
+                if threaded is not None:
+                    # The replay hands back removal ``pos``'s children;
+                    # the live floor is read at the same point of the
+                    # sequence as on the sequential path.
+                    children = next(threaded)
+                if parent_value - loss_list[pos] < floor_now():
+                    pruned += 1
+                    continue
+                if threaded is None:
+                    children = self._children_of_removal(i, small)
+                for child in children:
                     yielded += 1
-                    yield self._fast_child(i)
+                    yield child
         finally:
             if threaded is not None:
                 # Closing early cancels its queued speculation now, not
                 # whenever the inner generator happens to be freed.
                 threaded.close()
             count("candidates", yielded)
+            if pruned:
+                count("pruned", pruned)
+
+    def _certified(
+        self, eligible: np.ndarray, rank: int, cascades: np.ndarray
+    ) -> np.ndarray:
+        """The ``eligible`` removals that can still reach the top ``rank``
+        against the floor the batch's fast removals certify.
+
+        ``cascades`` marks the local ids whose removal peels or splits.
+        Each other removal's child value is ``(parent - w[v]) - alpha``,
+        the :meth:`_fast_child` arithmetic, bit for bit; with fewer than
+        ``rank`` such removals nothing is certified and every removal is
+        kept.
+        """
+        bounds = (
+            self.parent_value - self.structure.local_weights[eligible]
+        ) - self._sum_alpha
+        fast = bounds[~cascades[eligible]]
+        if fast.size < rank:
+            return eligible
+        certified = np.partition(fast, fast.size - rank)[fast.size - rank]
+        return eligible[bounds >= certified]
 
     def _children_of_removal(self, i: int, small: bool) -> list[ChildCandidate]:
         """Children of removing local id ``i`` — the unit of threaded work.
@@ -531,23 +564,21 @@ class CSRExpansionContext:
     def _expand_threaded(
         self,
         eligible: list[int],
-        loss_list: "list[float] | None",
-        floor_now,
         small: bool,
         executor,
         window: int,
-    ) -> Iterator[ChildCandidate]:
+    ) -> Iterator[list[ChildCandidate]]:
         """Speculative threaded expansion with in-order replay.
 
         A sliding window of at most ``window`` removals runs ahead on the
-        pool; results are consumed strictly in submission order and the
-        live floor is evaluated at the same point of the consumption
-        sequence as the sequential path — identical output, with the
-        pruned removals' work wasted rather than skipped (bounded by the
-        window).  The compiled kernels release the GIL inside the peel
-        and BFS loops, which is where the overlap comes from.
+        pool; each removal's children are handed back strictly in
+        submission order, so :meth:`expand` evaluates the live floor at
+        the same point of the consumption sequence as the sequential path
+        — identical output, with the pruned removals' work wasted rather
+        than skipped (bounded by the window).  The compiled kernels
+        release the GIL inside the peel and BFS loops, which is where the
+        overlap comes from.
         """
-        parent_value = self.parent_value
         pending: deque = deque()
         submitted = 0
         try:
@@ -555,24 +586,14 @@ class CSRExpansionContext:
                 while submitted < len(eligible) and len(pending) < window:
                     i = eligible[submitted]
                     pending.append(
-                        (
-                            submitted,
-                            executor.submit(self._children_of_removal, i, small),
-                        )
+                        executor.submit(self._children_of_removal, i, small)
                     )
                     submitted += 1
-                pos, future = pending.popleft()
-                children = future.result()
-                if loss_list is not None:
-                    if parent_value - loss_list[pos] < floor_now():
-                        continue
-                elif parent_value < floor_now():
-                    return
-                yield from children
+                yield pending.popleft().result()
         finally:
             # An abandoned or floor-terminated generator must not leave
             # speculative work queued behind it on the shared pool.
-            for __, future in pending:
+            for future in pending:
                 future.cancel()
 
     # ------------------------------------------------------------------

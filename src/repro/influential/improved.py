@@ -4,13 +4,22 @@ Best-first refinement of Algorithm 1.  A max-heap ``L`` of candidate
 communities is seeded with the k-core components; each round pops the
 community with the largest influence value ``Lmax``, confirms it, and
 expands it by deleting one vertex at a time and re-coring (Lines 11-19).
-Two prunings keep the frontier small:
+Three prunings keep the frontier small:
 
 * children are discarded unless they reach the value of the current r-th
   best candidate (Line 13's ``f(H) > f(Lr)``), sound by Corollary 2;
+* at ``eps = 0``, each batch also certifies its own floor: the removals
+  that neither cascade nor split have children whose exact values are
+  known before any child is built, and they are ``r`` distinct
+  communities once there are ``r`` of them, so a removal whose best
+  possible child falls below the r-th largest of those values is dropped
+  before it peels (``expand(..., rank=r)``; the reference engine ignores
+  ``rank``, so ``set_engine()`` runs the un-floored algorithm);
 * with ``eps > 0``, any child whose value reaches the lower bound
   ``LB = (1 - eps) * f(Lmax)`` is *confirmed immediately* (Lines 16-17)
   instead of waiting to be popped, trading exactness for fewer rounds.
+  The search stops at the r-th confirmation, mid-batch: the rest of the
+  batch cannot change ``results[:r]``.
 
 At ``eps = 0`` this is the paper's "Improve" configuration and is exact:
 the popped maximum always dominates every unexplored candidate because
@@ -106,6 +115,7 @@ def tic_improved(
 
     results: list[ChildCandidate] = []
     confirmed: set[object] = set()
+    rank = r if eps == 0.0 else None
 
     while frontier and len(results) < r:
         value, lmax = frontier.pop()  # Line 8: best candidate
@@ -121,13 +131,16 @@ def tic_improved(
         # bound as of batch start feeds the vectorised prefilter, and the
         # live bound (candidate_top.threshold tightens as children are
         # offered) is re-read per removal; the evolving bound is still
-        # applied per child below.
+        # applied per child below.  At eps = 0 the engine also certifies
+        # a floor from the batch's own non-cascading removals (rank=r);
+        # at eps > 0 children below the r-th value may still be confirmed
+        # early (Lines 16-17), so no such floor applies.
         context = expansion_context(
             graph, lmax.vertices, k, aggregator, value, hasher,
             lmax.key, pool=engine_pool,
         )
         prune_at = candidate_top.threshold()
-        for child in context.expand(candidate_top.threshold):
+        for child in context.expand(candidate_top.threshold, rank=rank):
             # Line 13: prune strictly-dominated children — strictly
             # below the r-th candidate value they can never place.
             if candidate_top.is_full and child.value < prune_at:
@@ -140,14 +153,15 @@ def tic_improved(
             if (
                 eps > 0.0
                 and child.value >= lower_bound
-                and len(results) < r
                 and child.vertices not in confirmed
             ):
                 confirmed.add(child.vertices)
                 results.append(child)
+                if len(results) >= r:
+                    # results[:r] is final: the rest of the batch cannot
+                    # change the answer.
+                    break
             frontier.push(child.value, child)
-        if eps > 0.0 and len(results) >= r:
-            break
     return ResultSet(
         candidate.to_community(aggregator.name, k)
         for candidate in results[:r]

@@ -236,7 +236,9 @@ class ExpansionContext:
             key = hasher.toggle(key, u)
         return key
 
-    def expand(self, floor=float("-inf")) -> Iterator[ChildCandidate]:
+    def expand(
+        self, floor=float("-inf"), rank: int | None = None
+    ) -> Iterator[ChildCandidate]:
         """All children of the component, one removal at a time.
 
         Vertices are visited in ascending id order; per vertex, children
@@ -252,6 +254,11 @@ class ExpansionContext:
         *dropped* would prune differently there.  The floor is
         conservative either way; callers must still re-check each child
         against their current bound.
+
+        ``rank`` is accepted for signature parity with the CSR engine and
+        ignored: this engine never applies the certified floor, so under
+        :func:`set_engine` Algorithm 2 runs un-floored and serves as the
+        oracle for it.
         """
         floor_now = floor if callable(floor) else (lambda: floor)
         parent_value = self.parent_value

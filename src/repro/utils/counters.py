@@ -19,6 +19,9 @@ Names recorded today:
 
 * ``candidates`` — children yielded by
   :meth:`repro.influential.expansion_csr.CSRExpansionContext.expand`;
+* ``pruned`` — removals that ``expand`` skipped because a value floor
+  ruled them out (the batch prefilter, the certified floor of
+  ``rank``, or the live floor);
 * ``prefixes_tested`` — connected-k-core verdicts asked of a
   :class:`repro.influential.strategies.PrefixSweep` by the local-search
   strategies.

@@ -209,19 +209,23 @@ def test_threaded_expand_builds_each_tree_once_on_caller(monkeypatch):
 
 
 def test_threaded_expand_counts_what_it_yields(monkeypatch):
-    """``candidates`` is counted on the consuming thread, so one
-    ``tic_improved`` call records the same count with and without
-    expansion threads: speculative children are not counted."""
+    """``candidates`` and ``pruned`` are counted on the consuming thread,
+    so one ``tic_improved`` call (which expands with ``rank=r``, the
+    certified floor) records the same counts with and without expansion
+    threads: speculative children are not counted, and a removal the
+    live floor skips after its speculation ran is counted as pruned
+    exactly as on the sequential path."""
     base = gnm_random_graph(200, 1600, seed=5)
     graph = base.with_weights(make_rng(6).uniform(0.1, 30.0, base.n))
 
-    def candidates():
+    def counts():
         with counting() as tally:
             tic_improved(graph, 8, 32)
-        return tally["candidates"]
+        return tally["candidates"], tally["pruned"]
 
     monkeypatch.delenv(parallel.EXPANSION_THREADS_ENV_VAR, raising=False)
-    sequential = candidates()
+    sequential = counts()
+    assert min(sequential) > 0
     threaded = []
     original_threaded = CSRExpansionContext._expand_threaded
 
@@ -231,7 +235,7 @@ def test_threaded_expand_counts_what_it_yields(monkeypatch):
 
     monkeypatch.setenv(parallel.EXPANSION_THREADS_ENV_VAR, "2")
     monkeypatch.setattr(CSRExpansionContext, "_expand_threaded", spy_threaded)
-    assert candidates() == sequential > 0
+    assert counts() == sequential
     assert threaded, "fixture must exercise the threaded replay"
 
 

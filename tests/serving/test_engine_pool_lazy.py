@@ -60,13 +60,13 @@ def test_dead_pops_build_no_structure(graph, monkeypatch, threads, f):
     original_structure_for = ExpansionEnginePool.structure_for
     alpha = 1.0 if f.startswith("sum-surplus") else 0.0
 
-    def spy_expand(self, floor=float("-inf")):
+    def spy_expand(self, floor=float("-inf"), rank=None):
         start = floor() if callable(floor) else floor
         losses = self.graph.weights[self.members.ids] + alpha
         eligible = bool(np.any(self.parent_value - losses >= start))
         before = pool.structure_misses
         try:
-            yield from original_expand(self, floor)
+            yield from original_expand(self, floor, rank)
         finally:
             misses = pool.structure_misses - before
             pops.append((len(self.members), eligible, misses))
