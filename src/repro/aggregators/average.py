@@ -25,3 +25,13 @@ class Average(Aggregator):
     def from_stats(self, stats: SubsetStats, graph_total: float | None = None) -> float:
         self._require_nonempty(stats)
         return stats.weight_sum / stats.size
+
+    def from_scalars(
+        self,
+        size: int,
+        weight_sum: float,
+        weight_min: float,
+        weight_max: float,
+        graph_total: float | None = None,
+    ) -> float:
+        return weight_sum / size

@@ -48,6 +48,25 @@ class Aggregator(ABC):
     def from_stats(self, stats: SubsetStats, graph_total: float | None = None) -> float:
         """Evaluate ``f`` on pre-computed subset statistics."""
 
+    def from_scalars(
+        self,
+        size: int,
+        weight_sum: float,
+        weight_min: float,
+        weight_max: float,
+        graph_total: float | None = None,
+    ) -> float:
+        """:meth:`from_stats` on the four statistics of a non-empty subset,
+        passed as scalars.
+
+        Local search evaluates ``f`` on every prefix it walks; aggregators
+        whose value is a plain expression of the scalars override this to
+        skip building a :class:`SubsetStats`, with the same float
+        expression as their :meth:`from_stats`.
+        """
+        stats = SubsetStats(size, weight_sum, weight_min, weight_max)
+        return self.from_stats(stats, graph_total)
+
     def value(self, graph: Graph, vertices: Iterable[int]) -> float:
         """Evaluate ``f(G[H])`` directly from a graph and vertex subset.
 

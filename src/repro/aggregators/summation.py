@@ -28,6 +28,16 @@ class Sum(Aggregator):
         self._require_nonempty(stats)
         return stats.weight_sum
 
+    def from_scalars(
+        self,
+        size: int,
+        weight_sum: float,
+        weight_min: float,
+        weight_max: float,
+        graph_total: float | None = None,
+    ) -> float:
+        return weight_sum
+
 
 class SumSurplus(Aggregator):
     """``f(H) = w(H) + alpha * |H|`` (Table I row "Sum-surplus").
@@ -55,3 +65,13 @@ class SumSurplus(Aggregator):
     def from_stats(self, stats: SubsetStats, graph_total: float | None = None) -> float:
         self._require_nonempty(stats)
         return stats.weight_sum + self.alpha * stats.size
+
+    def from_scalars(
+        self,
+        size: int,
+        weight_sum: float,
+        weight_min: float,
+        weight_max: float,
+        graph_total: float | None = None,
+    ) -> float:
+        return weight_sum + self.alpha * size

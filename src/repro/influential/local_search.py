@@ -24,18 +24,20 @@ first so high-value regions are claimed before their vertices can be
 absorbed by weaker neighbours.
 
 Complexity: the paper states O(n * k * s^2).  Here each seed costs a BFS
-over the alive neighbour lists of the vertices it pops — read off the CSR
-once per query on the TIC path, where the k-core never shrinks — an
-O(s log s) sort in greedy mode, and the strategy's prefix sweep, which
-is O(s) values plus set intersections only for the prefixes it actually
-tests (see :mod:`repro.influential.strategies`).  Remark 2's caveat —
-local search works when the result community's diameter is small —
-carries over unchanged.
+that stops as soon as it holds ``s`` vertices, even part-way through a
+popped hub's neighbour list, over alive neighbour lists that one
+vectorised filter of the CSR builds per query (the TIC k-core never
+shrinks; TONIC patches the lists of the neighbours of each removal);
+an O(s log s) sort in greedy mode; and the strategy's prefix sweep,
+which is O(s) values plus set intersections only for the prefixes it
+actually decides (see :mod:`repro.influential.strategies`).  Remark 2's
+caveat — local search works when the result community's diameter is
+small — carries over unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,36 +69,38 @@ def s_nearest_neighbors(
     *absence of weight sorting*, not nondeterminism.
 
     ``within_mask`` is the boolean array equivalent of ``within`` (built
-    here when not supplied): the per-vertex restriction is one vectorised
-    filter of the already-sorted CSR neighbour run.
+    here when not supplied).
     """
     if within_mask is None:
         within_mask = membership_mask(graph.n, within)
-    return _bfs_order(seed, s, _masked_neighbours(graph, within_mask))
+    return _bfs_order(seed, s, _alive_neighbours(graph, within_mask))
 
 
-def _masked_neighbours(graph: Graph, mask: np.ndarray) -> Callable[[int], list[int]]:
-    """``u -> its neighbours inside mask``, ascending, read off the CSR."""
+def _alive_neighbours(graph: Graph, alive: np.ndarray) -> list[list[int]]:
+    """Each alive vertex's alive neighbours, ascending, indexed by vertex
+    (other vertices get empty lists): one vectorised filter of the CSR
+    arcs with both ends alive, cut back into per-vertex runs."""
     csr = graph.csr
+    indptr, indices = csr.indptr, csr.indices
+    keep = alive[indices] & np.repeat(alive, np.diff(indptr))
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    bounds = kept_before[indptr].tolist()
+    arcs = indices[keep].tolist()
+    return [arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def neighbours(u: int) -> list[int]:
-        neigh = csr.neighbors(u)
-        return neigh[mask[neigh]].tolist()
 
-    return neighbours
-
-
-def _bfs_order(seed: int, s: int, neighbours: Callable[[int], list[int]]) -> list[int]:
+def _bfs_order(seed: int, s: int, neighbours: Sequence[list[int]]) -> list[int]:
     order = [seed]
+    if s <= 1:
+        return order
     seen = {seed}
-    head = 0  # order doubles as the BFS queue
-    while head < len(order) < s:
-        fresh = [v for v in neighbours(order[head]) if v not in seen]
-        head += 1
-        if fresh:
-            fresh = fresh[: s - len(order)]
-            order += fresh
-            seen.update(fresh)
+    for u in order:  # order doubles as the BFS queue
+        for v in neighbours[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                if len(order) == s:  # stop mid-list: the rest is not needed
+                    return order
     return order
 
 
@@ -193,14 +197,7 @@ def local_search(
 
     # The k-core never shrinks here, so each vertex's alive neighbours are
     # read off the CSR once per query and reused by every later BFS.
-    masked = _masked_neighbours(graph, membership_mask(graph.n, alive))
-    cache: dict[int, list[int]] = {}
-
-    def neighbours(u: int) -> list[int]:
-        found = cache.get(u)
-        if found is None:
-            found = cache[u] = masked(u)
-        return found
+    neighbours = _alive_neighbours(graph, membership_mask(graph.n, alive))
 
     top = DistinctTopR(r)
     for seed in seeds:  # Lines 2-7
@@ -236,13 +233,11 @@ def _tonic_local_search(
     from repro.core.kcore import kcore_of_subset
 
     accepted: list[Community] = []
-    alive_mask = membership_mask(graph.n, alive)
+    neighbours = _alive_neighbours(graph, membership_mask(graph.n, alive))
     for seed in seeds:
         if seed not in alive:
             continue
-        # Re-core the survivors around this seed: removals may have left
-        # vertices below degree k which must not join candidates.
-        neighbourhood = s_nearest_neighbors(graph, seed, s, alive, alive_mask)
+        neighbourhood = _bfs_order(seed, s, neighbours)
         if len(neighbourhood) <= k:
             continue
         if sort_key is not None:
@@ -252,7 +247,13 @@ def _tonic_local_search(
         if len(slot):
             community = slot.best()
             accepted.append(community)
-            alive -= community.vertices
-            alive.intersection_update(kcore_of_subset(graph, alive, k))
-            alive_mask = membership_mask(graph.n, alive)
+            # Re-core the survivors: removals may have left vertices below
+            # degree k, which must not join later candidates.
+            survivors = kcore_of_subset(graph, alive - community.vertices, k)
+            removed, alive = alive - survivors, survivors
+            # Drop the removed vertices from their surviving neighbours'
+            # lists; a removed vertex's own list is never read again.
+            touched = {u for v in removed for u in neighbours[v]} & alive
+            for u in touched:
+                neighbours[u] = [v for v in neighbours[u] if v in alive]
     return ResultSet(sorted(accepted)[:r])

@@ -17,18 +17,23 @@ shrinking from the tail walks the prefixes downwards — so one forward
 :class:`PrefixSweep` per seed answers "is this prefix a connected
 k-core?" for all of them, in the incremental style of a seed-set sweep
 cut.  Values come from a running sum, minimum and maximum, in the same
-float order as a recount (the forward total, minus the popped tail), so
+float order as a recount (the forward total, minus the popped tail), and
+go through :meth:`~repro.aggregators.base.Aggregator.from_scalars`, so
 every threshold comparison matches :mod:`repro.reference`'s strategies
-bit for bit.
+bit for bit without a :class:`~repro.utils.stats.SubsetStats` per length.
 
-Cost per seed, for a block of ``s`` vertices: O(s) for the values; for
+Cost per seed, for a block of ``s`` vertices: O(s) for the values, and
+one value when SumStrategy's full block cannot beat the threshold; for
 the prefixes actually tested, one O(min(d(v), p)) set intersection per
-vertex counted (each at most once while the prefix grows) plus O(1) per
-verdict the current witness still fails; and an O(p + edges) BFS for
-each tested prefix that passes the degree test.  The paper's accounting
-re-tests every prefix from scratch — a fresh set and a rescan of each
-member's adjacency, O(s^2 d) per seed — and that form lives on in
-:mod:`repro.reference` as the oracle.
+vertex counted plus O(1) per verdict the current witness still fails;
+and an O(p + edges) BFS for each tested prefix that passes the degree
+test.  While the prefix grows each vertex is counted at most once.  A
+shrink recounts head first, and the first vertex below k fails every
+length down to its own position, so SumStrategy pays one recount per
+witness, not per length, and walks the lengths in between on values
+alone.  The paper's accounting re-tests every prefix from scratch — a
+fresh set and a rescan of each member's adjacency, O(s^2 d) per seed —
+and that form lives on in :mod:`repro.reference` as the oracle.
 
 Strategies are registered by aggregator family in ``strategy_for``; new
 aggregators fall back to :class:`AvgStrategy`'s grow-and-test scheme, which
@@ -45,7 +50,6 @@ from repro.aggregators.base import Aggregator
 from repro.graphs.graph import Graph
 from repro.influential.community import Community, community_from_vertices
 from repro.utils.counters import count
-from repro.utils.stats import SubsetStats
 from repro.utils.topr import TopR
 
 
@@ -63,7 +67,13 @@ class PrefixSweep:
     * a vertex once counted at degree >= k stays there while the prefix
       grows.  Vertices not yet counted there wait on a stack, newest
       first, and a grown prefix is cohesive once the stack empties.  A
-      shrink makes every count stale, so the next count starts over.
+      shrink makes every count stale, so the next count starts over,
+      head first.
+
+    A witness at position ``i`` fails every prefix that still holds it at
+    a degree no higher, so a failed verdict covers the lengths from
+    :meth:`failing_from` up to the one asked; a head-first recount finds
+    the earliest witness and so the widest such range.
 
     Each count is one set intersection, O(min(d(v), p)).  The sweep
     reaches only as far as the longest prefix asked about, and the
@@ -72,7 +82,7 @@ class PrefixSweep:
 
     __slots__ = (
         "_adjacency", "_block", "_k", "_inside", "_length", "_unsure",
-        "_stale", "_witness", "_witness_degree",
+        "_stale", "_witness", "_witness_at", "_witness_degree",
     )
 
     def __init__(self, adjacency: Sequence[set[int]], block: Sequence[int], k: int) -> None:
@@ -81,9 +91,10 @@ class PrefixSweep:
         self._k = k
         self._inside: set[int] = set()  # the first _length vertices of block
         self._length = 0
-        self._unsure: list[int] = []  # inside, not yet counted at degree >= k
-        self._stale = False  # a shrink voided the counts: all of inside is unsure
-        self._witness: int | None = None  # inside and below k, or None
+        self._unsure: list[int] = []  # positions inside, not yet counted at >= k
+        self._stale = True  # every vertex inside is unsure, to count head first
+        self._witness: set[int] | None = None  # neighbours of the witness
+        self._witness_at = 0  # its position in block: inside and below k
         self._witness_degree = 0
 
     def is_candidate(self, length: int) -> bool:
@@ -95,7 +106,7 @@ class PrefixSweep:
         if length < self._length:
             inside.difference_update(block[length : self._length])
             self._stale = True
-            if witness not in inside:
+            if self._witness_at >= length:
                 witness = self._witness = None
             # A witness kept keeps its old count, which is now an upper
             # bound: while that stays below k the verdict still fails, and
@@ -104,27 +115,46 @@ class PrefixSweep:
             joined = block[self._length : length]
             inside.update(joined)
             if not self._stale:
-                self._unsure += joined
+                self._unsure += range(self._length, length)
             if witness is not None:
-                joined_adjacent = self._adjacency[witness].intersection(joined)
-                self._witness_degree += len(joined_adjacent)
+                self._witness_degree += len(witness.intersection(joined))
         self._length = length
         k = self._k
         if witness is not None:
             if self._witness_degree < k:
                 return False
             self._witness = None
+        adjacency = self._adjacency
         if self._stale:
-            self._unsure = list(block[:length])
             self._stale = False
-        adjacency, unsure = self._adjacency, self._unsure
-        while unsure:
-            v = unsure.pop()
-            degree = len(adjacency[v] & inside)
-            if degree < k:
-                self._witness, self._witness_degree = v, degree
-                return False
+            for i in range(length):
+                near = adjacency[block[i]]
+                degree = len(near & inside)
+                if degree < k:
+                    self._witness, self._witness_at = near, i
+                    self._witness_degree = degree
+                    # The rest is uncounted, the earliest on top.
+                    self._unsure = list(range(length - 1, i, -1))
+                    return False
+            self._unsure = []
+        else:
+            unsure = self._unsure
+            while unsure:
+                i = unsure.pop()
+                near = adjacency[block[i]]
+                degree = len(near & inside)
+                if degree < k:
+                    self._witness, self._witness_at = near, i
+                    self._witness_degree = degree
+                    return False
         return self._connected(length)
+
+    def failing_from(self) -> int:
+        """After a False verdict, the shortest length it covers: every
+        prefix from this length to the one asked fails too."""
+        if self._witness is None:  # disconnected: this length alone
+            return self._length
+        return self._witness_at + 1
 
     def _connected(self, length: int) -> bool:
         adjacency = self._adjacency
@@ -153,10 +183,6 @@ class Strategy(ABC):
         self._adjacency = graph.adjacency
         self._weights = graph.weights.tolist()
 
-    def _value(self, size: int, total: float, low: float, high: float) -> float:
-        stats = SubsetStats(size, total, low, high)
-        return self.aggregator.from_stats(stats, self._graph_total)
-
     def _make(self, vertices: Sequence[int]) -> Community:
         return community_from_vertices(self.graph, vertices, self.aggregator, self.k)
 
@@ -171,30 +197,42 @@ class SumStrategy(Strategy):
     For size-proportional aggregators the largest feasible prefix has the
     largest value, so the search starts from the full block and drops the
     last (in greedy mode: lightest) vertices until the k-core test passes
-    or the value no longer beats the threshold.
+    or the value no longer beats the threshold.  A failed verdict also
+    decides the shorter lengths it covers (:meth:`PrefixSweep.failing_from`),
+    so the walk down to the next open length compares values only.
     """
 
     def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
         block = ordered[: self.s]  # Lines 3-5: first s vertices
         weights = [self._weights[v] for v in block]
-        lows = list(accumulate(weights, min))
-        highs = list(accumulate(weights, max))
         total = 0.0
         for weight in weights:
             total += weight
-        sweep = PrefixSweep(self._adjacency, block, self.k)
         # Lines 6-12: shrink from the tail while worthwhile.  Nothing is
         # offered before the loop ends, so the threshold holds still.
         threshold = top.threshold()
+        value_of, graph_total = self.aggregator.from_scalars, self._graph_total
+        k = self.k
         size = len(block)
+        if size <= k or not value_of(
+            size, total, min(weights), max(weights), graph_total
+        ) > threshold:
+            count("prefixes_tested", 0)
+            return
+        lows = list(accumulate(weights, min))
+        highs = list(accumulate(weights, max))
+        sweep = PrefixSweep(self._adjacency, block, k)
+        decided = size + 1  # lengths >= decided are known to fail
         tested = 0
-        while size > self.k and self._value(
-            size, total, lows[size - 1], highs[size - 1]
+        while size > k and value_of(
+            size, total, lows[size - 1], highs[size - 1], graph_total
         ) > threshold:
             tested += 1
-            if sweep.is_candidate(size):
-                top.offer(self._make(block[:size]))
-                break
+            if size < decided:
+                if sweep.is_candidate(size):
+                    top.offer(self._make(block[:size]))
+                    break
+                decided = sweep.failing_from()
             size -= 1  # C.last leaves
             total -= weights[size]
         count("prefixes_tested", tested)
@@ -223,7 +261,9 @@ class AvgStrategy(Strategy):
     def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
         block = ordered[: self.s]
         weights = self._weights
-        sweep = PrefixSweep(self._adjacency, block, self.k)
+        value_of, graph_total = self.aggregator.from_scalars, self._graph_total
+        k = self.k
+        sweep = None  # built by the first test
         threshold = top.threshold()  # nothing is offered before the loop ends
         total, low, high = 0.0, float("inf"), float("-inf")
         best: tuple[float, int] | None = None
@@ -235,12 +275,14 @@ class AvgStrategy(Strategy):
                 low = weight
             if weight > high:
                 high = weight
-            if size <= self.k:
+            if size <= k:
                 continue
-            value = self._value(size, total, low, high)
+            value = value_of(size, total, low, high, graph_total)
             if not value > threshold:
                 continue
             tested += 1
+            if sweep is None:
+                sweep = PrefixSweep(self._adjacency, block, k)
             if sweep.is_candidate(size):
                 if best is None or value > best[0]:  # Line 10 collects; 12 argmax
                     best = (value, size)

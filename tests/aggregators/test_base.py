@@ -33,6 +33,17 @@ def test_value_agrees_with_from_stats(triangle):
         assert direct == pytest.approx(via_stats), aggregator.name
 
 
+def test_from_scalars_matches_from_stats():
+    """The scalar form local search calls is the same float expression."""
+    cases = [(3, 6.0, 1.0, 3.0), (10, 0.9999999999999999, 0.1, 0.1), (7, 2.3, 0.1, 0.9)]
+    for aggregator in _all_instances():
+        for size, total, low, high in cases:
+            stats = SubsetStats(size, total, low, high)
+            expected = aggregator.from_stats(stats, graph_total=40.0)
+            got = aggregator.from_scalars(size, total, low, high, 40.0)
+            assert got.hex() == expected.hex(), aggregator.name
+
+
 def test_decreasing_flag_is_truthful(two_triangles):
     """Every aggregator claiming Corollary 2 must actually decrease when a
     vertex leaves (checked over all subsets of a small graph)."""
