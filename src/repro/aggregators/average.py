@@ -21,6 +21,7 @@ class Average(Aggregator):
     is_size_proportional = False
     decreases_under_removal = False
     np_hard_unconstrained = True
+    reads_extremes = False
 
     def from_stats(self, stats: SubsetStats, graph_total: float | None = None) -> float:
         self._require_nonempty(stats)

@@ -34,6 +34,9 @@ class Aggregator(ABC):
         Table I hardness of the size-unconstrained / constrained problems.
     ``needs_graph_total``
         True for balanced density, whose value depends on ``w(V \\ H)``.
+    ``reads_extremes``
+        False when :meth:`from_scalars` ignores ``weight_min`` and
+        ``weight_max``, so a caller need not track them.
     """
 
     name: str = "abstract"
@@ -43,6 +46,7 @@ class Aggregator(ABC):
     np_hard_unconstrained: bool = False
     np_hard_constrained: bool = True  # every size-constrained variant is NP-hard
     needs_graph_total: bool = False
+    reads_extremes: bool = True
 
     @abstractmethod
     def from_stats(self, stats: SubsetStats, graph_total: float | None = None) -> float:

@@ -23,6 +23,7 @@ class Sum(Aggregator):
     is_size_proportional = True
     decreases_under_removal = True
     np_hard_unconstrained = False
+    reads_extremes = False
 
     def from_stats(self, stats: SubsetStats, graph_total: float | None = None) -> float:
         self._require_nonempty(stats)
@@ -52,6 +53,7 @@ class SumSurplus(Aggregator):
     is_size_proportional = True
     decreases_under_removal = True
     np_hard_unconstrained = False
+    reads_extremes = False
 
     def __init__(self, alpha: float = 1.0) -> None:
         if alpha < 0:

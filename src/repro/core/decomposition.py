@@ -8,8 +8,7 @@ of the paper's Table III (the largest k with a non-empty k-core).
 
 The computation runs in the kernel tier
 (:func:`repro.kernels.core_numbers`): a vectorised degree-wave peel in pure
-numpy, or the compiled BZ bucket loop when Numba is installed.  The
-pointer-chasing BZ peel over set adjacency lives on in
+numpy.  The pointer-chasing BZ peel over set adjacency lives on in
 :mod:`repro.reference` as the test oracle.
 
 Reference: V. Batagelj and M. Zaveršnik, "An O(m) Algorithm for Cores

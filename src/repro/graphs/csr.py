@@ -24,9 +24,8 @@ The class also hosts the vectorised primitives every kernel needs:
   :func:`repro.influential.minmax_solvers.community_forest` peel here.
 
 The peel and component-split hot loops themselves live in
-:mod:`repro.kernels` (compiled when Numba is installed, pure numpy
-otherwise); the methods here are thin flat-array adapters around that
-dispatch point.
+:mod:`repro.kernels`; the methods here are thin flat-array adapters
+around those kernels.
 """
 
 from __future__ import annotations

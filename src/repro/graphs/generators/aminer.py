@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.centrality.hindex import g_index, h_index, i10_index
 from repro.errors import DatasetError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.graph import Graph
@@ -101,30 +102,26 @@ def _researcher_name(rng: np.random.Generator, used: set[str]) -> str:
 def _citation_indices(
     rng: np.random.Generator, paper_counts: np.ndarray, boost: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Derive citations and h/g/i10-style indices from paper counts.
+    """Derive citations and h/g/i10 indices from paper counts.
 
     Each researcher's per-paper citations are log-normal scaled by their
-    ``boost``; the indices follow the standard definitions computed on the
-    sampled per-paper citation vectors.
+    ``boost``; the indices are :mod:`repro.centrality.hindex`'s, computed
+    on the sampled per-paper citation vectors.
     """
     n = len(paper_counts)
     citations = np.zeros(n)
-    h_index = np.zeros(n)
-    g_index = np.zeros(n)
-    i10_index = np.zeros(n)
+    h = np.zeros(n)
+    g = np.zeros(n)
+    i10 = np.zeros(n)
     for v in range(n):
         per_paper = np.sort(
             rng.lognormal(mean=1.0, sigma=1.0, size=int(paper_counts[v])) * boost[v]
         )[::-1]
         citations[v] = per_paper.sum()
-        ranks = np.arange(1, len(per_paper) + 1)
-        h_mask = per_paper >= ranks
-        h_index[v] = int(h_mask.sum())
-        cumulative = np.cumsum(per_paper)
-        g_mask = cumulative >= ranks**2
-        g_index[v] = int(g_mask.sum())
-        i10_index[v] = int((per_paper >= 10).sum())
-    return citations, h_index, g_index, i10_index
+        h[v] = h_index(per_paper)
+        g[v] = g_index(per_paper)
+        i10[v] = i10_index(per_paper)
+    return citations, h, g, i10
 
 
 def generate_aminer(

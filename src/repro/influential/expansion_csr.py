@@ -448,8 +448,8 @@ class CSRExpansionContext:
         ``rank`` must not need children that cannot reach its top ``rank``
         (Algorithm 2 at ``eps = 0``).
 
-        When the process-wide expansion pool is active (compiled kernels
-        installed, or ``REPRO_EXPANSION_THREADS`` set — see
+        When the process-wide expansion pool is active
+        (``REPRO_EXPANSION_THREADS`` above 1 — see
         :func:`repro.utils.parallel.expansion_executor`) and the batch
         carries more than one cascading removal, the per-removal child
         computations are dispatched to threads speculatively and replayed
@@ -575,9 +575,8 @@ class CSRExpansionContext:
         submission order, so :meth:`expand` evaluates the live floor at
         the same point of the consumption sequence as the sequential path
         — identical output, with the pruned removals' work wasted rather
-        than skipped (bounded by the window).  The compiled kernels
-        release the GIL inside the peel and BFS loops, which is where the
-        overlap comes from.
+        than skipped (bounded by the window).  Threads overlap only where
+        numpy releases the GIL inside the kernels' array operations.
         """
         pending: deque = deque()
         submitted = 0

@@ -16,9 +16,10 @@ Every candidate either strategy tests is a prefix of the ordered block —
 shrinking from the tail walks the prefixes downwards — so one forward
 :class:`PrefixSweep` per seed answers "is this prefix a connected
 k-core?" for all of them, in the incremental style of a seed-set sweep
-cut.  Values come from a running sum, minimum and maximum, in the same
-float order as a recount (the forward total, minus the popped tail), and
-go through :meth:`~repro.aggregators.base.Aggregator.from_scalars`, so
+cut.  Values come from a running sum, plus a running minimum and maximum
+for aggregators that read them (``reads_extremes``), in the same float
+order as a recount (the forward total, minus the popped tail), and go
+through :meth:`~repro.aggregators.base.Aggregator.from_scalars`, so
 every threshold comparison matches :mod:`repro.reference`'s strategies
 bit for bit without a :class:`~repro.utils.stats.SubsetStats` per length.
 
@@ -219,8 +220,11 @@ class SumStrategy(Strategy):
         ) > threshold:
             count("prefixes_tested", 0)
             return
-        lows = list(accumulate(weights, min))
-        highs = list(accumulate(weights, max))
+        if self.aggregator.reads_extremes:
+            lows = list(accumulate(weights, min))
+            highs = list(accumulate(weights, max))
+        else:  # value_of ignores min and max: skip the prefix scans
+            lows = highs = weights
         sweep = PrefixSweep(self._adjacency, block, k)
         decided = size + 1  # lengths >= decided are known to fail
         tested = 0

@@ -1,19 +1,26 @@
-"""Pure-numpy kernel implementations: the always-available fallback.
+"""The kernel tier: the hottest flat-array loops, vectorised with numpy.
 
-Every function here is the vectorised hot loop that used to live inline
-in :mod:`repro.graphs.csr`, :mod:`repro.core.decomposition` or
-:mod:`repro.truss.decomposition`, lifted to a flat-array signature
-(``indptr``/``indices`` instead of a ``CSRAdjacency``) so the Numba twin
-in :mod:`repro.kernels._numba` can share it exactly.  The dispatch rules
-live in :mod:`repro.kernels`; callers never import this module directly
-except to pin the fallback (the parity tests do, to hold the compiled
-kernels against it).
+========================  =============================================
+``peel_to_kcore``         in-place "delete while min degree < k" peel
+``components_of_mask``    connected components of a masked vertex set
+``core_numbers``          full core decomposition (Batagelj–Zaveršnik)
+``arc_supports``          per-edge triangle counts (degree orientation)
+========================  =============================================
 
-Determinism contract (shared with the compiled backend): every function
-returns exact integer/boolean results — peel fixpoints are unique, BFS
-components are emitted by smallest member as sorted arrays, supports are
-exact triangle counts — so swapping backends can never change a solver
-answer by even one bit.
+Each kernel takes flat CSR arrays (``indptr``/``indices`` instead of a
+``CSRAdjacency``).  Callers reach them as module attributes
+(``kernels.peel_to_kcore(...)``), so a tracer can wrap one by patching
+this module.  ``certify_connected`` (a spanning-tree proof that a masked
+vertex set is still connected, in time proportional to the removed
+vertices' neighbourhoods; ``False`` means "not proved") and the
+``decrement_degrees`` helper live here too.
+
+Determinism contract: every function returns exact integer/boolean
+results — peel fixpoints are unique, BFS components are emitted by
+smallest member as sorted arrays, supports are exact triangle counts.
+The original dict/set implementations in :mod:`repro.reference` remain
+the parity oracle; the property suites in ``tests/properties`` and
+``tests/kernels`` hold the two in lockstep.
 """
 
 from __future__ import annotations
@@ -26,8 +33,14 @@ __all__ = [
     "components_of_mask",
     "core_numbers",
     "decrement_degrees",
+    "kernel_backend",
     "peel_to_kcore",
 ]
+
+
+def kernel_backend() -> str:
+    """Name of the kernel implementation, for run headers: ``"numpy"``."""
+    return "numpy"
 
 
 def _gather(

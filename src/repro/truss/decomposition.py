@@ -36,7 +36,7 @@ def edge_supports(graph: Graph) -> dict[tuple[int, int], int]:
     tie-breaks downstream see a fixed orientation, and hand the
     forward-arc CSR (``fptr``/``fdst``, runs sorted by target) to
     :func:`repro.kernels.arc_supports`: the O(m^1.5) smaller-endpoint
-    triangle enumeration, vectorised in numpy or compiled under Numba.
+    triangle enumeration, vectorised in numpy.
     Arc ``i`` is the undirected edge ``(fsrc[i], fdst[i])``.
     """
     csr = graph.csr

@@ -1,19 +1,9 @@
-"""CPU-count and thread-sizing helpers for the expansion thread pool.
+"""Thread sizing for the intra-query expansion pool.
 
-Two distinct concerns live here:
-
-* **CPU count** — :func:`effective_cpu_count` is the one place that
-  answers "how many threads can actually run?"  ``os.process_cpu_count``
-  (Python 3.13+) respects CPU affinity; older interpreters fall back to
-  ``sched_getaffinity`` and then ``os.cpu_count``.
-* **Intra-query expansion threads** — the compiled kernels
-  (:mod:`repro.kernels`) release the GIL, so independent frontier pops
-  inside one expansion can genuinely overlap on threads.
-  :func:`expansion_executor` owns the process-wide pool; sizing comes
-  from ``REPRO_EXPANSION_THREADS`` (0/1 disables) or, unset, defaults to
-  the core count when compiled kernels are active and to 1 (sequential)
-  on the pure-numpy fallback, where the GIL would serialise the work
-  anyway.
+:func:`expansion_executor` owns the process-wide pool that lets
+independent frontier pops inside one expansion overlap on threads.
+Sizing comes from ``REPRO_EXPANSION_THREADS``; unset, 0 or 1 keeps
+expansion sequential.
 """
 
 from __future__ import annotations
@@ -23,30 +13,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
-    "effective_cpu_count",
     "expansion_executor",
     "expansion_threads",
 ]
 
-#: Environment override for intra-query expansion threads ("" = auto).
+#: Environment setting for intra-query expansion threads ("" = 1).
 EXPANSION_THREADS_ENV_VAR = "REPRO_EXPANSION_THREADS"
-
-#: Auto-sizing never grows the expansion pool past this many threads:
-#: per-removal work items are small, and queue/wakeup overhead dominates
-#: long before wide machines run out of cores.
-_MAX_AUTO_EXPANSION_THREADS = 8
-
-
-def effective_cpu_count() -> int:
-    """CPUs this process may actually use (never less than 1)."""
-    probe = getattr(os, "process_cpu_count", None)
-    count = probe() if probe is not None else None
-    if not count:
-        try:
-            count = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            count = os.cpu_count()
-    return max(1, int(count or 1))
 
 
 def expansion_threads() -> int:
@@ -56,16 +28,10 @@ def expansion_threads() -> int:
     var without re-importing; 1 means "stay sequential".
     """
     raw = os.environ.get(EXPANSION_THREADS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    from repro import kernels
-
-    if not kernels.NUMBA_AVAILABLE:
+    try:
+        return max(1, int(raw))
+    except ValueError:
         return 1
-    return min(effective_cpu_count(), _MAX_AUTO_EXPANSION_THREADS)
 
 
 _executors: dict[int, ThreadPoolExecutor] = {}

@@ -44,6 +44,21 @@ def test_from_scalars_matches_from_stats():
             assert got.hex() == expected.hex(), aggregator.name
 
 
+def test_reads_extremes_flag_is_truthful():
+    """An aggregator that says it ignores min and max gives the same
+    value whatever is passed for them; max and min say they read them."""
+    assert get_aggregator("max").reads_extremes
+    assert get_aggregator("min").reads_extremes
+    for aggregator in _all_instances():
+        if aggregator.reads_extremes:
+            continue
+        for size, total in [(3, 6.0), (10, 0.9999999999999999), (7, 2.3)]:
+            expected = aggregator.from_scalars(size, total, 0.1, 3.0, 40.0)
+            for low, high in [(-5.0, 9.0), (float("nan"), float("nan"))]:
+                got = aggregator.from_scalars(size, total, low, high, 40.0)
+                assert got.hex() == expected.hex(), aggregator.name
+
+
 def test_decreasing_flag_is_truthful(two_triangles):
     """Every aggregator claiming Corollary 2 must actually decrease when a
     vertex leaves (checked over all subsets of a small graph)."""

@@ -22,7 +22,6 @@ BENCHMARKS = REPO / "benchmarks"
 #: (bench module, committed report, the measurement ``main()`` calls)
 BENCHES = [
     ("bench_solvers", "BENCH_solver_expansion.json", "measure_solver_speedups"),
-    ("bench_kernels", "BENCH_kernels.json", "measure_kernel_speedups"),
     ("bench_serving", "BENCH_serving.json", "measure_serving_throughput"),
     ("bench_http_serving", "BENCH_http_serving.json", "measure_http_serving"),
     ("bench_updates", "BENCH_updates.json", "measure_update_speedups"),

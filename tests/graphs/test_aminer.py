@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DatasetError
+from repro.graphs.generators import aminer as aminer_module
 from repro.graphs.generators.aminer import (
     FIELDS,
     AminerSpec,
@@ -84,3 +85,32 @@ def test_spec_validation():
         AminerSpec(groups_per_field=0)
     with pytest.raises(DatasetError):
         AminerSpec(group_size=(3, 8))
+
+
+def _inline_citation_indices(rng, paper_counts, boost):
+    """The generator's former inline h/g/i10 computation, kept as the
+    oracle for its switch to repro.centrality.hindex."""
+    n = len(paper_counts)
+    citations, h, g, i10 = (np.zeros(n) for _ in range(4))
+    for v in range(n):
+        per_paper = np.sort(
+            rng.lognormal(mean=1.0, sigma=1.0, size=int(paper_counts[v])) * boost[v]
+        )[::-1]
+        citations[v] = per_paper.sum()
+        ranks = np.arange(1, len(per_paper) + 1)
+        h[v] = int((per_paper >= ranks).sum())
+        g[v] = int((np.cumsum(per_paper) >= ranks**2).sum())
+        i10[v] = int((per_paper >= 10).sum())
+    return citations, h, g, i10
+
+
+@pytest.mark.parametrize("kind", ["citations", "h", "g", "i10"])
+def test_weights_match_the_inline_index_formulas(kind, monkeypatch):
+    spec = AminerSpec(juniors_per_field=20, seed=7)
+    graph, meta = generate_aminer(spec, weight_kind=kind)
+    monkeypatch.setattr(aminer_module, "_citation_indices", _inline_citation_indices)
+    oracle, oracle_meta = generate_aminer(spec, weight_kind=kind)
+    assert graph.weights.tobytes() == oracle.weights.tobytes()
+    for field in ("citations", "h_index", "g_index", "i10_index"):
+        ours, theirs = getattr(meta, field), getattr(oracle_meta, field)
+        assert ours.tobytes() == theirs.tobytes(), field

@@ -1,19 +1,11 @@
-"""Parity of the kernel tier against the numpy fallback and set oracles.
+"""Parity of the kernel tier against the set oracles.
 
-Three implementations of every hot kernel must agree *bit for bit*:
-
-* whatever :mod:`repro.kernels` dispatched to at import time (compiled
-  Numba kernels when installed, the numpy fallback otherwise),
-* :mod:`repro.kernels._numpy` pinned directly (so on a Numba-equipped
-  machine this suite really holds compiled-vs-fallback together — on a
-  fallback-only machine the pair is trivially equal and the set oracle
-  carries the test),
-* the original set-adjacency implementations: :mod:`repro.reference`
-  and the worklist/BFS branches of the subset kernels.
+Every hot kernel in :mod:`repro.kernels` must agree *bit for bit* with
+the original set-adjacency implementations: :mod:`repro.reference` and
+the worklist/BFS branches of the subset kernels.
 
 Exactness is the contract: peel fixpoints, component splits, core
-numbers and triangle counts are integer results with one correct value,
-so solvers may switch kernel tiers without their answers moving by a bit.
+numbers and triangle counts are integer results with one correct value.
 """
 
 import numpy as np
@@ -26,7 +18,6 @@ from repro.core.kcore import kcore_worklist
 from repro.graphs.builder import graph_from_edges
 from repro.graphs.components import components_bfs
 from repro.influential.expansion_csr import _spanning_tree
-from repro.kernels import _numpy as fallback
 
 
 @st.composite
@@ -71,11 +62,9 @@ def _forward_arcs(graph):
 def test_core_numbers_parity(graph):
     csr = graph.csr
     oracle = reference.core_decomposition(graph)
-    dispatched = kernels.core_numbers(csr.indptr, csr.indices)
-    pure = fallback.core_numbers(csr.indptr, csr.indices)
-    assert dispatched.dtype == np.int64 and pure.dtype == np.int64
-    assert np.array_equal(dispatched, oracle)
-    assert np.array_equal(dispatched, pure)
+    core = kernels.core_numbers(csr.indptr, csr.indices)
+    assert core.dtype == np.int64
+    assert np.array_equal(core, oracle)
 
 
 @given(graphs(), st.integers(0, 5), st.data())
@@ -84,40 +73,25 @@ def test_peel_to_kcore_parity(graph, k, data):
     subset, mask = _subset_mask(None, graph, data)
     oracle = kcore_worklist(graph, set(subset), k)
     csr = graph.csr
-    results = {}
-    for name, impl in (("dispatch", kernels), ("numpy", fallback)):
-        peel_mask = mask.copy()
-        degrees = csr.subset_degrees(peel_mask)
-        impl.peel_to_kcore(csr.indptr, csr.indices, peel_mask, k, degrees)
-        results[name] = (peel_mask, degrees)
-        assert set(np.flatnonzero(peel_mask).tolist()) == oracle
-        # Survivor degrees are exact induced degrees of the fixpoint.
-        assert np.array_equal(
-            degrees[peel_mask], csr.subset_degrees(peel_mask)[peel_mask]
-        )
-    assert np.array_equal(results["dispatch"][0], results["numpy"][0])
-    # Survivor entries agree bitwise; deleted entries may hold stale
-    # values and those are explicitly outside the kernel contract.
-    survivors = results["dispatch"][0]
-    assert np.array_equal(
-        results["dispatch"][1][survivors], results["numpy"][1][survivors]
-    )
+    degrees = csr.subset_degrees(mask)
+    kernels.peel_to_kcore(csr.indptr, csr.indices, mask, k, degrees)
+    assert set(np.flatnonzero(mask).tolist()) == oracle
+    # Survivor degrees are exact induced degrees of the fixpoint; deleted
+    # entries may hold stale values and are outside the kernel contract.
+    assert np.array_equal(degrees[mask], csr.subset_degrees(mask)[mask])
 
 
 def _check_components_parity(graph, subset, mask):
     oracle = components_bfs(graph, set(subset))
     csr = graph.csr
     before = mask.copy()
-    dispatched = kernels.components_of_mask(csr.indptr, csr.indices, mask)
-    pure = fallback.components_of_mask(csr.indptr, csr.indices, mask)
+    pieces = kernels.components_of_mask(csr.indptr, csr.indices, mask)
     assert np.array_equal(mask, before), "mask must not be modified"
-    assert [set(piece.tolist()) for piece in dispatched] == oracle
-    assert len(dispatched) == len(pure)
-    for a, b in zip(dispatched, pure):
-        # Identical contract down to dtype and sortedness.
-        assert a.dtype == np.int64 and b.dtype == np.int64
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, np.sort(a))
+    # Emitted by smallest member, each a sorted int64 id array.
+    assert [set(piece.tolist()) for piece in pieces] == oracle
+    for piece in pieces:
+        assert piece.dtype == np.int64
+        assert np.array_equal(piece, np.sort(piece))
 
 
 @given(graphs(), st.data())
@@ -131,7 +105,7 @@ def _path_edges(n):
     return [(v, v + 1) for v in range(n - 1)]
 
 
-# (n, edges, masked subset, whether the numpy split must drain a chain)
+# (n, edges, masked subset, whether the split must drain a chain)
 SPLITTER_SHAPES = {
     "empty-mask": (8, _path_edges(8), [], False),
     "one-vertex": (8, _path_edges(8), [5], False),
@@ -161,13 +135,13 @@ def test_components_of_mask_shapes(shape, monkeypatch):
     mask = np.zeros(n, dtype=bool)
     mask[subset] = True
     drained = []
-    drain = fallback._drain_bfs
+    drain = kernels._drain_bfs
 
     def spy_drain(*args):
         drained.append(True)
         return drain(*args)
 
-    monkeypatch.setattr(fallback, "_drain_bfs", spy_drain)
+    monkeypatch.setattr(kernels, "_drain_bfs", spy_drain)
     _check_components_parity(graph, subset, mask)
     assert bool(drained) == drains
 
@@ -175,8 +149,7 @@ def test_components_of_mask_shapes(shape, monkeypatch):
 def _check_certificate(graph, mask):
     """The certificate leaves ``mask`` alone, answers a plain bool, and an
     accepted proof is never wrong: the BFS split then has exactly one
-    piece.  ``certify_connected`` is numpy-only on both legs, so this is a
-    soundness check rather than a twin-parity one."""
+    piece."""
     csr = graph.csr
     tree = _spanning_tree(csr)
     removed = np.flatnonzero(~mask)
@@ -245,14 +218,12 @@ def test_certify_connected_is_sound(graph, data):
 def test_arc_supports_parity(graph):
     oracle = reference.edge_supports(graph)
     fptr, fsrc, fdst = _forward_arcs(graph)
-    dispatched = kernels.arc_supports(fptr, fdst)
-    pure = fallback.arc_supports(fptr, fdst)
-    assert dispatched.dtype == np.int64 and pure.dtype == np.int64
-    assert np.array_equal(dispatched, pure)
+    support = kernels.arc_supports(fptr, fdst)
+    assert support.dtype == np.int64
     lo = np.minimum(fsrc, fdst).tolist()
     hi = np.maximum(fsrc, fdst).tolist()
     assert {
-        (u, v): s for u, v, s in zip(lo, hi, dispatched.tolist())
+        (u, v): s for u, v, s in zip(lo, hi, support.tolist())
     } == oracle
 
 

@@ -273,3 +273,13 @@ def test_closing_expand_closes_its_threaded_replay_first(monkeypatch):
     next(iterator)
     iterator.close()
     assert events == ["replay closed", "candidates"]
+
+
+def test_expansion_stays_sequential_unless_threads_are_set(monkeypatch):
+    env_var = parallel.EXPANSION_THREADS_ENV_VAR
+    monkeypatch.delenv(env_var, raising=False)
+    assert parallel.expansion_threads() == 1
+    assert parallel.expansion_executor() == (None, 0)
+    for raw, threads in (("", 1), ("0", 1), ("1", 1), ("junk", 1), ("3", 3)):
+        monkeypatch.setenv(env_var, raw)
+        assert parallel.expansion_threads() == threads

@@ -39,11 +39,13 @@ from repro.utils.counters import counting
 from repro.utils.stats import SubsetStats
 from repro.utils.topr import TopR
 
-#: Every strategy family: size-proportional (SumStrategy) and the
-#: grow-and-test fallback (AvgStrategy), including the graph-total one.
+#: Every strategy family: size-proportional (SumStrategy, with max the
+#: one that tracks prefix extremes) and the grow-and-test fallback
+#: (AvgStrategy), including the graph-total one.
 AGGREGATORS = (
     "sum",
     "sum-surplus(1)",
+    "max",
     "avg",
     "weight-density(1)",
     "balanced-density",
