@@ -80,10 +80,21 @@ class GridSpec:
     #: each timing every cell once.
     repeats: int = 3
     index_depth: int = 32
+    #: Problem 3 axis: aggregators also run size-constrained, at
+    #: ``s = k + size_slack``, unconstrained by labels (Algorithm 4).
+    sized: tuple[str, ...] = ()
+    size_slack: int = 10
 
     def config_hash(self) -> str:
-        """Fingerprint of the grid definition (not of any measurement)."""
-        canonical = json.dumps(asdict(self), sort_keys=True)
+        """Fingerprint of the grid definition (not of any measurement).
+
+        A grid without sized cells hashes without the sized fields, so
+        the grids defined before that axis keep their history.
+        """
+        fields = asdict(self)
+        if not self.sized:
+            del fields["sized"], fields["size_slack"]
+        canonical = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def cells(self) -> list["GridCell"]:
@@ -105,6 +116,15 @@ class GridSpec:
                     eps=self.eps, constrained=constrained,
                 )
             )
+        for (n, m), k, r, f, tier in itertools.product(
+            self.graphs, self.ks, self.rs, self.sized, self.tiers
+        ):
+            out.append(
+                GridCell(
+                    n=n, m=m, k=k, r=r, aggregator=f, tier=tier,
+                    eps=self.eps, s=k + self.size_slack,
+                )
+            )
         return out
 
 
@@ -120,22 +140,25 @@ class GridCell:
     tier: str
     eps: float
     constrained: str = "none"
+    s: "int | None" = None
 
     @property
     def cell_id(self) -> str:
-        # The constraint segment appears only when set, so unconstrained
-        # cell ids (the history keys of every pre-axis run) stay stable.
+        # The constraint and size segments appear only when set, so the
+        # ids of cells without them (the history keys of every run
+        # before those axes) stay stable.
         constraint = (
             "" if self.constrained == "none" else f"/c={self.constrained}"
         )
+        size = "" if self.s is None else f"/s={self.s}"
         return (
             f"g{self.n}x{self.m}/k{self.k}/r{self.r}/f={self.aggregator}"
-            f"{constraint}/{self.tier}"
+            f"{size}{constraint}/{self.tier}"
         )
 
     @property
     def axes(self) -> dict[str, object]:
-        return {
+        axes: dict[str, object] = {
             "graph": f"g{self.n}x{self.m}",
             "k": self.k,
             "r": self.r,
@@ -144,16 +167,25 @@ class GridCell:
             "eps": self.eps,
             "constrained": self.constrained,
         }
+        if self.s is not None:
+            axes["s"] = self.s
+        return axes
 
     def skip_reason(self) -> "str | None":
         """Why this cell is inapplicable (``None`` = runnable).
 
-        The precomputed index serves the sum aggregator, unconstrained; the
-        reference set engine differs from production only for ``sum``; and
-        filter-then-query needs a predicate.  Other combinations are
+        The precomputed index serves the sum aggregator, unconstrained, and
+        size-constrained queries of any aggregator from offer logs; the
+        reference set engine differs from production only for ``sum``;
+        and filter-then-query needs a predicate.  Size-constrained cells
+        time the cold, service and index tiers.  Other combinations are
         recorded as ``skipped`` so the grid's shape stays visible in
         history.
         """
+        if self.s is not None:
+            if self.tier not in ("cold", "service", "index"):
+                return "size-constrained cells run the cold, service and index tiers"
+            return None
         if self.tier == "index" and self.aggregator != "sum":
             return "index tier serves the sum aggregator only"
         if self.tier == "index" and self.constrained != "none":
@@ -174,11 +206,12 @@ class GridCell:
 #: the nightly sweep.  Editing a grid changes its config hash, and history
 #: recorded under the old hash stops comparing.
 #: The aggregator axis pairs ``sum`` (the headline expansion solvers +
-#: index) with ``min`` (the minmax solver family); ``avg`` is excluded
-#: from timed grids on purpose — unconstrained, its local-search solver
-#: BFSes the whole k-core from every seed, so one cold ``ci`` cell
-#: (g1000x8000, k=4 or 8, r=5) takes 8-11 s where ``sum`` takes
-#: milliseconds (single runs on one core).  It belongs in the
+#: index) with ``min`` (the minmax solver family).  ``ci``'s sized axis
+#: adds ``sum`` and ``avg`` at ``s = k + 10``: Algorithm 4, local search,
+#: which the index answers from offer logs.  Unconstrained ``avg`` stays
+#: out of timed grids: its local search BFSes the whole k-core from every
+#: seed, so one cold ``ci`` cell (g1000x8000, k=4 or 8, r=5) takes
+#: seconds where ``sum`` takes milliseconds.  It belongs in the
 #: paper-figure harness (``repro bench --exp fig7``), not a gating sweep.
 GRIDS: dict[str, GridSpec] = {
     "smoke": GridSpec(
@@ -201,6 +234,7 @@ GRIDS: dict[str, GridSpec] = {
         # digest across tiers, timed like everything else; its
         # materialize cells time pushdown against filter-then-query.
         constrained=("none", "eq:deg:high"),
+        sized=("sum", "avg"),
         # Nine passes: on a shared 2-vCPU box, five left the served
         # tiers' per-pass ratio spread too wide to gate them near the
         # 0.7 tolerance without a same-code compare failing now and then.
@@ -343,7 +377,7 @@ class CellExecutor:
         labels = _constraint_spec(cell.constrained)
         return self._time(
             lambda: top_r_communities(
-                graph, cell.k, cell.r, f=cell.aggregator,
+                graph, cell.k, cell.r, f=cell.aggregator, s=cell.s,
                 eps=cell.eps, labels=labels,
             )
         )
@@ -431,7 +465,7 @@ def _query(cell: GridCell):
 
     predicate = _constraint_spec(cell.constrained)
     return InfluentialQuery(
-        k=cell.k, r=cell.r, f=cell.aggregator, eps=cell.eps,
+        k=cell.k, r=cell.r, f=cell.aggregator, s=cell.s, eps=cell.eps,
         constraints=None if predicate is None else {"labels": predicate},
     )
 

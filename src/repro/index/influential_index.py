@@ -12,20 +12,63 @@ running the solver itself through the shared
 query then reduces to slicing the stored ranking — no cascade peel, no
 lattice expansion, no value arithmetic.
 
-Serving an entry slice is *provably* byte-identical to a cold solver run:
+Serving an entry slice is byte-identical to a cold solver run:
 
 * at ``eps = 0`` the best-first expansion pops communities in
-  non-increasing value order, so a cold run with a smaller ``r`` returns
-  exactly the first ``r`` stored communities — same sets, same float bit
-  patterns — **unless** the value at the ``r``-th boundary ties with the
-  ``r+1``-st, where the solver's heap order (not the sorted order) picks
-  the winner.  The index therefore serves ``r < depth`` only when
-  ``values[r-1] > values[r]`` strictly, and falls back to the solver on a
-  boundary tie;
+  non-increasing value order, so a cold run with a smaller ``r``
+  returns the first ``r`` stored communities, with the same float bit
+  patterns, **unless** the values at the ``r``-th boundary lie within
+  the rounding margin below.  The index serves ``r < depth`` only when
+  ``values[r-1] - values[r] > margin`` and otherwise falls back to the
+  solver;
 * an entry that came back with fewer than ``depth`` communities is
   **complete**: the accumulator never filled, so no pruning ever ran and
   the entry holds the entire community family at that ``k`` — any ``r``
   can be served from it.
+
+The rounding margin.  A community's value is not a function of its
+vertex set alone: the solver computes it along the chain of removals
+that first generated it, ``v_0 = w(C) + alpha|C|`` for the seed component
+``C`` and ``v_i = (v_{i-1} - loss_i) - alpha m_i`` after removing ``m_i``
+vertices, so runs with different ``r`` (which prune differently) can
+reach one set along different chains and give it values an ulp or two
+apart.  The bound on that difference:
+
+1. Every quantity a chain computes — a partial sum of ``C``'s weights,
+   a loss, ``alpha m_i``, a value — is at most ``W = w(C) + alpha|C|``
+   in magnitude (weights are non-negative), and a chain rounds at most
+   ``N = 4|C| + 2`` times: ``|C| + 1`` operations for ``v_0`` and, per
+   step, ``m_i - 1`` additions for the loss plus a subtraction, a
+   product and a subtraction, with ``sum m_i <= |C|`` and at most
+   ``|C|`` steps.  Each rounding adds at most ``u = 2^-53`` times its
+   result, and a subtraction carries its operands' errors through
+   unscaled, so a computed value lies within ``E = gamma_N W`` of the
+   exact ``f(H)``, where ``gamma_N = N u / (1 - N u)``.  Two computed
+   values of one set therefore differ by at most ``2E``.
+2. Rounding is monotone, so a computed value never rises along a
+   chain, and each run is exact with respect to its own values.  Exact
+   values never rise along a chain either (Corollary 2).
+3. Let the depth run rank ``X_1..X_D`` with values ``v_1 >= ... >= v_D``
+   and ``v_r - v_{r+1} > 2E``.  Follow any chain from a seed to a set
+   ``Y`` outside ``X_1..X_r``; the first set on it outside ``X_1..X_r``
+   is a child of an expanded ``X_i``, so the depth run generated it,
+   and at a computed value of at most ``v_{r+1}``: a higher one would be
+   popped before ``X_{r+1}``, and a pruned child lies below the D-th
+   candidate value.  Its exact value, and so ``f(Y)``, is at most
+   ``v_{r+1} + E``, and any run computes ``Y`` at most at
+   ``v_{r+1} + 2E < v_r``.
+4. The r-run starts from the same seeds and pops the same maxima.  It
+   drops only children below its r-th candidate value, which is at most
+   its r-th answer, and by (3) such a child can come back, along another
+   chain, only below ``v_r``.  So its first ``r`` pops are the depth
+   run's, made from the same parents along the same chains: the same
+   sets with the same bits.
+
+The index takes ``|C| <= |maximal k-core|`` and ``W <= w(k-core) +
+alpha |k-core|``, and doubles the ``2E`` bound to absorb the rounding of
+the bound's own arithmetic.  On the integer weights of most tests the
+margin is far below any gap; on float weights it refuses the ulp-level
+near-ties that a strict ``values[r-1] > values[r]`` test let through.
 
 Maintenance mirrors the serving caches' locality reasoning:
 
@@ -41,6 +84,24 @@ Maintenance mirrors the serving caches' locality reasoning:
   the best-first walk over fully cached structures without re-peeling or
   relabelling anything.
 
+Offer logs (Problem 3)
+----------------------
+Size-constrained queries (an explicit ``s``) dispatch to Algorithm 4,
+local search, which no stored ranking can answer by slicing: on float
+weights a greedy ``avg`` run for small ``r`` can offer a community that
+a larger-``r`` run never sees.  Instead, the first such query for a key
+``(k, s, f, greedy, seed order, rng seed when shuffled, non_overlapping)``
+builds an :class:`~repro.influential.local_search.OfferLog` — one
+threshold-free pass of Algorithm 4 — and every query with that key,
+for any ``r``, replays it (:meth:`~repro.influential.local_search
+.OfferLog.answer`), reproducing the solver bit for bit.  Logs are
+runtime state, like the result cache: at most :data:`LOG_CAPACITY` are
+held, least recently used first out; they are neither snapshotted nor
+shared with fleet members.  Edge updates drop the logs at ``k <=
+max_affected_core``, weight updates and :meth:`reset` drop them all, and
+a result-cache invalidation (``POST /v1/invalidate``) leaves them, as it
+leaves the levels.
+
 The index is a pure cache with a proof obligation, and the solver path
 stays the parity oracle: ``tests/index`` pins byte-identity on the golden
 menagerie and under Hypothesis-driven interleavings of updates.
@@ -48,6 +109,7 @@ menagerie and under Hypothesis-driven interleavings of updates.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -56,6 +118,8 @@ from repro.aggregators.registry import get_aggregator
 from repro.errors import SpecError
 from repro.influential.api import top_r_communities
 from repro.influential.community import Community
+from repro.influential.expansion import sum_alpha_of
+from repro.influential.local_search import OfferLog, capture_offers
 from repro.influential.results import ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover — hints only
@@ -63,7 +127,7 @@ if TYPE_CHECKING:  # pragma: no cover — hints only
     from repro.serving.engine_pool import ExpansionEnginePool
     from repro.serving.query import InfluentialQuery
 
-__all__ = ["INDEXED_METHODS", "InfluentialIndex"]
+__all__ = ["INDEXED_METHODS", "LOGGED_METHODS", "InfluentialIndex"]
 
 #: Query methods an index entry may answer.  All three dispatch to
 #: TIC-IMPROVED at ``eps = 0`` for the indexed aggregator family:
@@ -76,13 +140,25 @@ INDEXED_METHODS = ("auto", "improved", "approx")
 #: entry is truncated (complete entries answer any ``r``).
 DEFAULT_DEPTH = 32
 
+#: Query methods an offer log may answer: both reach local search when
+#: the query carries a size bound ``s``.
+LOGGED_METHODS = ("auto", "local")
+
+#: Offer logs held at once, least recently used evicted first.
+LOG_CAPACITY = 64
+
+#: Seed orders :func:`~repro.influential.local_search.local_search`
+#: accepts (None resolves by the TONIC flag).
+_SEED_ORDERS = (None, "id", "weight", "shuffled")
+
 _ABSENT = object()
 
 
 class _IndexEntry:
-    """One ``(k, aggregator)`` level: the ranked community layers."""
+    """One ``(k, aggregator)`` level: the ranked community layers, and
+    the rounding margin of its boundary rule once a serve computed it."""
 
-    __slots__ = ("communities", "values", "complete")
+    __slots__ = ("communities", "values", "complete", "margin")
 
     def __init__(
         self, communities: tuple[Community, ...], complete: bool
@@ -90,6 +166,21 @@ class _IndexEntry:
         self.communities = communities
         self.values = tuple(float(c.value) for c in communities)
         self.complete = complete
+        self.margin: float | None = None
+
+
+def rounding_margin(
+    weights: np.ndarray, core_numbers: np.ndarray, k: int, alpha: float
+) -> float:
+    """How far apart two computed values of one level-``k`` community
+    can lie, doubled (see the module docstring): ``4 gamma_N W`` with
+    ``N = 4|K| + 2`` and ``W = w(K) + alpha |K|`` over the maximal
+    k-core ``K``."""
+    inside = core_numbers >= k
+    size = int(np.count_nonzero(inside))
+    magnitude = float(weights[inside].sum()) + alpha * size
+    rounding = (4 * size + 2) * 2.0**-53
+    return 4.0 * rounding / (1.0 - rounding) * magnitude
 
 
 class InfluentialIndex:
@@ -120,6 +211,10 @@ class InfluentialIndex:
         "levels_retained",
         "levels_invalidated",
         "weight_refreshes",
+        "_logs",
+        "log_replays",
+        "log_builds",
+        "logs_dropped",
     )
 
     def __init__(
@@ -154,6 +249,11 @@ class InfluentialIndex:
         self.levels_retained = 0
         self.levels_invalidated = 0
         self.weight_refreshes = 0
+        # Offer-log key -> log, least recently used first.
+        self._logs: OrderedDict[tuple, OfferLog] = OrderedDict()
+        self.log_replays = 0
+        self.log_builds = 0
+        self.logs_dropped = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -207,6 +307,10 @@ class InfluentialIndex:
             "levels_retained": self.levels_retained,
             "levels_invalidated": self.levels_invalidated,
             "weight_refreshes": self.weight_refreshes,
+            "offer_logs": len(self._logs),
+            "offer_log_replays": self.log_replays,
+            "offer_log_builds": self.log_builds,
+            "offer_logs_dropped": self.logs_dropped,
         }
 
     def __repr__(self) -> str:
@@ -329,20 +433,30 @@ class InfluentialIndex:
         A pending level (invalidated by an update) is re-captured here —
         one warm solver call — before answering; a level the index never
         covered (e.g. ``k`` above the build-time kmax, where the pool's
-        fast path already answers for free) falls back.  A boundary value
-        tie at rank ``r`` also falls back: the stored sorted order cannot
-        know which tied community the solver's heap order would keep.
+        fast path already answers for free) falls back.  A boundary
+        within the rounding margin at rank ``r`` also falls back: the
+        stored order cannot know which near-tied community, at which
+        value bits, the solver's run for ``r`` would keep.  A
+        size-constrained local-search query is replayed from its offer
+        log, built here on the key's first query.
         """
         if not self._built:
             return None
         key = self.plan(query)
         if key is None:
-            return None
+            return self._replay(query, graph, pool)
         entry = self._entries.get(key, _ABSENT)
         if entry is _ABSENT:
             return None
         if entry is None:
             entry = self._capture(key, graph, pool)
+        if entry.margin is None:
+            entry.margin = rounding_margin(
+                graph.weights,
+                pool.core_numbers,
+                key[0],
+                sum_alpha_of(get_aggregator(key[1])) or 0.0,
+            )
         result = self._slice(entry, query.r)
         if result is None:
             self.fallbacks += 1
@@ -361,9 +475,80 @@ class InfluentialIndex:
             if entry.complete or r == count:
                 return ResultSet(entry.communities)
             return None
-        if entry.values[r - 1] > entry.values[r]:
+        if entry.values[r - 1] - entry.values[r] > entry.margin:
             return ResultSet(entry.communities[:r])
         return None
+
+    def log_key(
+        self, query: "InfluentialQuery", graph: "Graph", kmax: int
+    ) -> tuple | None:
+        """The offer-log key answering ``query``, or None if no log may.
+
+        Eligible: core cohesion, no label constraint, an explicit ``s``,
+        and a method that dispatches to local search.  A query the cold
+        path would reject (bad k, r or s, an unknown aggregator or seed
+        order) or short-circuit to an empty answer (``k >= |V|``, ``k``
+        above kmax) gets None, so the solver path answers it exactly as
+        it would without the index.
+        """
+        if query.cohesion != "core" or query.constraints is not None:
+            return None
+        k, s = query.k, query.s
+        if s is None or query.method not in LOGGED_METHODS:
+            return None
+        if query.r < 1 or not 1 <= k <= kmax or not k < s <= graph.n:
+            return None
+        if query.seed_order not in _SEED_ORDERS:
+            return None
+        try:
+            name = query.aggregator.name
+        except Exception:
+            return None  # the solver path raises the canonical error
+        seed_order = query.seed_order
+        if seed_order is None:
+            seed_order = "weight" if query.non_overlapping else "id"
+        rng_seed = query.rng_seed if seed_order == "shuffled" else None
+        return (
+            k, s, name, query.greedy, seed_order, rng_seed,
+            query.non_overlapping,
+        )
+
+    def _replay(
+        self,
+        query: "InfluentialQuery",
+        graph: "Graph",
+        pool: "ExpansionEnginePool",
+    ) -> ResultSet | None:
+        """Answer a local-search query from its offer log, or None."""
+        key = self.log_key(query, graph, pool.kmax)
+        if key is None:
+            return None
+        log = self._logs.get(key)
+        if log is None:
+            k, s, __, greedy, seed_order, rng_seed, non_overlapping = key
+            log = capture_offers(
+                graph, k, s, query.aggregator,
+                greedy=greedy, non_overlapping=non_overlapping,
+                seed_order=seed_order, rng_seed=rng_seed,
+            )
+            self._logs[key] = log
+            self.log_builds += 1
+            while len(self._logs) > LOG_CAPACITY:
+                self._logs.popitem(last=False)
+                self.logs_dropped += 1
+        else:
+            self._logs.move_to_end(key)
+        self.log_replays += 1
+        return log.answer(query.r)
+
+    def _drop_logs(self, below: int | None = None) -> None:
+        """Drop the offer logs with ``k <= below``, or all of them."""
+        doomed = [
+            key for key in self._logs if below is None or key[0] <= below
+        ]
+        for key in doomed:
+            del self._logs[key]
+        self.logs_dropped += len(doomed)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -397,6 +582,7 @@ class InfluentialIndex:
                 self._entries.setdefault((k, name), None)
         self.levels_retained += retained
         self.levels_invalidated += invalidated
+        self._drop_logs(max_affected_core)
         return (retained, invalidated)
 
     def invalidate_values(self) -> int:
@@ -419,6 +605,7 @@ class InfluentialIndex:
                 self._entries[key] = None
                 refreshed += 1
         self.weight_refreshes += refreshed
+        self._drop_logs()
         return refreshed
 
     def reset(self, kmax: int) -> None:
@@ -430,6 +617,7 @@ class InfluentialIndex:
             for k in range(1, kmax + 1)
             for name in self._aggregators
         }
+        self._drop_logs()
 
     # ------------------------------------------------------------------
     # Persistence (snapshot arrays + shared substrates)

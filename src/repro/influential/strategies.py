@@ -36,6 +36,12 @@ alone.  The paper's accounting re-tests every prefix from scratch — a
 fresh set and a rescan of each member's adjacency, O(s^2 d) per seed —
 and that form lives on in :mod:`repro.reference` as the oracle.
 
+Each strategy keeps one loop, run two ways.  :meth:`Strategy
+.offer_candidates` runs it at the live threshold, as Algorithm 4 does;
+:meth:`Strategy.capture` runs it at threshold -inf and returns what the
+seed would offer at *any* threshold, which an
+:class:`~repro.influential.local_search.OfferLog` replays for any r.
+
 Strategies are registered by aggregator family in ``strategy_for``; new
 aggregators fall back to :class:`AvgStrategy`'s grow-and-test scheme, which
 makes no monotonicity assumption (paper Remark 1).
@@ -191,6 +197,13 @@ class Strategy(ABC):
     def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
         """Derive candidates from ``ordered`` and offer them to ``top``."""
 
+    @abstractmethod
+    def capture(self, ordered: Sequence[int]) -> tuple[tuple[float, int], ...]:
+        """What :meth:`offer_candidates` would offer from ``ordered`` at
+        any threshold, as ``(value, length)`` steps with rising values:
+        at threshold T the offer is the prefix of the first step whose
+        value is above T, and nothing when no step is."""
+
 
 class SumStrategy(Strategy):
     """Procedure SumStrategy: block of s, shrink from the tail.
@@ -204,14 +217,28 @@ class SumStrategy(Strategy):
     """
 
     def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
-        block = ordered[: self.s]  # Lines 3-5: first s vertices
-        weights = [self._weights[v] for v in block]
+        found = self._shrink(ordered[: self.s], top.threshold())
+        if found is not None:
+            top.offer(self._make(ordered[: found[1]]))
+
+    def capture(self, ordered: Sequence[int]) -> tuple[tuple[float, int], ...]:
+        """The shrink at threshold -inf: the largest cohesive prefix and
+        the lowest value walked down to it.  At threshold T the shrink
+        offers that prefix exactly when the lowest value is above T,
+        and nothing otherwise."""
+        found = self._shrink(ordered[: self.s], float("-inf"))
+        return () if found is None else (found,)
+
+    def _shrink(
+        self, block: Sequence[int], threshold: float
+    ) -> tuple[float, int] | None:
+        """Lines 6-12: walk the lengths down from the whole block while
+        the value stays above ``threshold``; the first cohesive one wins.
+        Returns ``(lowest value walked, length)``, or None."""
+        weights = [self._weights[v] for v in block]  # Lines 3-5: first s
         total = 0.0
         for weight in weights:
             total += weight
-        # Lines 6-12: shrink from the tail while worthwhile.  Nothing is
-        # offered before the loop ends, so the threshold holds still.
-        threshold = top.threshold()
         value_of, graph_total = self.aggregator.from_scalars, self._graph_total
         k = self.k
         size = len(block)
@@ -219,7 +246,7 @@ class SumStrategy(Strategy):
             size, total, min(weights), max(weights), graph_total
         ) > threshold:
             count("prefixes_tested", 0)
-            return
+            return None
         if self.aggregator.reads_extremes:
             lows = list(accumulate(weights, min))
             highs = list(accumulate(weights, max))
@@ -228,18 +255,23 @@ class SumStrategy(Strategy):
         sweep = PrefixSweep(self._adjacency, block, k)
         decided = size + 1  # lengths >= decided are known to fail
         tested = 0
-        while size > k and value_of(
-            size, total, lows[size - 1], highs[size - 1], graph_total
-        ) > threshold:
+        lowest = float("inf")
+        while size > k:
+            value = value_of(size, total, lows[size - 1], highs[size - 1], graph_total)
+            if not value > threshold:
+                break
+            if value < lowest:
+                lowest = value
             tested += 1
             if size < decided:
                 if sweep.is_candidate(size):
-                    top.offer(self._make(block[:size]))
-                    break
+                    count("prefixes_tested", tested)
+                    return lowest, size
                 decided = sweep.failing_from()
             size -= 1  # C.last leaves
             total -= weights[size]
         count("prefixes_tested", tested)
+        return None
 
 
 class AvgStrategy(Strategy):
@@ -263,14 +295,36 @@ class AvgStrategy(Strategy):
         self.greedy = greedy
 
     def offer_candidates(self, ordered: Sequence[int], top: TopR[Community]) -> None:
-        block = ordered[: self.s]
+        hits = self._grow(ordered[: self.s], top.threshold(), rising=False)
+        if hits:
+            top.offer(self._make(ordered[: hits[-1][1]]))  # Line 13
+
+    def capture(self, ordered: Sequence[int]) -> tuple[tuple[float, int], ...]:
+        """The grow at threshold -inf, the threshold raised to each hit.
+
+        The hits are the cohesive prefixes whose value beats every
+        earlier cohesive one.  At threshold T greedy mode offers the
+        first cohesive prefix above T, which is always a hit: the first
+        hit above T.  Random mode offers the first argmax when its value
+        is above T: the last hit.
+        """
+        hits = self._grow(ordered[: self.s], float("-inf"), rising=True)
+        return tuple(hits) if self.greedy else tuple(hits[-1:])
+
+    def _grow(
+        self, block: Sequence[int], threshold: float, rising: bool
+    ) -> list[tuple[float, int]]:
+        """Lines 3-12: the cohesive prefixes above ``threshold`` that beat
+        every earlier one, as ``(value, length)``.  Greedy mode stops at
+        the first unless ``rising``, which instead raises the threshold
+        to each one's value, so only a better prefix is tested next."""
         weights = self._weights
         value_of, graph_total = self.aggregator.from_scalars, self._graph_total
         k = self.k
+        stop = self.greedy and not rising
         sweep = None  # built by the first test
-        threshold = top.threshold()  # nothing is offered before the loop ends
         total, low, high = 0.0, float("inf"), float("-inf")
-        best: tuple[float, int] | None = None
+        hits: list[tuple[float, int]] = []
         tested = 0
         for size, v in enumerate(block, 1):  # Lines 3-10
             weight = weights[v]
@@ -288,13 +342,14 @@ class AvgStrategy(Strategy):
             if sweep is None:
                 sweep = PrefixSweep(self._adjacency, block, k)
             if sweep.is_candidate(size):
-                if best is None or value > best[0]:  # Line 10 collects; 12 argmax
-                    best = (value, size)
-                if self.greedy:
+                if not hits or value > hits[-1][0]:  # Line 10 collects; 12 argmax
+                    hits.append((value, size))
+                if rising:
+                    threshold = value
+                elif stop:
                     break  # Lines 6-8: the first qualifying prefix wins
         count("prefixes_tested", tested)
-        if best is not None:
-            top.offer(self._make(block[: best[1]]))  # Line 13
+        return hits
 
 
 def strategy_for(

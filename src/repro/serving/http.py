@@ -22,7 +22,9 @@ POST     ``/v1/update-weights``      ``{"weights": [...]}`` → invalidation
                                      summary
 POST     ``/v1/update-edges``        ``{"insert": [[u, v], ...],
                                      "delete": [...]}`` → delta summary
-POST     ``/v1/invalidate``          ``{"k": 4}`` (or ``{}``) → entries dropped
+POST     ``/v1/invalidate``          ``{"k": 4}`` (or ``{}``) → result-cache
+                                     entries dropped (engine pool, index
+                                     levels and offer logs stay)
 POST     ``/v1/analytics/leaders``   ``{"query": {...}, "deputies": 1}`` →
                                      per-community leader/deputy roster
 POST     ``/v1/analytics/reach``     ``{"query": {...}, "hops": 2}`` →

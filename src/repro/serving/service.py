@@ -204,9 +204,11 @@ class QueryService:
         Afterwards every indexed ``(k, r, f)`` query — sum-family
         aggregators under a method that resolves to the exact best-first
         search — is answered by slicing the stored per-k ranking instead
-        of running a solver; everything else keeps the solver path.  The
-        build itself runs one capture per ``(k, aggregator)`` level
-        through the shared engine pool.
+        of running a solver, and every size-constrained local-search
+        query by replaying its key's offer log (built by the key's first
+        query); everything else keeps the solver path.  The build itself
+        runs one capture per ``(k, aggregator)`` level through the shared
+        engine pool.
         """
         index = InfluentialIndex(depth=depth, aggregators=aggregators)
         index.build(self._graph, self._pool)
@@ -285,10 +287,11 @@ class QueryService:
     # Solving
     # ------------------------------------------------------------------
     def _solve(self, query: InfluentialQuery) -> ResultSet:
-        # Index first: an indexed (k, r, f) answer is a precomputed slice,
-        # byte-identical to the solver's, and counts as an index hit, not
-        # a solver call.  Everything unindexed (truss, min/max, TONIC,
-        # eps > 0, boundary value ties...) falls through to the solvers.
+        # Index first: an indexed (k, r, f) answer is a precomputed slice
+        # and a size-constrained one an offer-log replay, both
+        # byte-identical to the solver's and neither a solver call.
+        # Everything else (truss, min/max, eps > 0, boundary near-ties...)
+        # falls through to the solvers.
         if self._index is not None:
             served = self._index.serve(query, self._graph, self._pool)
             if served is not None:
@@ -506,7 +509,9 @@ class QueryService:
         """Drop cached results — all of them, or only degree constraint k.
 
         Returns the number of entries dropped.  Cache keys place ``k`` at
-        index 1 (see :meth:`InfluentialQuery.cache_key`).
+        index 1 (see :meth:`InfluentialQuery.cache_key`).  Only the result
+        cache is touched: the engine pool, the index's levels and its
+        offer logs depend on the graph alone, and stay.
         """
         if k is None:
             dropped = len(self._results)

@@ -68,6 +68,28 @@ def test_skip_reasons():
     ).skip_reason() is None
 
 
+def test_sized_cells_append_and_time_cold_service_and_index():
+    spec = dataclasses.replace(
+        TINY, sized=("sum", "avg"), tiers=("cold", "service", "index", "http")
+    )
+    plain = dataclasses.replace(spec, sized=())
+    ids = [cell.cell_id for cell in spec.cells()]
+    # Cells without the size axis keep their ids and order.
+    assert ids[: len(plain.cells())] == [c.cell_id for c in plain.cells()]
+    assert "g60x180/k2/r2/f=avg/s=12/index" in ids
+    sized = [cell for cell in spec.cells() if cell.s is not None]
+    assert {cell.s for cell in sized} == {12}
+    assert all(cell.axes["s"] == 12 for cell in sized)
+    assert "s" not in plain.cells()[0].axes
+    runnable = {
+        (cell.aggregator, cell.tier) for cell in sized if cell.skip_reason() is None
+    }
+    assert runnable == {
+        (f, tier) for f in ("sum", "avg") for tier in ("cold", "service", "index")
+    }
+    assert spec.config_hash() != plain.config_hash()
+
+
 def test_named_grids_resolve():
     assert grid_spec("smoke").name == "smoke"
     assert grid_spec("ci", repeats=1).repeats == 1

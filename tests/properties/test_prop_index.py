@@ -6,7 +6,10 @@ queries yields answers byte-identical to cold
 :func:`~repro.influential.api.top_r_communities` runs against a graph
 rebuilt from scratch out of the model's current state — the locality
 bound, the lazy re-captures and the boundary-tie fallbacks may never
-leak a stale or re-ordered ranking.  Mirrors
+leak a stale or re-ordered ranking.  Size-constrained and TONIC queries
+ride along: they are replayed from offer logs, which the same updates
+must drop.  Weights come from a float range or from short palettes whose
+sums round differently along different chains.  Mirrors
 ``test_prop_updates.py`` but drives the indexed dispatch path.
 """
 
@@ -16,11 +19,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.graphs.builder import graph_from_edges
 from repro.influential.api import top_r_communities
 from repro.serving import InfluentialQuery, QueryService
 
 INDEXED = ("sum", "sum-surplus(1)")
+#: Tie-prone weight menus: integers, and two float menus that round.
+PALETTES = ((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), (0.1, 0.7, 0.3, 1 / 3))
+
+
+def _weights(rng, n):
+    """Uniform floats, or draws from one of the palettes."""
+    choice = int(rng.integers(len(PALETTES) + 1))
+    if choice == len(PALETTES):
+        return np.round(rng.uniform(0.1, 20.0, n), 4)
+    return rng.choice(PALETTES[choice], size=n)
 
 
 @st.composite
@@ -34,13 +48,48 @@ def indexed_queries(draw):
 
 
 @st.composite
+def sized_queries(draw):
+    """Local-search queries an offer log answers, TONIC included."""
+    k = draw(st.integers(1, 4))
+    return InfluentialQuery(
+        k=k,
+        r=draw(st.integers(1, 5)),
+        f=draw(st.sampled_from(["sum", "avg", "sum-surplus(1)", "min", "max"])),
+        s=k + draw(st.integers(1, 4)),
+        greedy=draw(st.booleans()),
+        non_overlapping=draw(st.booleans()),
+        seed_order=draw(st.sampled_from([None, "id", "weight"])),
+        method=draw(st.sampled_from(["auto", "local"])),
+    )
+
+
+def _agree(service, query, graph):
+    """The served answer equals a cold solve, bit for bit, or both raise
+    the same error."""
+    try:
+        cold = top_r_communities(graph, **query.solver_kwargs())
+    except ReproError as error:
+        try:
+            service.submit(query)
+        except type(error):
+            return
+        raise AssertionError(f"{query} served, cold raised {error!r}")
+    served = service.submit(query)
+    assert served == cold
+    assert [c.value.hex() for c in served] == [c.value.hex() for c in cold]
+
+
+@st.composite
 def index_scenarios(draw):
     n = draw(st.integers(4, 10))
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
     initial = draw(
         st.lists(st.sampled_from(possible), unique=True, max_size=20)
     )
-    weights = draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n))
+    weight = st.one_of(
+        st.floats(0.1, 20.0), st.sampled_from(sum(PALETTES, ()))
+    )
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
     ops = draw(
         st.lists(
             st.sampled_from(["submit", "submit", "edges", "reweight"]),
@@ -51,7 +100,11 @@ def index_scenarios(draw):
     seeds = draw(
         st.lists(st.integers(0, 2**16), min_size=len(ops), max_size=len(ops))
     )
-    query_pool = draw(st.lists(indexed_queries(), min_size=1, max_size=4))
+    query_pool = draw(
+        st.lists(
+            st.one_of(indexed_queries(), sized_queries()), min_size=1, max_size=5
+        )
+    )
     depth = draw(st.integers(1, 5))
     return n, initial, weights, ops, seeds, query_pool, depth
 
@@ -72,13 +125,8 @@ def test_indexed_answers_survive_interleaved_churn(scenario):
         rng = np.random.default_rng(seed)
         if op == "submit":
             query = query_pool[seed % len(query_pool)]
-            served = service.submit(query)
-            cold = top_r_communities(
-                graph_from_edges(sorted(edges), weights=weights, n=n),
-                **query.solver_kwargs(),
-            )
-            assert served == cold
-            assert served.values() == cold.values()
+            graph = graph_from_edges(sorted(edges), weights=weights, n=n)
+            _agree(service, query, graph)
         elif op == "edges":
             absent = [edge for edge in possible if edge not in edges]
             present = sorted(edges)
@@ -90,17 +138,16 @@ def test_indexed_answers_survive_interleaved_churn(scenario):
             edges |= set(insert)
             edges -= set(delete)
         else:
-            weights = np.round(rng.uniform(0.1, 20.0, n), 4)
+            weights = _weights(rng, n)
             service.update_weights(weights)
     # Whatever the interleaving did, a full sweep at the end still agrees
     # with cold solves level by level.
     final = graph_from_edges(sorted(edges), weights=weights, n=n)
     for k in range(1, service.kmax + 1):
         for f in INDEXED:
-            served = service.submit(InfluentialQuery(k=k, r=depth, f=f))
-            cold = top_r_communities(final, k=k, r=depth, f=f)
-            assert served == cold
-            assert served.values() == cold.values()
+            _agree(service, InfluentialQuery(k=k, r=depth, f=f), final)
+    for query in query_pool:
+        _agree(service, query, final)
     assert index.built
 
 
@@ -126,7 +173,7 @@ def test_snapshot_roundtrip_preserves_churned_index(tmp_path_factory, scenario):
                 service.update_edges(insert=insert)
                 edges |= set(insert)
         elif op == "reweight":
-            weights = np.round(rng.uniform(0.1, 20.0, n), 4)
+            weights = _weights(rng, n)
             service.update_weights(weights)
     path = tmp_path_factory.mktemp("prop_index") / "snap"
     save_snapshot(service, path)
@@ -134,7 +181,4 @@ def test_snapshot_roundtrip_preserves_churned_index(tmp_path_factory, scenario):
     assert restored.index is not None
     final = graph_from_edges(sorted(edges), weights=weights, n=n)
     for query in query_pool:
-        served = restored.submit(query)
-        cold = top_r_communities(final, **query.solver_kwargs())
-        assert served == cold
-        assert served.values() == cold.values()
+        _agree(restored, query, final)
