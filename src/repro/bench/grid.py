@@ -54,6 +54,9 @@ TIERS = (
     "snapshot",
     "update",
 )
+#: Room over k that sized cells give the size bound: ``s = k + 10``, as
+#: the e2e bench's Problem 3 families use.
+SIZE_SLACK = 10
 #: Tiers that time a fixed other way of answering the cell's query rather
 #: than a faster one.  The comparator judges them as cold's speedup over
 #: the tier, with no noise band, so a slower cold path fails the gate.
@@ -81,19 +84,18 @@ class GridSpec:
     repeats: int = 3
     index_depth: int = 32
     #: Problem 3 axis: aggregators also run size-constrained, at
-    #: ``s = k + size_slack``, unconstrained by labels (Algorithm 4).
+    #: ``s = k + SIZE_SLACK``, unconstrained by labels (Algorithm 4).
     sized: tuple[str, ...] = ()
-    size_slack: int = 10
 
     def config_hash(self) -> str:
         """Fingerprint of the grid definition (not of any measurement).
 
-        A grid without sized cells hashes without the sized fields, so
+        A grid without sized cells hashes without the ``sized`` field, so
         the grids defined before that axis keep their history.
         """
         fields = asdict(self)
         if not self.sized:
-            del fields["sized"], fields["size_slack"]
+            del fields["sized"]
         canonical = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -122,7 +124,7 @@ class GridSpec:
             out.append(
                 GridCell(
                     n=n, m=m, k=k, r=r, aggregator=f, tier=tier,
-                    eps=self.eps, s=k + self.size_slack,
+                    eps=self.eps, s=k + SIZE_SLACK,
                 )
             )
         return out

@@ -119,7 +119,7 @@ from repro.errors import SpecError
 from repro.influential.api import top_r_communities
 from repro.influential.community import Community
 from repro.influential.expansion import sum_alpha_of
-from repro.influential.local_search import OfferLog, capture_offers
+from repro.influential.local_search import SEED_ORDERS, OfferLog, capture_offers
 from repro.influential.results import ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover — hints only
@@ -146,10 +146,6 @@ LOGGED_METHODS = ("auto", "local")
 
 #: Offer logs held at once, least recently used evicted first.
 LOG_CAPACITY = 64
-
-#: Seed orders :func:`~repro.influential.local_search.local_search`
-#: accepts (None resolves by the TONIC flag).
-_SEED_ORDERS = (None, "id", "weight", "shuffled")
 
 _ABSENT = object()
 
@@ -498,7 +494,7 @@ class InfluentialIndex:
             return None
         if query.r < 1 or not 1 <= k <= kmax or not k < s <= graph.n:
             return None
-        if query.seed_order not in _SEED_ORDERS:
+        if query.seed_order is not None and query.seed_order not in SEED_ORDERS:
             return None
         try:
             name = query.aggregator.name

@@ -143,6 +143,11 @@ class DistinctTopR(TopR[Community]):
         return super().offer(item)
 
 
+#: The seed orders Algorithm 4's outer loop accepts (None picks the
+#: variant's default).
+SEED_ORDERS = ("id", "weight", "shuffled")
+
+
 def _ordered_seeds(
     alive: set[int],
     seed_order: str,
