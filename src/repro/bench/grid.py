@@ -57,6 +57,16 @@ TIERS = (
 #: Room over k that sized cells give the size bound: ``s = k + 10``, as
 #: the e2e bench's Problem 3 families use.
 SIZE_SLACK = 10
+#: Sized cells run on a planted graph (graph axis ``p{n}x{m}``): a
+#: G(n, p) background of n vertices and about m edges, plus one block of
+#: ``PLANTED_BLOCK_SIZE`` vertices, wired with probability
+#: ``PLANTED_BLOCK_P``, per ``PLANTED_EVERY`` background vertices.  In
+#: G(n, m) alone a (k + 10)-vertex BFS ball holds no k-core, so
+#: Algorithm 4 would answer every sized cell empty and the cross-tier
+#: digest would compare nothing.
+PLANTED_BLOCK_SIZE = 24
+PLANTED_BLOCK_P = 0.6
+PLANTED_EVERY = 50
 #: Tiers that time a fixed other way of answering the cell's query rather
 #: than a faster one.  The comparator judges them as cold's speedup over
 #: the tier, with no noise band, so a slower cold path fails the gate.
@@ -154,14 +164,21 @@ class GridCell:
         )
         size = "" if self.s is None else f"/s={self.s}"
         return (
-            f"g{self.n}x{self.m}/k{self.k}/r{self.r}/f={self.aggregator}"
+            f"{self.graph}/k{self.k}/r{self.r}/f={self.aggregator}"
             f"{size}{constraint}/{self.tier}"
         )
 
     @property
+    def graph(self) -> str:
+        """``g{n}x{m}`` for G(n, m); ``p{n}x{m}`` for the planted graph
+        that sized cells run on (see :data:`PLANTED_BLOCK_SIZE`)."""
+        kind = "g" if self.s is None else "p"
+        return f"{kind}{self.n}x{self.m}"
+
+    @property
     def axes(self) -> dict[str, object]:
         axes: dict[str, object] = {
-            "graph": f"g{self.n}x{self.m}",
+            "graph": self.graph,
             "k": self.k,
             "r": self.r,
             "f": self.aggregator,
@@ -314,15 +331,21 @@ class CellExecutor:
         self._graphs: dict[tuple[int, int], object] = {}
         self._services: dict[tuple[str, int, int], object] = {}
 
-    def _graph(self, n: int, m: int):
-        key = (n, m)
+    def _graph(self, cell: GridCell):
+        key = cell.graph
         if key not in self._graphs:
-            from repro.graphs.generators.random_graphs import gnm_random_graph
-            from repro.utils.rng import make_rng
+            n, m, seed = cell.n, cell.m, self._spec.seed
+            if cell.s is None:
+                from repro.graphs.generators.random_graphs import (
+                    gnm_random_graph,
+                )
+                from repro.utils.rng import make_rng
 
-            graph = gnm_random_graph(n, m, seed=self._spec.seed)
-            rng = make_rng(self._spec.seed + 1)
-            graph = graph.with_weights(rng.uniform(0.0, 100.0, graph.n))
+                graph = gnm_random_graph(n, m, seed=seed)
+                rng = make_rng(seed + 1)
+                graph = graph.with_weights(rng.uniform(0.0, 100.0, graph.n))
+            else:
+                graph = _planted_graph(n, m, seed)
             if any(value != "none" for value in self._spec.constrained):
                 from repro.graphs.io import degree_quantile_labels
 
@@ -331,14 +354,15 @@ class CellExecutor:
             self._graphs[key] = graph
         return self._graphs[key]
 
-    def _service(self, role: str, n: int, m: int):
-        """The cached service for ``role``: ``plain``, ``indexed`` or
-        ``updated`` (the update tier's writes stay off the others)."""
-        key = (role, n, m)
+    def _service(self, role: str, cell: GridCell):
+        """The cached service for ``role`` on the cell's graph: ``plain``,
+        ``indexed`` or ``updated`` (the update tier's writes stay off the
+        others)."""
+        key = (role, cell.graph)
         if key not in self._services:
             from repro.serving.service import QueryService
 
-            service = QueryService(self._graph(n, m))
+            service = QueryService(self._graph(cell))
             if role == "indexed":
                 service.enable_index(depth=self._spec.index_depth)
             self._services[key] = service
@@ -354,7 +378,7 @@ class CellExecutor:
                 return self._run_cold(cell)
         if cell.tier in ("service", "index"):
             role = "indexed" if cell.tier == "index" else "plain"
-            service = self._service(role, cell.n, cell.m)
+            service = self._service(role, cell)
             query = _query(cell)
             return self._run_served(service, lambda: service.submit(query))
         if cell.tier == "materialize":
@@ -375,7 +399,7 @@ class CellExecutor:
     def _run_cold(self, cell: GridCell) -> CellOutcome:
         from repro.influential.api import top_r_communities
 
-        graph = self._graph(cell.n, cell.m)
+        graph = self._graph(cell)
         labels = _constraint_spec(cell.constrained)
         return self._time(
             lambda: top_r_communities(
@@ -389,7 +413,7 @@ class CellExecutor:
         from repro.influential.api import top_r_communities
         from repro.influential.constraints import LabelPredicate, matching_mask
 
-        graph = self._graph(cell.n, cell.m)
+        graph = self._graph(cell)
         predicate = LabelPredicate.from_json(_constraint_spec(cell.constrained))
         matching = matching_mask(graph, predicate).nonzero()[0].tolist()
 
@@ -416,7 +440,7 @@ class CellExecutor:
     def _run_http(self, cell: GridCell) -> CellOutcome:
         from repro.serving.http import query_envelope, run_server_in_thread
 
-        service = self._service("plain", cell.n, cell.m)
+        service = self._service("plain", cell)
         query = _query(cell)
         body = json.dumps(query_envelope(query))
         with run_server_in_thread(service) as base_url:
@@ -443,14 +467,14 @@ class CellExecutor:
         query = _query(cell)
         with tempfile.TemporaryDirectory(prefix="repro-grid-") as scratch:
             target = save_snapshot(
-                self._service("plain", cell.n, cell.m),
+                self._service("plain", cell),
                 pathlib.Path(scratch) / "snapshot",
             )
             return self._time(lambda: load_service(target).submit(query))
 
     def _run_update(self, cell: GridCell) -> CellOutcome:
-        service = self._service("updated", cell.n, cell.m)
-        edge = _first_non_edge(self._graph(cell.n, cell.m))
+        service = self._service("updated", cell)
+        edge = _first_non_edge(self._graph(cell))
         query = _query(cell)
 
         def answer():
@@ -470,6 +494,24 @@ def _query(cell: GridCell):
         k=cell.k, r=cell.r, f=cell.aggregator, s=cell.s, eps=cell.eps,
         constraints=None if predicate is None else {"labels": predicate},
     )
+
+
+def _planted_graph(n: int, m: int, seed: int):
+    """Sized cells' graph: a G(n, p) background with about ``m`` edges
+    and dense blocks planted in it, weights uniform in [0, 100)."""
+    from repro.graphs.generators.planted import PlantedSpec, planted_communities
+
+    block = PlantedSpec(
+        PLANTED_BLOCK_SIZE, PLANTED_BLOCK_P, weight_low=0.0, weight_high=100.0
+    )
+    graph, __ = planted_communities(
+        n,
+        [block] * max(1, n // PLANTED_EVERY),
+        background_p=2 * m / (n * (n - 1)),
+        background_weight_high=100.0,
+        seed=seed,
+    )
+    return graph
 
 
 def _first_non_edge(graph) -> tuple[int, int]:

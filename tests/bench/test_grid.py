@@ -12,12 +12,14 @@ from repro.bench.compare import compare_grid_runs
 from repro.bench.grid import (
     GRIDS,
     TIERS,
+    CellExecutor,
     CellOutcome,
     GridSpec,
     grid_spec,
     run_grid,
 )
 from repro.bench.history import HistoryDB
+from repro.influential.api import top_r_communities
 
 TINY = GridSpec(
     name="tiny",
@@ -76,7 +78,7 @@ def test_sized_cells_append_and_time_cold_service_and_index():
     ids = [cell.cell_id for cell in spec.cells()]
     # Cells without the size axis keep their ids and order.
     assert ids[: len(plain.cells())] == [c.cell_id for c in plain.cells()]
-    assert "g60x180/k2/r2/f=avg/s=12/index" in ids
+    assert "p60x180/k2/r2/f=avg/s=12/index" in ids
     sized = [cell for cell in spec.cells() if cell.s is not None]
     assert {cell.s for cell in sized} == {12}
     assert all(cell.axes["s"] == 12 for cell in sized)
@@ -88,6 +90,23 @@ def test_sized_cells_append_and_time_cold_service_and_index():
         (f, tier) for f in ("sum", "avg") for tier in ("cold", "service", "index")
     }
     assert spec.config_hash() != plain.config_hash()
+
+
+def test_ci_sized_cells_answer_r_communities():
+    # Sized cells run on a planted graph: on the G(n, m) graph every
+    # (k + 10)-vertex BFS ball lacks a k-core, all answers came back
+    # empty, and the cross-tier digest compared nothing.
+    executor = CellExecutor(GRIDS["ci"])
+    sized = [
+        cell for cell in GRIDS["ci"].cells()
+        if cell.s is not None and cell.tier == "cold"
+    ]
+    assert {cell.graph for cell in sized} == {"p1000x8000"}
+    for cell in sized:
+        result = top_r_communities(
+            executor._graph(cell), cell.k, cell.r, f=cell.aggregator, s=cell.s
+        )
+        assert len(result) == cell.r, cell.cell_id
 
 
 def test_named_grids_resolve():
