@@ -328,8 +328,8 @@ class CellExecutor:
     def __init__(self, spec: GridSpec, clock: "Clock | None" = None) -> None:
         self._spec = spec
         self._clock = clock
-        self._graphs: dict[tuple[int, int], object] = {}
-        self._services: dict[tuple[str, int, int], object] = {}
+        self._graphs: dict[str, object] = {}  # by graph axis
+        self._services: dict[tuple[str, str], object] = {}
 
     def _graph(self, cell: GridCell):
         key = cell.graph
