@@ -12,6 +12,28 @@ def _all_instances():
             if not name.startswith("test-")]
 
 
+#: The paper's Table I: (name, node-dominated, size-proportional, NP-hard
+#: unconstrained).  Every constrained (size-bounded) case is NP-hard.
+TABLE1 = [
+    ("min", True, False, False),
+    ("max", True, True, False),
+    ("sum", False, True, False),
+    ("sum-surplus(alpha=1)", False, True, False),
+    ("avg", False, False, True),
+    ("weight-density(beta=1)", False, False, True),
+    ("balanced-density", False, False, True),
+]
+
+
+@pytest.mark.parametrize("name,dominated,proportional,np_hard", TABLE1)
+def test_table1_flags(name, dominated, proportional, np_hard):
+    aggregator = get_aggregator(name)
+    assert aggregator.is_node_dominated == dominated
+    assert aggregator.is_size_proportional == proportional
+    assert aggregator.np_hard_unconstrained == np_hard
+    assert aggregator.np_hard_constrained
+
+
 def test_every_aggregator_evaluates_value(triangle):
     for aggregator in _all_instances():
         value = aggregator.value(triangle, [0, 1, 2])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import reference
-
+from repro.bench.datasets import get_dataset
 from repro.graphs.builder import GraphBuilder, graph_from_edges
 from repro.graphs.generators.examples import figure1_graph, tiny_kcore_graph
 from repro.graphs.generators.random_graphs import gnp_random_graph
@@ -59,6 +59,13 @@ def path_graph():
 def empty_graph():
     """Zero vertices."""
     return GraphBuilder(0).build()
+
+
+@pytest.fixture(scope="session")
+def email():
+    """The email stand-in (n=1200, kmax 13): the dataset-scale input the
+    small fixtures miss, still fast enough for every tier-1 run."""
+    return get_dataset("email")
 
 
 #: Solver engines a test may run under: production CSR, or the reference

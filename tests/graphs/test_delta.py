@@ -59,11 +59,20 @@ def absent_edges(graph):
 # ----------------------------------------------------------------------
 # Core repair + CSR patch correctness
 # ----------------------------------------------------------------------
-def test_single_insert_matches_rebuild(figure1):
+def test_single_insert_matches_rebuild(figure1, email):
     report = GraphDelta(figure1).apply(insert=[(0, 9)])
     assert_matches_rebuild(report, present_edges(figure1))
     assert report.graph.m == figure1.m + 1
     assert report.inserted == ((0, 9),)
+    assert report.strategy == "incremental"
+
+    # At dataset scale: join the best-connected vertex to the
+    # best-connected vertex it is not yet adjacent to.
+    by_degree = np.argsort(email.degrees())[::-1].tolist()
+    u = by_degree[0]
+    v = next(x for x in by_degree[1:] if x not in email.adjacency[u])
+    report = GraphDelta(email).apply(insert=[(min(u, v), max(u, v))])
+    assert_matches_rebuild(report, present_edges(email))
     assert report.strategy == "incremental"
 
 

@@ -20,6 +20,7 @@ from repro.serving.query import InfluentialQuery
 from repro.serving.service import QueryService
 from repro.serving.store import load_service, load_snapshot, save_snapshot
 from repro.serving.substrate import SharedSubstrate
+from tests.index.test_offer_logs import NEAR_TIE
 
 
 def _byte_identical(produced, expected):
@@ -45,16 +46,17 @@ def test_enable_index_builds_every_level(weighted_random):
     assert stats["builds"] == service.kmax
 
 
-def test_indexed_hits_bypass_the_solver_and_count(weighted_random):
-    service = QueryService(weighted_random, cache_size=0)
-    index = service.enable_index(depth=4)
-    query = InfluentialQuery(k=2, r=2, f="sum")
-    served = service.submit(query)
-    assert service.solver_calls == 0
-    assert service.queries_served == 1
-    assert index.hits == 1
-    cold = top_r_communities(weighted_random, k=2, r=2, f="sum")
-    assert _byte_identical(served, cold)
+def test_indexed_hits_bypass_the_solver_and_count(weighted_random, email):
+    for graph, k in ((weighted_random, 2), (email, 4)):
+        service = QueryService(graph, cache_size=0)
+        index = service.enable_index(depth=4)
+        query = InfluentialQuery(k=k, r=2, f="sum")
+        served = service.submit(query)
+        assert service.solver_calls == 0
+        assert service.queries_served == 1
+        assert index.hits == 1
+        cold = top_r_communities(graph, k=k, r=2, f="sum")
+        assert _byte_identical(served, cold)
 
 
 def test_result_cache_still_fronts_the_index(weighted_random):
@@ -115,25 +117,57 @@ def test_worker_payload_ships_the_index(weighted_random):
         substrate.unlink()
 
 
+def _answers_and_refusals(service, queries):
+    """Each query's answer bits, and whether the index refused it (a
+    near-tie at rank r sends the query to the solver)."""
+    answers = []
+    for query in queries:
+        fallbacks = service.index.fallbacks
+        result = service.submit(query)
+        refused = service.index.fallbacks > fallbacks
+        answers.append(([(c.vertices, c.value.hex()) for c in result], refused))
+    return answers
+
+
 def test_snapshot_roundtrip_restores_the_index(tmp_path, weighted_random):
-    service = QueryService(weighted_random)
-    service.enable_index(depth=4, aggregators=("sum", "sum-surplus(1.5)"))
-    query = InfluentialQuery(k=2, r=3, f="sum-surplus(1.5)")
-    expected = service.submit(query)
+    near_tie = graph_from_edges(
+        NEAR_TIE["edges"], weights=NEAR_TIE["weights"], n=NEAR_TIE["n"]
+    )
+    cases = [
+        (
+            weighted_random,
+            4,
+            ("sum", "sum-surplus(1.5)"),
+            [InfluentialQuery(k=2, r=3, f="sum-surplus(1.5)")],
+        ),
+        (
+            near_tie,
+            8,
+            ("sum",),
+            [InfluentialQuery(k=3, r=r, f="sum") for r in range(1, 9)],
+        ),
+    ]
+    for case, (graph, depth, aggregators, queries) in enumerate(cases):
+        service = QueryService(graph, cache_size=0)
+        service.enable_index(depth=depth, aggregators=aggregators)
+        expected = _answers_and_refusals(service, queries)
 
-    path = tmp_path / "snap"
-    save_snapshot(service, path)
-    snapshot = load_snapshot(path)
-    assert snapshot.index_payload is not None
+        path = tmp_path / f"snap{case}"
+        save_snapshot(service, path)
+        snapshot = load_snapshot(path)
+        assert snapshot.index_payload is not None
 
-    restored = load_service(path, cache_size=0)
-    assert restored.index is not None and restored.index.built
-    assert restored.index.depth == 4
-    again = restored.submit(query)
-    assert _byte_identical(again, expected)
-    # Served straight off the persisted arrays: nothing was re-captured.
-    assert restored.index.stats()["builds"] == 0
-    assert restored.solver_calls == 0
+        restored = load_service(path, cache_size=0)
+        assert restored.index is not None and restored.index.built
+        assert restored.index.depth == depth
+        # Bit-identical answers, and the same queries refused as before.
+        assert _answers_and_refusals(restored, queries) == expected
+        # Served straight off the persisted arrays: nothing was re-captured,
+        # and the solver ran only for the refused queries.
+        assert restored.index.stats()["builds"] == 0
+        assert restored.solver_calls == restored.index.fallbacks
+    # The near-tie case refuses r=4, so the refusal check is exercised.
+    assert any(refused for __, refused in expected)
 
 
 def test_snapshot_roundtrip_preserves_pending_levels(tmp_path, weighted_random):

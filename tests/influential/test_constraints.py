@@ -144,25 +144,58 @@ def test_backend_parity_constrained(name, base):
         assert csr == plain and csr.values() == plain.values(), name
 
 
+def _planted_teams():
+    """Three labeled teams (``team:0..2``) planted in a 2000-vertex
+    ``bg`` background, and a k one below the background's degeneracy: the
+    unconstrained lattice is large while the constrained answer is the
+    teams."""
+    from repro.core.decomposition import core_decomposition
+    from repro.graphs.generators.planted import PlantedSpec, planted_communities
+
+    background = 2000
+    team = PlantedSpec(40, 0.6, weight_low=100.0, weight_high=200.0)
+    graph, blocks = planted_communities(
+        background, [team] * 3, background_p=0.008,
+        background_weight_high=100.0, seed=7,
+    )
+    labels = ["bg"] * graph.n
+    for b, block in enumerate(blocks):
+        for v in block:
+            labels[v] = f"team:{b}"
+    k = int(core_decomposition(graph)[:background].max()) - 1
+    return graph.with_labels(labels), k
+
+
 def test_constrained_equals_induced_subgraph_solve(figure1):
     """The defining semantics: constrained search == unconstrained search
     on the induced subgraph of matching vertices, mapped back."""
     from repro.graphs.views import induced_subgraph
 
-    graph = _labeled(figure1)
-    predicate = LabelPredicate.from_json({"any": ["g:db", "g:ml"]})
-    matching = [
-        v for v in range(graph.n) if predicate.matches(graph.labels[v])
+    teams, team_k = _planted_teams()
+    cases = [
+        (_labeled(figure1), {"any": ["g:db", "g:ml"]}, 2, 4),
+        (teams, {"prefix": "team:"}, team_k, 3),
     ]
-    subgraph, __ = induced_subgraph(graph, matching)
-    inner = top_r_communities(subgraph, k=2, r=4, f="sum")
-    constrained = top_r_communities(graph, k=2, r=4, f="sum", labels=predicate)
-    mapped = [
-        frozenset(matching[v] for v in community.vertices)
-        for community in inner
-    ]
-    assert [frozenset(c.vertices) for c in constrained] == mapped
-    assert constrained.values() == inner.values()
+    for graph, spec, k, r in cases:
+        predicate = LabelPredicate.from_json(spec)
+        matching = [
+            v for v in range(graph.n) if predicate.matches(graph.labels[v])
+        ]
+        subgraph, __ = induced_subgraph(graph, matching)
+        inner = top_r_communities(subgraph, k=k, r=r, f="sum")
+        constrained = top_r_communities(
+            graph, k=k, r=r, f="sum", labels=predicate
+        )
+        mapped = [
+            frozenset(matching[v] for v in community.vertices)
+            for community in inner
+        ]
+        assert constrained, spec
+        assert [frozenset(c.vertices) for c in constrained] == mapped
+        assert constrained.values() == inner.values()
+        for community in constrained:
+            members = community.vertices
+            assert all(predicate.matches(graph.labels[v]) for v in members)
 
 
 def test_constrained_with_size_cap_and_tonic(figure1):

@@ -47,6 +47,25 @@ def test_matches_reference_on_figure1(figure1):
     _check_component(figure1, component, 2)
 
 
+def test_fast_path_is_common(email):
+    """The articulation fast path covers a healthy share of removals on
+    the email stand-in: that is what makes Algorithm 2 affordable there."""
+    component = frozenset(
+        max(connected_kcore_components(email, range(email.n), 4), key=len)
+    )
+    ctx = ExpansionContext(
+        email, component, 4, Sum(), Sum().value(email, component),
+        ZobristHasher(email.n),
+    )
+    fast = sum(
+        1
+        for v in component
+        if v not in ctx.articulation
+        and all(ctx.degree[u] != 4 for u in ctx.local_adj[v])
+    )
+    assert fast / len(component) > 0.2
+
+
 def test_articulation_vertices_match_networkx():
     for seed in range(8):
         graph = random_weighted_graph(30, 0.1, seed=seed)

@@ -43,14 +43,15 @@ def test_min_values_strictly_increase_along_chains(figure1):
                 assert child.value > parent.value
 
 
-def test_truss_stricter_than_core(figure1):
+def test_truss_stricter_than_core(figure1, email):
     """Truss communities are contained in the corresponding core search
-    space: sum over 3-truss components <= sum over 2-core components."""
+    space: sum over k-truss components <= sum over (k-1)-core components."""
     from repro.influential.nonoverlap import tonic_sum_unconstrained
 
-    core = tonic_sum_unconstrained(figure1, 2, 1)
-    truss = truss_top_r_sum(figure1, 3, 1)
-    assert truss[0].value <= core[0].value
+    for graph, k in ((figure1, 3), (email, 4)):
+        core = tonic_sum_unconstrained(graph, k - 1, 1)
+        truss = truss_top_r_sum(graph, k, 1)
+        assert truss[0].value <= core[0].value
 
 
 def test_limit_and_validation(figure1):

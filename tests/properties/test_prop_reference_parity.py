@@ -26,6 +26,8 @@ from repro.graphs.components import components_bfs, connected_components_of
 from repro.influential.api import top_r_communities
 from repro.influential.expansion import expansion_context, members_frozenset
 from repro.influential.expansion_csr import ComponentStructure, MemberArray
+from repro.influential.improved import tic_improved
+from repro.influential.naive_sum import sum_naive
 from repro.truss.decomposition import edge_supports
 from repro.utils.zobrist import ZobristHasher
 
@@ -97,6 +99,28 @@ def test_top_r_parity(graph, k, r):
             expected = top_r_communities(graph, k, r, f=f)
         assert produced == expected, f
         assert produced.values() == expected.values(), f
+
+
+def test_engines_agree_on_email(email):
+    """The kernels at dataset scale, where ``kcore_of_subset`` takes its
+    whole-graph branch rather than the drawn graphs' small-subset one."""
+    assert np.array_equal(
+        reference.core_decomposition(email), core_decomposition(email)
+    )
+    assert kcore_of_subset(email, range(email.n), 4) == kcore_worklist(
+        email, set(range(email.n)), 4
+    )
+
+
+def test_solver_engines_agree_on_email(email):
+    """Algorithms 1 and 2 (Approx, eps=0.1) on both engines at dataset
+    scale."""
+    produced = [tic_improved(email, 4, 5, eps=0.1), sum_naive(email, 4, 5)]
+    with reference.set_engine():
+        expected = [tic_improved(email, 4, 5, eps=0.1), sum_naive(email, 4, 5)]
+    for got, want in zip(produced, expected):
+        assert len(got) == 5
+        assert got == want and got.values() == want.values()
 
 
 @given(weighted_graphs(), st.integers(0, 4), st.data())

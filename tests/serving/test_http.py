@@ -675,7 +675,7 @@ def body_hits(base_url: str) -> int:
 SUM_K2 = {"k": 2, "r": 2, "f": "sum"}
 
 
-def test_repeat_reads_are_answered_from_the_stored_body(served, figure1):
+def test_repeat_reads_are_answered_from_the_stored_body(served, figure1, email):
     service, __, base_url = served
     expected = cold_bytes(figure1, SUM_K2)
     seen = []
@@ -687,6 +687,16 @@ def test_repeat_reads_are_answered_from_the_stored_body(served, figure1):
     # miss, first hit (stores the body), then two reads of the stored body
     assert seen == [0, 0, 1, 2]
     assert service.cached_entry(as_query(SUM_K2)).body == expected
+
+    # Every query family on the email stand-in, byte for byte: the third
+    # read of each key is answered from the body its second read stored.
+    app = ServingApp(QueryService(email))
+    with run_server_in_thread(app) as email_url:
+        for raw in QUERIES:
+            expected = cold_bytes(email, raw)
+            for __read in range(3):
+                assert post_raw(email_url, "/v1/query", raw) == (200, expected)
+    assert app.body_hits == len(QUERIES)
 
 
 def test_no_body_hits_when_the_cache_is_emptied_before_each_read(served, figure1):

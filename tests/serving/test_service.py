@@ -56,16 +56,16 @@ def test_equivalent_spellings_share_one_cache_entry(served_graph):
     assert service.solver_calls == 1
 
 
-def test_submit_many_preserves_order_and_dedupes(served_graph):
-    service = QueryService(served_graph)
-    batch = MIXED_WORKLOAD + MIXED_WORKLOAD
-    results = service.submit_many(batch)
-    assert len(results) == len(batch)
-    assert service.solver_calls == len(MIXED_WORKLOAD)
-    for query, result in zip(batch, results):
-        assert result == top_r_communities(
-            served_graph, **query.solver_kwargs()
-        )
+def test_submit_many_preserves_order_and_dedupes(served_graph, email):
+    for graph in (served_graph, email):
+        service = QueryService(graph)
+        batch = MIXED_WORKLOAD + MIXED_WORKLOAD
+        results = service.submit_many(batch)
+        assert len(results) == len(batch)
+        assert service.solver_calls == len(MIXED_WORKLOAD)
+        for query, result in zip(batch, results):
+            cold = top_r_communities(graph, **query.solver_kwargs())
+            assert result == cold and result.values() == cold.values()
 
 
 def test_kmax_fast_path_and_core_cache(served_graph):

@@ -34,12 +34,15 @@ def test_ktruss_of_subset_restricts(tiny):
     assert vertices == set()
 
 
-def test_truss_is_subset_of_core(figure1):
+def test_truss_is_subset_of_core(figure1, email):
     """A k-truss is always inside the (k-1)-core."""
     from repro.core.kcore import maximal_kcore
 
     for k in (3, 4):
         assert maximal_ktruss(figure1, k) <= maximal_kcore(figure1, k - 1)
+    for k in (3, 4, 5):
+        truss = maximal_ktruss(email, k)
+        assert truss and truss <= maximal_kcore(email, k - 1)
 
 
 def test_components_split_on_truss_edges(two_triangles):
