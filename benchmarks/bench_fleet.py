@@ -1,6 +1,14 @@
 """Serving fleet: multi-process qps scaling, per-worker RSS, shed tails.
 
-Four measurements, all on the PR 3 mixed-workload catalogue:
+This is the one report outside the experiment grid, and for a measured
+reason: what it reports depends on processes and cores.  The grid times
+one cell in one process; qps per fleet member count needs several
+member processes sharing the machine's ``cpus``, and per-member RSS
+needs a fresh interpreter to read.  No grid cell can measure either, so
+the report records ``cpus`` beside them.
+
+Four measurements, all on one mixed-workload catalogue
+(:func:`build_workload`):
 
 * **Fleet scaling** — the same concurrent HTTP workload fired at fleets
   of 1, 2, and 4 members (one shared-memory substrate, SO_REUSEPORT or
@@ -37,12 +45,12 @@ import multiprocessing
 import os
 import pathlib
 import queue
-import sys
 import threading
 import time
 
 import numpy as np
 
+from repro.core.decomposition import core_decomposition
 from repro.influential.api import top_r_communities
 from repro.serving.fleet import Fleet
 from repro.serving.http import (
@@ -60,13 +68,38 @@ DEFAULT_CLIENTS = 8
 DEFAULT_MEMBERS = (1, 2, 4)
 
 
-def _build_workload(graph, seed: int, size: int) -> list[InfluentialQuery]:
-    here = str(pathlib.Path(__file__).resolve().parent)
-    if here not in sys.path:
-        sys.path.insert(0, here)
-    from bench_serving import build_workload
+def build_workload(graph, seed: int, size: int) -> list[InfluentialQuery]:
+    """``size`` queries over a fixed catalogue with Zipf-ish popularity.
 
-    return build_workload(graph, seed=seed, size=size)
+    The catalogue crosses k x r x (aggregator, eps) over the sum family
+    (all served by Algorithms 1/2) and adds above-kmax probes; sampling
+    weights 1/rank make a handful of entries dominate, like production
+    query logs.  Deterministic for a given ``seed``.
+    """
+    kmax = int(core_decomposition(graph).max()) if graph.n else 0
+    ks = sorted({max(2, kmax // 3), max(3, kmax // 2), max(4, 2 * kmax // 3),
+                 max(5, kmax)})
+    catalogue = [
+        InfluentialQuery(k=k, r=r, f=f, eps=eps)
+        for k in ks
+        for r in (1, 5, 10)
+        for f, eps in (
+            ("sum", 0.0),
+            ("sum", 0.1),
+            ("sum-surplus(1)", 0.0),
+            ("sum-surplus(2)", 0.1),
+        )
+    ]
+    catalogue.append(InfluentialQuery(k=kmax + 50, r=5, f="sum"))
+    catalogue.append(InfluentialQuery(k=kmax + 9, r=1, f="sum", eps=0.1))
+    rng = np.random.default_rng(seed)
+    ranks = np.arange(1, len(catalogue) + 1, dtype=np.float64)
+    popularity = (1.0 / ranks) / (1.0 / ranks).sum()
+    # Shuffle which catalogue entry gets which popularity mass, so "most
+    # popular" is not systematically the smallest-k entry.
+    popularity = popularity[rng.permutation(len(catalogue))]
+    picks = rng.choice(len(catalogue), size=size, p=popularity)
+    return [catalogue[int(i)] for i in picks]
 
 
 def _weighted_gnm(n: int, m: int, seed: int):
@@ -328,7 +361,7 @@ def measure_fleet(
     import tempfile
 
     graph = _weighted_gnm(n, m, seed)
-    workload = _build_workload(graph, seed=seed + 2, size=size)
+    workload = build_workload(graph, seed=seed + 2, size=size)
     expected = [
         result_payload_v1(
             query, top_r_communities(graph, **query.solver_kwargs())

@@ -12,8 +12,8 @@
   judged by a gating noise-band comparator (``repro bench grid ...``).
 
 The same experiment definitions back both the standalone harness
-(``python -m repro bench``) and the pytest-benchmark wrappers in
-``benchmarks/``.
+(``python -m repro bench``) and the Section VI claim checks in
+``benchmarks/bench_section6.py``.
 """
 
 from repro.bench.clock import ManualClock

@@ -8,7 +8,8 @@ every vertex id fits, neighbours of vertex ``v`` at
 kernels in :mod:`repro.core` and :mod:`repro.truss` run over these flat
 arrays with bincount/frontier operations instead of per-vertex Python
 set intersections, which is where the order-of-magnitude speedups come
-from (see ``benchmarks/bench_substrates.py``).
+from (the experiment grid's ``reference`` tier times the set engine
+against them).
 
 :func:`check_csr` is the one structural validation of untrusted arrays
 (vertex range, self-loops, sorted duplicate-free runs, symmetry).

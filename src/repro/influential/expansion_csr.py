@@ -55,7 +55,8 @@ the way through the solver frontier; the frozenset-backed
 :class:`~repro.influential.community.Community` is only materialised at
 the result boundary (``ChildCandidate.to_community``).  On a G(50k, 400k)
 random graph this engine is the difference between seconds and minutes per
-query — see ``benchmarks/bench_solvers.py`` / ``BENCH_solver_expansion.json``.
+query; the experiment grid's ``reference`` tier times it against the set
+engine.
 """
 
 from __future__ import annotations

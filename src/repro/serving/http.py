@@ -1196,9 +1196,9 @@ def run_server_in_thread(
     """Host a server on a background thread; yields its base URL.
 
     ``port=0`` binds an ephemeral port (the yielded URL carries the real
-    one).  Used by the HTTP tests, ``benchmarks/bench_http_serving.py``
-    and ``examples/serve_and_query.py`` to exercise true HTTP traffic
-    without a subprocess.
+    one).  Used by the HTTP tests, the experiment grid's ``http`` tier,
+    ``benchmarks/bench_fleet.py`` and ``examples/serve_and_query.py`` to
+    exercise true HTTP traffic without a subprocess.
     """
     app = (
         service_or_app
