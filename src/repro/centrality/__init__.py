@@ -2,21 +2,14 @@
 
 The influential-community model is agnostic to where weights come from; the
 paper uses PageRank (damping 0.85) for the main experiments and citation
-indices for the case study, and its introduction names degree, closeness
-and betweenness as alternatives.  This package implements the ones the
-evaluation needs, all returning dense ``float64`` arrays indexed by vertex.
+indices for the case study.  This package implements those two, both
+returning dense ``float64`` arrays indexed by vertex.
 """
 
-from repro.centrality.betweenness import betweenness_centrality
-from repro.centrality.closeness import closeness_centrality
-from repro.centrality.degree import degree_centrality
 from repro.centrality.hindex import g_index, h_index, i10_index
 from repro.centrality.pagerank import pagerank
 
 __all__ = [
-    "betweenness_centrality",
-    "closeness_centrality",
-    "degree_centrality",
     "g_index",
     "h_index",
     "i10_index",

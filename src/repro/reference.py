@@ -20,7 +20,9 @@ oracle that tests and benches compare against:
 * :func:`min_family` / :func:`max_family` — the min and max community
   families by a threshold sweep over every weight, the oracle for
   :mod:`repro.influential.minmax_solvers`' forest;
-* :func:`set_engine` — run the solvers on these engines for one block.
+* :func:`set_engine` — run the solvers on these engines for one block;
+* :func:`validate_graph` / :func:`assert_same_topology` — structural
+  checks the generator and loader tests run on the graphs they build.
 
 No production module imports this one (a test enforces it).
 """
@@ -36,7 +38,9 @@ import numpy as np
 
 from repro.aggregators.base import Aggregator
 from repro.core.kcore import _check_k, connected_kcore_components, kcore_worklist
+from repro.errors import GraphError, WeightError
 from repro.graphs.components import components_bfs, is_connected_subset
+from repro.graphs.csr import check_csr
 from repro.graphs.graph import Graph
 from repro.influential.community import Community, community_from_vertices
 from repro.influential.expansion import (
@@ -56,6 +60,7 @@ __all__ = [
     "SortedMultiset",
     "Strategy",
     "SumStrategy",
+    "assert_same_topology",
     "core_decomposition",
     "edge_supports",
     "expansion_context",
@@ -65,6 +70,7 @@ __all__ = [
     "seed_candidates",
     "set_engine",
     "strategy_for",
+    "validate_graph",
 ]
 
 
@@ -730,3 +736,32 @@ def set_engine() -> Iterator[None]:
             module.seed_candidates = seeds
             module.expansion_context = context
         local_search.strategy_for = saved_strategy_for
+
+
+def validate_graph(graph: Graph) -> None:
+    """Raise if any structural invariant of ``graph`` is violated.
+
+    Checks: the CSR invariants (endpoint ranges, no self-loops, sorted
+    duplicate-free runs, symmetry — :func:`repro.graphs.csr.check_csr`),
+    weight domain, and label arity.  O(n + m log m), vectorised.
+    """
+    n = graph.n
+    check_csr(graph.csr.indptr, graph.csr.indices)
+    weights = graph.weights
+    if weights.shape != (n,):
+        raise WeightError(f"weights shape {weights.shape} for {n} vertices")
+    if n and (not np.all(np.isfinite(weights)) or float(weights.min()) < 0.0):
+        raise WeightError("weights must be finite and non-negative")
+    if graph.labels is not None and len(graph.labels) != n:
+        raise GraphError(f"{len(graph.labels)} labels for {n} vertices")
+
+
+def assert_same_topology(a: Graph, b: Graph) -> None:
+    """Raise unless the two graphs have identical vertex/edge sets."""
+    if a.n != b.n:
+        raise GraphError(f"vertex counts differ: {a.n} vs {b.n}")
+    if not (
+        np.array_equal(a.csr.indptr, b.csr.indptr)
+        and np.array_equal(a.csr.indices, b.csr.indices)
+    ):
+        raise GraphError("edge sets differ")

@@ -10,7 +10,7 @@ from repro.graphs.generators.aminer import (
     AminerSpec,
     generate_aminer,
 )
-from repro.graphs.validation import validate_graph
+from repro.reference import validate_graph
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from repro.graphs.generators.examples import (
     paper_vertex_set,
     tiny_kcore_graph,
 )
-from repro.graphs.validation import validate_graph
+from repro.reference import validate_graph
 
 
 def test_figure1_shape(figure1):

@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.generators.planted import PlantedSpec, planted_communities
-from repro.graphs.validation import validate_graph
-from repro.reference import is_kcore_subset
+from repro.reference import is_kcore_subset, validate_graph
 
 
 def test_blocks_are_planted_where_claimed():

@@ -12,7 +12,7 @@ from repro.graphs.generators.random_graphs import (
     powerlaw_configuration_model,
     powerlaw_degree_sequence,
 )
-from repro.graphs.validation import validate_graph
+from repro.reference import validate_graph
 
 
 def test_gnp_determinism_and_validity():

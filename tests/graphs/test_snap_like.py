@@ -11,7 +11,7 @@ from repro.graphs.generators.snap_like import (
     snap_like_graph,
     snap_like_topology,
 )
-from repro.graphs.validation import validate_graph
+from repro.reference import validate_graph
 
 
 def test_all_seven_table3_datasets_present():

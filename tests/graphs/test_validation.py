@@ -7,7 +7,7 @@ from repro.errors import GraphError
 from repro.graphs.builder import graph_from_edges
 from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
-from repro.graphs.validation import assert_same_topology, validate_graph
+from repro.reference import assert_same_topology, validate_graph
 
 
 def test_valid_graph_passes(figure1):

@@ -10,7 +10,7 @@ from repro.graphs.generators.random_graphs import (
     gnm_random_graph,
     powerlaw_configuration_model,
 )
-from repro.graphs.validation import validate_graph
+from repro.reference import validate_graph
 
 
 @st.composite
